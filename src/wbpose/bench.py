@@ -25,7 +25,7 @@ from .skeleton import SkeletonTopology
 from .synth import SceneRecipe, generate
 
 CSV_COLUMNS = (
-    "n_people", "map_w", "map_h", "threads",
+    "n_people", "map_w", "map_h",
     "median_ns", "p90_ns", "candidates", "connections",
 )
 
@@ -35,7 +35,6 @@ class BenchRecord:
     n_people: int
     map_w: int
     map_h: int
-    threads: int
     median_ns: int
     p90_ns: int
     candidates: int
@@ -148,7 +147,6 @@ def run_bench(
                     n_people=n_people,
                     map_w=map_w,
                     map_h=map_h,
-                    threads=dec_params.threads,
                     median_ns=int(statistics.median(ns_sorted)),
                     p90_ns=_percentile(ns_sorted, 0.9),
                     candidates=stats.candidates,
@@ -167,7 +165,7 @@ def write_bench_csv(records: Iterable[BenchRecord], fp: IO[str]) -> None:
     writer.writerow(CSV_COLUMNS)
     for r in records:
         writer.writerow([
-            r.n_people, r.map_w, r.map_h, r.threads,
+            r.n_people, r.map_w, r.map_h,
             r.median_ns, r.p90_ns, r.candidates, r.connections,
         ])
 

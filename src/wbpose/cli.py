@@ -2,7 +2,7 @@
 
 One executable, nine subcommands: encode, decode, loss, eval, synth,
 roundtrip, sample-plan, arch, bench.  Global flags (--manifest, --seed,
---stride, --threads, --quiet) sit before the subcommand.  Every run prints a
+--stride, --quiet) sit before the subcommand.  Every run prints a
 single JSON summary to stdout (unless --quiet) carrying tool_version,
 manifest_hash and the seed, so outputs are attributable and replayable.
 
@@ -28,7 +28,7 @@ from .archmodel import (
     runtime_ratio,
 )
 from .bench import read_bench_medians, run_bench, write_bench_csv
-from .decoder import DecoderParams, decode
+from .decoder import decode
 from .encoder import EncoderParams, encode
 from .formats import (
     CocoIngestError,
@@ -109,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", type=Path, default=None, help="topology manifest JSON (default: bundled wholebody135)")
     p.add_argument("--seed", type=int, default=0, help="base RNG seed, echoed in outputs")
     p.add_argument("--stride", type=int, default=8, help="map cell size in pixels")
-    p.add_argument("--threads", type=int, default=1, help="decoder worker threads")
     p.add_argument("--quiet", action="store_true", help="suppress the JSON summary on stdout")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -242,15 +241,19 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     topo = _topology(args)
-    params = DecoderParams(threads=args.threads)
     poses_by_scene = {}
-    stride = args.stride
     for i, path in enumerate(args.tensors):
         f = read_wbpt(path)
         _check_hash(topo, f.manifest_hash, path)
+        # One poses document carries one stride for every scene.
         if i == 0:
-            stride = f.stride
-        poses_by_scene[_scene_id_of(path, i)] = decode(to_targets(f), topo, params)
+            stride, first = f.stride, path
+        elif f.stride != stride:
+            raise WbptError(
+                f"{path} has stride {f.stride} but {first} has stride {stride}; "
+                "decode files of one stride per run"
+            )
+        poses_by_scene[_scene_id_of(path, i)] = decode(to_targets(f), topo)
     doc = poses_document(poses_by_scene, stride, topo.manifest_hash, args.seed)
     if args.out:
         _write_json(args.out, doc)
@@ -337,12 +340,11 @@ def cmd_synth(args) -> int:
 def cmd_roundtrip(args) -> int:
     topo = _topology(args)
     enc_params = EncoderParams(stride=args.stride)
-    dec_params = DecoderParams(threads=args.threads)
     reports = []
     for i in range(args.n_scenes):
         n_people = args.n_people[i % len(args.n_people)]
         reports.append(roundtrip_report(
-            _recipe(args, n_people), topo, enc_params, dec_params,
+            _recipe(args, n_people), topo, enc_params,
             tol_cells=args.tol_cells, scene_id=i,
         ))
     failures = [i for i, r in enumerate(reports) if not r.success]
@@ -432,7 +434,6 @@ def cmd_bench(args) -> int:
     records = run_bench(
         args.n_people, sizes, topo,
         enc_params=EncoderParams(stride=args.stride),
-        dec_params=DecoderParams(threads=args.threads),
         warmup=args.warmup, repetitions=args.repetitions, seed=args.seed,
     )
     with open(args.csv, "w", newline="", encoding="utf-8") as fh:

@@ -1,11 +1,13 @@
 """Map-to-skeleton decoding: peaks, limb scoring, matching and assembly.
 
 Pipeline: strict-local-max NMS per part channel with subpixel refinement,
-line-integral scoring of every candidate pair along each limb's PAF, greedy
-bipartite matching per limb, then union-find assembly of accepted
-connections into per-person clusters. Anchor parts (wrists, ankles, eyes)
-carry a single candidate shared by the body and the non-body group, so
-clusters meeting at the same anchor candidate merge by identity.
+line-integral scoring of every candidate pair along each limb's PAF (after
+an exact support prefilter), greedy bipartite matching per limb, then
+assembly of accepted connections into poses as connected components over
+the limb forest (the loader rejects cyclic limb graphs). Anchor parts
+(wrists, ankles, eyes) carry a single candidate shared by the body and the
+non-body group, so connections meeting at the same anchor candidate join
+one component by identity.
 
 All positions are subpixel map-cell coordinates (x, y); multiply by the grid
 stride to get pixels. The decode is deterministic: candidates are ordered by
@@ -17,9 +19,7 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import binary_dilation, maximum_filter
@@ -27,7 +27,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .encoder import TargetTensors
-from .skeleton import Limb, SkeletonTopology
+from .skeleton import SkeletonTopology
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,6 @@ class DecoderParams:
     valid_fraction: float = 0.8
     min_parts: int = 4
     min_score: float | None = None  # None -> 0.2 * min_parts
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.nms_window < 3 or self.nms_window % 2 == 0:
@@ -57,24 +56,6 @@ class DecoderParams:
     def min_valid_samples(self) -> int:
         # ceil with a guard against float dust in valid_fraction * n_samples
         return math.ceil(self.valid_fraction * self.n_samples - 1e-9)
-
-
-@dataclass(frozen=True)
-class PartCandidate:
-    candidate_id: int
-    part_id: int
-    x: float  # subpixel map coords
-    y: float
-    score: float
-
-
-@dataclass(frozen=True)
-class ScoredConnection:
-    limb_id: int
-    src_candidate_id: int
-    dst_candidate_id: int
-    paf_score: float
-    valid: bool
 
 
 @dataclass
@@ -144,24 +125,15 @@ def _nms_arrays(conf: np.ndarray, topo: SkeletonTopology, params: DecoderParams)
     return pids[order], (xs + dx)[order], (ys + dy)[order], vc[order]
 
 
-def nms(conf: np.ndarray, topo: SkeletonTopology, params: DecoderParams) -> list[PartCandidate]:
-    """Strict local maxima at or above nms_threshold on every part channel
-    (the background channel, if present, is skipped), refined per axis."""
-    pids, xs, ys, scores = _nms_arrays(conf, topo, params)
-    return [
-        PartCandidate(i, int(pids[i]), float(xs[i]), float(ys[i]), float(scores[i]))
-        for i in range(pids.size)
-    ]
-
-
 def _flat_pair_scores(flat_x, flat_y, base, shape, sx, sy, dx, dy, params: DecoderParams):
     """Line-integral scores for flat pair-endpoint arrays.
 
     flat_x / flat_y are raveled PAF component maps and base is each pair's
     offset into them: 0 for a single channel pair, channel_id * H * W per
-    pair on the batched path. The first bilinear corner's linear index is
-    built once and the other three derived by integer adds; everything after
-    the gather is elementwise, so both callers produce bit-identical scores.
+    pair for a stack of channels. The first bilinear corner's linear index
+    is built once and the other three derived by integer adds; everything
+    after the gather is elementwise, so a pair's score does not depend on
+    which other pairs share the call.
     """
     H, W = shape
     vecx = dx - sx
@@ -205,85 +177,6 @@ def _flat_pair_scores(flat_x, flat_y, base, shape, sx, sy, dx, dy, params: Decod
     return scores, valid
 
 
-def _pair_grid(src: Sequence[PartCandidate], dst: Sequence[PartCandidate]):
-    """Flat endpoint/id arrays for the src x dst grid, row-major in src."""
-    ns, nd = len(src), len(dst)
-    sx = np.repeat(np.array([c.x for c in src], dtype=np.float64), nd)
-    sy = np.repeat(np.array([c.y for c in src], dtype=np.float64), nd)
-    dx = np.tile(np.array([c.x for c in dst], dtype=np.float64), ns)
-    dy = np.tile(np.array([c.y for c in dst], dtype=np.float64), ns)
-    sid = np.repeat(np.array([c.candidate_id for c in src], dtype=np.int64), nd)
-    did = np.tile(np.array([c.candidate_id for c in dst], dtype=np.int64), ns)
-    return sx, sy, dx, dy, sid, did
-
-
-def _limb_pair_arrays(
-    paf: np.ndarray,
-    limb: Limb,
-    src: Sequence[PartCandidate],
-    dst: Sequence[PartCandidate],
-    params: DecoderParams,
-):
-    """(scores, valid, src_ids, dst_ids) for every src x dst pair of one limb."""
-    paf_x = np.ascontiguousarray(paf[2 * limb.limb_id], dtype=np.float64)
-    paf_y = np.ascontiguousarray(paf[2 * limb.limb_id + 1], dtype=np.float64)
-    sx, sy, dx, dy, sid, did = _pair_grid(src, dst)
-    scores, valid = _flat_pair_scores(
-        paf_x.reshape(-1), paf_y.reshape(-1), np.int64(0), paf_x.shape,
-        sx, sy, dx, dy, params,
-    )
-    return scores, valid, sid, did
-
-
-def _score_limb_pairs(
-    paf: np.ndarray,
-    limb: Limb,
-    src: Sequence[PartCandidate],
-    dst: Sequence[PartCandidate],
-    params: DecoderParams,
-) -> list[ScoredConnection]:
-    """Score every src x dst candidate pair along the limb's PAF channels."""
-    if not src or not dst:
-        return []
-    scores, valid, sid, did = _limb_pair_arrays(paf, limb, src, dst, params)
-    return [
-        ScoredConnection(limb.limb_id, int(s), int(d), float(v), bool(ok))
-        for s, d, v, ok in zip(sid, did, scores, valid)
-    ]
-
-
-def score_connection(
-    paf: np.ndarray,
-    limb: Limb,
-    src: PartCandidate,
-    dst: PartCandidate,
-    params: DecoderParams | None = None,
-) -> ScoredConnection:
-    """Line-integral score of a single candidate pair; a zero-length segment
-    has no direction and is scored 0 / invalid."""
-    params = params or DecoderParams()
-    return _score_limb_pairs(paf, limb, [src], [dst], params)[0]
-
-
-def match_limb(connections: Sequence[ScoredConnection]) -> list[ScoredConnection]:
-    """Greedy matching by descending paf_score; each candidate is used at
-    most once per limb. Ties break on (src_candidate_id, dst_candidate_id)."""
-    order = sorted(
-        (c for c in connections if c.valid),
-        key=lambda c: (-c.paf_score, c.src_candidate_id, c.dst_candidate_id),
-    )
-    used_src: set[int] = set()
-    used_dst: set[int] = set()
-    accepted: list[ScoredConnection] = []
-    for conn in order:
-        if conn.src_candidate_id in used_src or conn.dst_candidate_id in used_dst:
-            continue
-        used_src.add(conn.src_candidate_id)
-        used_dst.add(conn.dst_candidate_id)
-        accepted.append(conn)
-    return accepted
-
-
 def _match_all_limbs(
     limb_ids: np.ndarray,
     scores: np.ndarray,
@@ -291,12 +184,13 @@ def _match_all_limbs(
     src_ids: np.ndarray,
     dst_ids: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """match_limb applied to every limb in one pass, without materializing
-    pairs as objects. Sorting limb-major with the per-limb ordering contract
-    (-score, src_id, dst_id) as secondary keys reproduces the independent
-    per-limb greedy matchings exactly, concatenated in limb order; used-sets
-    are keyed on (limb, candidate) because matching is per limb while
-    candidate ids are global. Returns accepted (src, dst, score) arrays."""
+    """Greedy bipartite matching of every limb in one pass: within a limb,
+    valid pairs are taken by descending score (ties on src id, then dst id)
+    and each candidate is used at most once. Sorting limb-major with those
+    keys as secondary keys reproduces the independent per-limb matchings
+    exactly, concatenated in limb order; used-sets are keyed on (limb,
+    candidate) because matching is per limb while candidate ids are global.
+    Returns accepted (src, dst, score) arrays."""
     vi = np.nonzero(valid)[0]
     if vi.size == 0:
         return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
@@ -320,108 +214,6 @@ def _match_all_limbs(
     return src_ids[idx], dst_ids[idx], scores[idx]
 
 
-def _assemble_arrays(
-    cand_part: np.ndarray,
-    cand_x: np.ndarray,
-    cand_y: np.ndarray,
-    cand_score: np.ndarray,
-    cand_ids: np.ndarray,
-    acc_src: np.ndarray,
-    acc_dst: np.ndarray,
-    acc_score: np.ndarray,
-    params: DecoderParams,
-) -> list[Pose]:
-    """Union-find over candidate rows with per-cluster part maps; acc_src /
-    acc_dst index into the candidate arrays, cand_ids carries the reported
-    candidate ids."""
-    n = cand_part.shape[0]
-    parent = list(range(n))
-    parts: dict[int, dict[int, int]] = {}  # root row -> part_id -> cand row
-    conn_score: dict[int, float] = {}
-
-    def find(i: int) -> int:
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
-
-    for k in range(acc_src.shape[0]):
-        s, d, sc = int(acc_src[k]), int(acc_dst[k]), float(acc_score[k])
-        ra, rb = find(s), find(d)
-        if ra == rb:
-            conn_score[ra] = conn_score.get(ra, 0.0) + sc
-            continue
-        pa = parts.get(ra)
-        if pa is None:
-            pa = parts[ra] = {int(cand_part[ra]): ra}
-        pb = parts.get(rb)
-        if pb is None:
-            pb = parts[rb] = {int(cand_part[rb]): rb}
-        small, big = (ra, rb) if len(pa) <= len(pb) else (rb, ra)
-        small_map, big_map = parts[small], parts[big]
-        # One candidate per part per cluster: a union that would give the
-        # cluster two different candidates of the same part is refused, so
-        # the loser stays a separate pose.
-        conflict = False
-        for part_id, row in small_map.items():
-            existing = big_map.get(part_id)
-            if existing is not None and existing != row:
-                conflict = True
-                break
-        if conflict:
-            continue
-        parent[small] = big
-        big_map.update(small_map)
-        conn_score[big] = conn_score.get(big, 0.0) + conn_score.get(small, 0.0) + sc
-        del parts[small]
-        conn_score.pop(small, None)
-
-    poses: list[Pose] = []
-
-    def emit(part_map: dict[int, int], extra: float) -> None:
-        score = sum(float(cand_score[r]) for r in part_map.values()) + extra
-        if len(part_map) < params.min_parts or score < params.resolved_min_score:
-            return
-        poses.append(
-            Pose(
-                parts={
-                    int(cand_part[r]): (float(cand_x[r]), float(cand_y[r]), float(cand_score[r]))
-                    for r in part_map.values()
-                },
-                candidate_ids={p: int(cand_ids[r]) for p, r in sorted(part_map.items())},
-                person_score=float(score),
-            )
-        )
-
-    for root, part_map in parts.items():
-        emit(part_map, conn_score.get(root, 0.0))
-    if params.min_parts <= 1:
-        for i in range(n):
-            if parent[i] == i and i not in parts:
-                emit({int(cand_part[i]): i}, conn_score.get(i, 0.0))
-    poses.sort(key=lambda p: (-p.person_score, min(p.candidate_ids.values(), default=0)))
-    return poses
-
-
-def _is_forest(topo: SkeletonTopology) -> bool:
-    parent = list(range(topo.n_parts))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for limb in topo.limbs:
-        ra, rb = find(limb.src), find(limb.dst)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-    return True
-
-
 def _assemble_forest(
     cand_part: np.ndarray,
     cand_x: np.ndarray,
@@ -432,12 +224,14 @@ def _assemble_forest(
     acc_score: np.ndarray,
     params: DecoderParams,
 ) -> list[Pose]:
-    """Assembly when the limb graph is a forest and each limb contributed a
-    bipartite matching: removing a limb edge disconnects its two endpoint
-    subtrees, so the clusters being merged always hold disjoint part sets and
-    the conflict rule of _assemble_arrays can never fire. That reduces
-    assembly to connected components over the accepted connections, with
-    each component's connection scores summed into its pose score."""
+    """Poses as connected components of the accepted connections. person_score
+    is the sum of member candidate scores and internal connection scores;
+    components with fewer than min_parts parts or a lower score are dropped.
+
+    The limb graph is a forest and each limb contributed a bipartite
+    matching, so a component never holds two candidates of one part: a path
+    between them would have to double back along some limb at one
+    candidate, which would then hold two matches on that limb."""
     n = cand_part.shape[0]
     if acc_src.size:
         graph = coo_matrix(
@@ -471,30 +265,6 @@ def _assemble_forest(
         )
     poses.sort(key=lambda p: (-p.person_score, min(p.candidate_ids.values(), default=0)))
     return poses
-
-
-def assemble(
-    candidates: Sequence[PartCandidate],
-    accepted: Sequence[ScoredConnection],
-    topo: SkeletonTopology,
-    params: DecoderParams | None = None,
-) -> list[Pose]:
-    """Clusters of accepted connections become poses. person_score is the sum
-    of member candidate scores and internal connection scores; clusters with
-    fewer than min_parts parts or a lower score are dropped."""
-    params = params or DecoderParams()
-    row_of = {c.candidate_id: k for k, c in enumerate(candidates)}
-    return _assemble_arrays(
-        np.array([c.part_id for c in candidates], dtype=np.int64),
-        np.array([c.x for c in candidates], dtype=np.float64),
-        np.array([c.y for c in candidates], dtype=np.float64),
-        np.array([c.score for c in candidates], dtype=np.float64),
-        np.array([c.candidate_id for c in candidates], dtype=np.int64),
-        np.array([row_of[c.src_candidate_id] for c in accepted], dtype=np.int64),
-        np.array([row_of[c.dst_candidate_id] for c in accepted], dtype=np.int64),
-        np.array([c.paf_score for c in accepted], dtype=np.float64),
-        params,
-    )
 
 
 def decode_with_stats(
@@ -607,27 +377,10 @@ def decode_with_stats(
             flat_x = paf_x_all.reshape(-1)
             flat_y = paf_y_all.reshape(-1)
             base_k = ch[keep] * (H * W)
-            sx_k, sy_k = sx[keep], sy[keep]
-            dx_k, dy_k = dx[keep], dy[keep]
-
-            def score_slab(rows: np.ndarray):
-                return _flat_pair_scores(
-                    flat_x, flat_y, base_k[rows], (H, W),
-                    sx_k[rows], sy_k[rows], dx_k[rows], dy_k[rows], params,
-                )
-
-            if params.threads > 1 and keep.size >= params.threads:
-                # Chunk-parallel over the survivor set; the math is
-                # elementwise, so chunking cannot change results.
-                slabs = np.array_split(np.arange(keep.size), params.threads)
-                with ThreadPoolExecutor(max_workers=params.threads) as pool:
-                    parts = list(pool.map(score_slab, slabs))
-                scores_k = np.concatenate([p[0] for p in parts])
-                valid_k = np.concatenate([p[1] for p in parts])
-            else:
-                scores_k, valid_k = _flat_pair_scores(
-                    flat_x, flat_y, base_k, (H, W), sx_k, sy_k, dx_k, dy_k, params
-                )
+            scores_k, valid_k = _flat_pair_scores(
+                flat_x, flat_y, base_k, (H, W),
+                sx[keep], sy[keep], dx[keep], dy[keep], params,
+            )
             stats.connections_valid = int(valid_k.sum())
 
             acc_src, acc_dst, acc_score = _match_all_limbs(
@@ -636,16 +389,9 @@ def decode_with_stats(
     stats.scoring_ns = time.perf_counter_ns() - t0
 
     t0 = time.perf_counter_ns()
-    if _is_forest(topo):
-        poses = _assemble_forest(
-            cand_part, cand_x, cand_y, cand_score, acc_src, acc_dst, acc_score, params
-        )
-    else:
-        poses = _assemble_arrays(
-            cand_part, cand_x, cand_y, cand_score,
-            np.arange(cand_part.size, dtype=np.int64),
-            acc_src, acc_dst, acc_score, params,
-        )
+    poses = _assemble_forest(
+        cand_part, cand_x, cand_y, cand_score, acc_src, acc_dst, acc_score, params
+    )
     stats.assembly_ns = time.perf_counter_ns() - t0
     return poses, stats
 

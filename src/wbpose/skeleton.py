@@ -155,8 +155,10 @@ def _reachable_from(seeds: set[int], n_parts: int, edges: list[tuple[int, int]])
 def load_topology(source: str | Path | Mapping) -> SkeletonTopology:
     """Parse and validate a topology manifest (path or already-parsed dict).
 
-    Raises ManifestError on structural problems and DisconnectedGroupError
-    when some part cannot be reached from any body part or anchor.
+    Raises ManifestError on structural problems (including a limb that
+    closes a cycle: decoding assembles poses over a forest) and
+    DisconnectedGroupError when some part cannot be reached from any body
+    part or anchor.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
@@ -199,6 +201,14 @@ def load_topology(source: str | Path | Mapping) -> SkeletonTopology:
     group_of = {p.part_id: p.group for p in parts}
 
     limbs: list[Limb] = []
+    tree_of = list(range(n_parts))  # union-find over parts joined by limbs
+
+    def root(pid: int) -> int:
+        while tree_of[pid] != pid:
+            tree_of[pid] = tree_of[tree_of[pid]]
+            pid = tree_of[pid]
+        return pid
+
     for idx, entry in enumerate(manifest["limbs"]):
         lid = int(entry.get("id", idx))
         if lid != idx:
@@ -209,6 +219,12 @@ def load_topology(source: str | Path | Mapping) -> SkeletonTopology:
                 raise ManifestError(f"limb {lid} references unknown part {ref}")
         if src == dst:
             raise ManifestError(f"limb {lid} is degenerate (src == dst == {src})")
+        rs, rd = root(src), root(dst)
+        if rs == rd:
+            raise ManifestError(
+                f"limb {lid} ({src} -> {dst}) closes a cycle; the limb graph must be a forest"
+            )
+        tree_of[rs] = rd
         limbs.append(Limb(lid, src, dst, group_of[dst]))
 
     anchors: list[Anchor] = []

@@ -1,13 +1,18 @@
 """Independent brute-force oracles used to pin down expected values.
 
 Everything here is deliberately naive: per-pixel scalar loops, exhaustive
-scans, no shared code with the library beyond dataclass types.
+scans, no shared code with the library beyond dataclass types. The
+exceptions are oracle_limb_scores and oracle_decode, which reuse the
+library's peak extraction and line-integral scorer (checked by the NMS and
+connection tests) so that they can compare the decode's pair enumeration,
+prefilter, matching and assembly bit for bit.
 """
 
 import math
 
 import numpy as np
 
+from wbpose.decoder import Pose, _flat_pair_scores, _nms_arrays
 from wbpose.encoder import Visibility
 
 
@@ -118,6 +123,76 @@ def oracle_greedy_match(connections):
         used_dst.add(d)
         accepted.append((s, d))
     return accepted
+
+
+def oracle_limb_scores(paf, limb, src_xy, dst_xy, params):
+    """(scores, valid) of every src x dst pair of one limb, row-major in src,
+    with no prefilter. src_xy / dst_xy are (n, 2) arrays of map coords."""
+    src_xy = np.asarray(src_xy, dtype=np.float64).reshape(-1, 2)
+    dst_xy = np.asarray(dst_xy, dtype=np.float64).reshape(-1, 2)
+    ns, nd = len(src_xy), len(dst_xy)
+    paf_x = np.ascontiguousarray(paf[2 * limb.limb_id], dtype=np.float64)
+    paf_y = np.ascontiguousarray(paf[2 * limb.limb_id + 1], dtype=np.float64)
+    return _flat_pair_scores(
+        paf_x.reshape(-1), paf_y.reshape(-1), 0, paf_x.shape,
+        np.repeat(src_xy[:, 0], nd), np.repeat(src_xy[:, 1], nd),
+        np.tile(dst_xy[:, 0], ns), np.tile(dst_xy[:, 1], ns), params,
+    )
+
+
+def oracle_decode(conf, paf, topo, params):
+    """Reference decode: each limb's full candidate grid scored on its own,
+    matched with oracle_greedy_match, then a plain union-find over the
+    accepted pairs. Asserts that no cluster holds two candidates of one
+    part. Member scores are summed with np.sum in row order and connection
+    scores one by one in acceptance order, the summation order the decoder
+    uses, so person scores compare exactly."""
+    part, xs, ys, score = _nms_arrays(conf, topo, params)
+    accepted = []  # (src row, dst row, paf score), limb by limb
+    for limb in topo.limbs:
+        src = np.flatnonzero(part == limb.src)
+        dst = np.flatnonzero(part == limb.dst)
+        if not src.size or not dst.size:
+            continue
+        scores, valid = oracle_limb_scores(
+            paf, limb, np.stack([xs[src], ys[src]], 1), np.stack([xs[dst], ys[dst]], 1), params
+        )
+        by_pair = {}
+        for k in np.flatnonzero(valid):
+            by_pair[int(src[k // dst.size]), int(dst[k % dst.size])] = float(scores[k])
+        for s, d in oracle_greedy_match([(v, s, d) for (s, d), v in by_pair.items()]):
+            accepted.append((s, d, by_pair[s, d]))
+
+    parent = list(range(part.size))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for s, d, _ in accepted:
+        parent[find(s)] = find(d)
+    clusters = {}
+    for row in range(part.size):
+        clusters.setdefault(find(row), []).append(row)
+    link_score = {}
+    for s, _, v in accepted:
+        link_score[find(s)] = link_score.get(find(s), 0.0) + v
+
+    poses = []
+    for root, rows in clusters.items():
+        pids = [int(part[r]) for r in rows]
+        assert len(set(pids)) == len(pids), f"cluster {rows} holds two candidates of one part"
+        total = float(score[rows].sum()) + link_score.get(root, 0.0)
+        if len(rows) < params.min_parts or total < params.resolved_min_score:
+            continue
+        poses.append(Pose(
+            parts={p: (float(xs[r]), float(ys[r]), float(score[r])) for p, r in zip(pids, rows)},
+            candidate_ids=dict(zip(pids, rows)),
+            person_score=total,
+        ))
+    poses.sort(key=lambda p: (-p.person_score, min(p.candidate_ids.values())))
+    return poses
 
 
 def oracle_receptive_field(layers):

@@ -29,7 +29,7 @@ from wbpose.archmodel import (
     runtime_ratio,
 )
 from wbpose.bench import read_bench_medians, run_bench, write_bench_csv
-from wbpose.decoder import DecoderParams, PartCandidate, ScoredConnection, assemble
+from wbpose.decoder import DecoderParams, _assemble_forest
 from wbpose.encoder import EncoderParams, TargetTensors
 from wbpose.formats import (
     KIND_COMBINED,
@@ -326,26 +326,27 @@ def test_criterion_6_anchor_assembly():
     })
     params = DecoderParams(min_parts=2)
 
-    def cand(cid, pid, x, y):
-        return PartCandidate(cid, pid, x, y, 1.0)
-
-    def conn(limb, src, dst):
-        return ScoredConnection(limb, src, dst, 0.9, True)
+    def assemble(cands, conns):
+        """cands: (part, x, y) per candidate row; conns: accepted (src row,
+        dst row) pairs, each scored 0.9 and each along one limb of topo."""
+        limb_ends = {(l.src, l.dst) for l in topo.limbs}
+        assert all((cands[s][0], cands[d][0]) in limb_ends for s, d in conns)
+        part, xs, ys = (np.array(c) for c in zip(*cands))
+        src, dst = (np.array(c, dtype=np.int64) for c in zip(*conns))
+        return _assemble_forest(part, xs, ys, np.ones(len(cands)), src, dst,
+                                np.full(len(conns), 0.9), params)
 
     # shared wrist: body limb and hand limbs meet at candidate 1
     shared = assemble(
-        [cand(0, 0, 10, 10), cand(1, 1, 12, 14), cand(2, 2, 13, 15), cand(3, 3, 14, 16)],
-        [conn(0, 0, 1), conn(1, 1, 2), conn(2, 2, 3)],
-        topo, params,
+        [(0, 10, 10), (1, 12, 14), (2, 13, 15), (3, 14, 16)],
+        [(0, 1), (1, 2), (2, 3)],
     )
     merged = len(shared) == 1 and set(shared[0].parts) == {0, 1, 2, 3}
 
     # distinct wrists: body uses candidate 1, hand hangs off candidate 4
     split = assemble(
-        [cand(0, 0, 10, 10), cand(1, 1, 12, 14), cand(2, 2, 40, 45),
-         cand(3, 3, 41, 46), cand(4, 1, 39, 44)],
-        [conn(0, 0, 1), conn(1, 4, 2), conn(2, 2, 3)],
-        topo, params,
+        [(0, 10, 10), (1, 12, 14), (2, 40, 45), (3, 41, 46), (1, 39, 44)],
+        [(0, 1), (4, 2), (2, 3)],
     )
     stayed = (
         len(split) == 2

@@ -31,7 +31,7 @@ def test_run_bench_rejects_thin_sampling(topo):
 
 def test_bench_record_invariants():
     ok = dict(
-        n_people=1, map_w=16, map_h=16, threads=1, median_ns=10, p90_ns=20,
+        n_people=1, map_w=16, map_h=16, median_ns=10, p90_ns=20,
         candidates=5, connections=4, repetitions=10,
     )
     BenchRecord(**ok)

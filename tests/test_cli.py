@@ -173,9 +173,9 @@ class TestArch:
     def test_ratio_mode(self, capsys, tmp_path):
         csv_path = tmp_path / "bench.csv"
         csv_path.write_text(
-            "n_people,map_w,map_h,threads,median_ns,p90_ns,candidates,connections\n"
-            "1,60,60,1,1000000,1100000,135,134\n"
-            "20,60,60,1,1500000,1600000,2700,2900\n"
+            "n_people,map_w,map_h,median_ns,p90_ns,candidates,connections\n"
+            "1,60,60,1000000,1100000,135,134\n"
+            "20,60,60,1500000,1600000,2700,2900\n"
         )
         out = tmp_path / "ratios.csv"
         code, doc = run(capsys, "arch", "--ratio", "--fit", str(csv_path),
@@ -224,6 +224,36 @@ class TestExitCodes:
         write_wbpt(path, f)
         assert main(["--quiet", "decode", str(path)]) == EXIT_IO
 
+    def test_cyclic_manifest_is_format_error(self, capsys, tmp_path):
+        manifest = {
+            "manifest_version": 1,
+            "background_channel": False,
+            "parts": [{"id": i, "name": f"p{i}", "group": "body"} for i in range(3)],
+            "limbs": [{"id": 0, "src": 0, "dst": 1}, {"id": 1, "src": 1, "dst": 2},
+                      {"id": 2, "src": 2, "dst": 0}],
+            "anchors": [],
+            "oks_kappa": {"0": 0.05, "1": 0.05, "2": 0.05},
+            "template_pose": {"0": [0.0, 0.0], "1": [0.0, 0.5], "2": [0.2, 1.0]},
+        }
+        path = tmp_path / "cyclic.json"
+        path.write_text(json.dumps(manifest))
+        assert main(["--quiet", "--manifest", str(path), "synth",
+                     "--out", str(tmp_path / "s.json")]) == EXIT_IO
+        assert "limb 2 (2 -> 0) closes a cycle" in capsys.readouterr().err
+
+    def test_mixed_strides_are_format_error(self, capsys, tmp_path):
+        scenes = tmp_path / "scenes.json"
+        main(["--quiet", "synth", "--n-people", "1", "--image-size", "160x160",
+              "--coverage", "body", "--out", str(scenes)])
+        for stride in ("8", "4"):
+            assert main(["--quiet", "--stride", stride, "encode", "--scenes", str(scenes),
+                         "--out-dir", str(tmp_path / f"s{stride}")]) == EXIT_OK
+        s8 = tmp_path / "s8" / "scene_000000.wbpt"
+        s4 = tmp_path / "s4" / "scene_000000.wbpt"
+        assert main(["--quiet", "decode", str(s8), str(s4)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert str(s8) in err and str(s4) in err
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == EXIT_OK
 
@@ -246,6 +276,6 @@ class TestBenchCommand:
                         "--csv", str(out))
         assert code == EXIT_OK
         lines = out.read_text().splitlines()
-        assert lines[0] == "n_people,map_w,map_h,threads,median_ns,p90_ns,candidates,connections"
+        assert lines[0] == "n_people,map_w,map_h,median_ns,p90_ns,candidates,connections"
         assert len(lines) == 3
         assert set(doc["median_ns_by_n_people"]) == {"1", "2"}

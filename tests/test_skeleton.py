@@ -1,6 +1,9 @@
 """Topology loading, validation and channel layout."""
 
 import copy
+import importlib.util
+import json
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,7 @@ from wbpose.skeleton import (
     DisconnectedGroupError,
     ManifestError,
     PartGroup,
+    default_manifest_path,
     load_topology,
 )
 
@@ -43,21 +47,44 @@ def test_single_part_topology_is_valid_degenerate():
     assert t.channel_counts() == (1, 0)
 
 
-def test_channel_counts_for_26_limb_body_manifest():
-    # 25-part body+foot style manifest with 26 limbs and no background.
-    parts = [{"id": i, "name": f"p{i}", "group": "body", "side": "center"} for i in range(25)]
-    limbs = [{"id": i, "src": 0, "dst": i + 1} for i in range(24)]
-    limbs.append({"id": 24, "src": 1, "dst": 2})
-    limbs.append({"id": 25, "src": 3, "dst": 4})
-    t = load_topology({
+def body_manifest(n_parts, limbs):
+    return {
         "manifest_version": 1,
         "background_channel": False,
-        "parts": parts,
-        "limbs": limbs,
+        "parts": [{"id": i, "name": f"p{i}", "group": "body", "side": "center"}
+                  for i in range(n_parts)],
+        "limbs": [{"id": i, "src": s, "dst": d} for i, (s, d) in enumerate(limbs)],
         "anchors": [],
-        "oks_kappa": {str(i): 0.05 for i in range(25)},
-    })
-    assert t.channel_counts() == (25, 52)
+        "oks_kappa": {str(i): 0.05 for i in range(n_parts)},
+    }
+
+
+def test_channel_counts_for_26_limb_body_manifest():
+    # 27-part body-only manifest with 26 limbs (a tree) and no background.
+    t = load_topology(body_manifest(27, [(0, i + 1) for i in range(26)]))
+    assert t.channel_counts() == (27, 52)
+
+
+@pytest.mark.parametrize("n_parts, limbs, closing", [
+    (3, [(0, 1), (1, 2), (2, 0)], 2),  # 3-part cycle
+    (3, [(0, 1), (0, 1), (1, 2)], 1),  # the same limb twice
+    # 25 parts with 26 limbs cannot be a forest; limb 24 (1 -> 2) closes
+    # the first cycle through part 0.
+    (25, [(0, i + 1) for i in range(24)] + [(1, 2), (3, 4)], 24),
+])
+def test_cyclic_limb_graph_rejected(n_parts, limbs, closing):
+    s, d = limbs[closing]
+    with pytest.raises(ManifestError, match=rf"limb {closing} \({s} -> {d}\) closes a cycle"):
+        load_topology(body_manifest(n_parts, limbs))
+
+
+def test_bundled_manifest_matches_generator_script():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_default_manifest.py"
+    spec = importlib.util.spec_from_file_location("make_default_manifest", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    built = json.dumps(module.build(), indent=1) + "\n"
+    assert built == default_manifest_path().read_text(encoding="utf-8")
 
 
 def test_duplicate_part_id_rejected():
