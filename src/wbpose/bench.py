@@ -40,6 +40,8 @@ class BenchRecord:
     candidates: int
     connections: int
     repetitions: int
+    connections_kept: int = 0  # pairs left after the decoder's prefilter
+    connections_accepted: int = 0
     nms_ns: int = 0
     scoring_ns: int = 0
     assembly_ns: int = 0
@@ -152,6 +154,8 @@ def run_bench(
                     candidates=stats.candidates,
                     connections=stats.connections_scored,
                     repetitions=repetitions,
+                    connections_kept=stats.connections_kept,
+                    connections_accepted=stats.connections_accepted,
                     nms_ns=stats.nms_ns,
                     scoring_ns=stats.scoring_ns,
                     assembly_ns=stats.assembly_ns,

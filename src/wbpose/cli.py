@@ -28,7 +28,7 @@ from .archmodel import (
     runtime_ratio,
 )
 from .bench import read_bench_medians, run_bench, write_bench_csv
-from .decoder import decode
+from .decoder import decode_with_stats
 from .encoder import EncoderParams, encode
 from .formats import (
     CocoIngestError,
@@ -242,6 +242,11 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     topo = _topology(args)
     poses_by_scene = {}
+    path_of = {}
+    totals = dict.fromkeys((
+        "candidates", "connections_scored", "connections_kept",
+        "connections_valid", "connections_accepted",
+    ), 0)
     for i, path in enumerate(args.tensors):
         f = read_wbpt(path)
         _check_hash(topo, f.manifest_hash, path)
@@ -253,7 +258,16 @@ def cmd_decode(args) -> int:
                 f"{path} has stride {f.stride} but {first} has stride {stride}; "
                 "decode files of one stride per run"
             )
-        poses_by_scene[_scene_id_of(path, i)] = decode(to_targets(f), topo)
+        scene_id = _scene_id_of(path, i)
+        if scene_id in path_of:
+            raise WbptError(
+                f"{path} and {path_of[scene_id]} both map to scene id {scene_id}; "
+                "decode files with distinct scene numbers per run"
+            )
+        path_of[scene_id] = path
+        poses_by_scene[scene_id], stats = decode_with_stats(to_targets(f), topo)
+        for key in totals:
+            totals[key] += getattr(stats, key)
     doc = poses_document(poses_by_scene, stride, topo.manifest_hash, args.seed)
     if args.out:
         _write_json(args.out, doc)
@@ -261,6 +275,7 @@ def cmd_decode(args) -> int:
         "command": "decode", "manifest_hash": topo.manifest_hash,
         "n_scenes": len(poses_by_scene),
         "n_poses": sum(len(v) for v in poses_by_scene.values()),
+        **totals,
     })
     return EXIT_OK
 

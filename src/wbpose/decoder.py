@@ -2,7 +2,8 @@
 
 Pipeline: strict-local-max NMS per part channel with subpixel refinement,
 line-integral scoring of every candidate pair along each limb's PAF (after
-an exact support prefilter), greedy bipartite matching per limb, then
+an exact prefilter that drops pairs whose sampled cells are all shorter
+than the sample threshold), greedy bipartite matching per limb, then
 assembly of accepted connections into poses as connected components over
 the limb forest (the loader rejects cyclic limb graphs). Anchor parts
 (wrists, ankles, eyes) carry a single candidate shared by the body and the
@@ -22,7 +23,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import binary_dilation, maximum_filter
+from scipy.ndimage import maximum_filter
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -70,7 +71,9 @@ class Pose:
 class DecodeStats:
     candidates: int = 0
     connections_scored: int = 0
+    connections_kept: int = 0  # pairs that survive the prefilter and are scored
     connections_valid: int = 0
+    connections_accepted: int = 0  # pairs taken by matching
     nms_ns: int = 0
     scoring_ns: int = 0
     assembly_ns: int = 0
@@ -129,11 +132,12 @@ def _flat_pair_scores(flat_x, flat_y, base, shape, sx, sy, dx, dy, params: Decod
     """Line-integral scores for flat pair-endpoint arrays.
 
     flat_x / flat_y are raveled PAF component maps and base is each pair's
-    offset into them: 0 for a single channel pair, channel_id * H * W per
-    pair for a stack of channels. The first bilinear corner's linear index
-    is built once and the other three derived by integer adds; everything
-    after the gather is elementwise, so a pair's score does not depend on
-    which other pairs share the call.
+    offset into them: 0 for a single channel pair; for an interleaved
+    (x, y, x, y, ...) stack, flat_y is the flat stack shifted by one plane
+    and base is 2 * limb_id * H * W per pair. The first bilinear corner's
+    linear index is built once and the other three derived by integer
+    adds; everything after the gather is elementwise, so a pair's score
+    does not depend on which other pairs share the call.
     """
     H, W = shape
     vecx = dx - sx
@@ -175,6 +179,26 @@ def _flat_pair_scores(flat_x, flat_y, base, shape, sx, sy, dx, dy, params: Decod
     valid = nonzero & (valid_counts >= params.min_valid_samples)
     scores = np.where(nonzero, scores, 0.0)
     return scores, valid
+
+
+def _corner_support(paf: np.ndarray, threshold: float) -> np.ndarray:
+    """(limbs, H, W) bool: True at (y, x) when a cell of the 2x2 block
+    [y, y+1] x [x, x+1], clipped at the map border, holds a PAF vector
+    longer than threshold, i.e. when the bilinear sample whose floored
+    position is (x, y) may clear threshold. The squares are taken in
+    float64, exact for float32 cells, and the 1e-9 relative slack on the
+    squared threshold covers rounding in the scorer. A threshold whose
+    square underflows falls back to any nonzero cell."""
+    px, py = paf[0::2], paf[1::2]
+    if threshold < 1e-150:
+        support = (np.abs(px) > 0.0) | (np.abs(py) > 0.0)
+    else:
+        sq = np.square(px, dtype=np.float64)
+        sq += np.square(py, dtype=np.float64)
+        support = sq > threshold * threshold * (1.0 - 1e-9)
+    support[:, :, :-1] |= support[:, :, 1:]
+    support[:, :-1, :] |= support[:, 1:, :]
+    return support
 
 
 def _match_all_limbs(
@@ -241,15 +265,19 @@ def _assemble_forest(
         n_comp, labels = connected_components(graph, directed=False)
         extra = np.bincount(labels[acc_src], weights=acc_score, minlength=n_comp)
     else:
-        labels = np.arange(n, dtype=np.int64)
+        n_comp, labels = n, np.arange(n, dtype=np.int64)
         extra = np.zeros(n)
 
-    order = np.argsort(labels, kind="stable")
+    # Components too small to make a pose (on noisy maps, mostly lone
+    # candidates) are dropped before the split, not one group at a time.
+    big = np.bincount(labels, minlength=n_comp) >= params.min_parts
+    members = np.flatnonzero(big[labels])
+    if not members.size:
+        return []
+    order = members[np.argsort(labels[members], kind="stable")]
     cuts = np.flatnonzero(np.diff(labels[order])) + 1
     poses: list[Pose] = []
     for rows in np.split(order, cuts):
-        if rows.size < params.min_parts:
-            continue
         score = float(cand_score[rows].sum()) + float(extra[labels[rows[0]]])
         if score < params.resolved_min_score:
             continue
@@ -300,9 +328,15 @@ def decode_with_stats(
         limb for limb in topo.limbs if counts[limb.src] and counts[limb.dst]
     ]
     if live_limbs:
-        paf64 = np.asarray(paf, dtype=np.float64)
-        paf_x_all, paf_y_all = paf64[0::2], paf64[1::2]
-        H, W = paf_x_all.shape[1:]
+        # The scorer gathers from the PAF stack as given: x of limb l at
+        # offset 2*l*H*W of the flat stack, y one plane later. Widening
+        # float32 to float64 inside the scorer is exact, so no float64 copy
+        # of the stack is made.
+        paf = np.ascontiguousarray(paf)
+        if paf.dtype not in (np.float32, np.float64):
+            paf = paf.astype(np.float64)
+        H, W = paf.shape[1:]
+        flat = paf.reshape(-1)
 
         # Flatten every (limb, src, dst) pair into one set of arrays, built
         # arithmetically: pair p of limb l is (src row a0+p//nd, dst row
@@ -326,15 +360,18 @@ def decode_with_stats(
         ch = np.repeat(np.array([l.limb_id for l in live_limbs], dtype=np.int64), totals)
         stats.connections_scored = int(sx.size)
 
-        # Exact prefilter: a sample whose rounded cell has no PAF support
-        # within its 3x3 neighbourhood reads zeros from all four bilinear
-        # corners, so it cannot clear a positive sample threshold. Probing a
-        # subset of s of the n sample positions, a pair that is valid overall
-        # (>= min_valid_samples passing) must hit support on at least
-        # min_valid_samples - (n - s) probes; pairs below that cutoff can be
-        # dropped without changing the decode result. Endpoint samples sit on
-        # part candidates where some limb band usually starts, so only
-        # interior positions are probed; the bound holds for any subset.
+        # Exact prefilter. The scorer's PAF vector at a sample is a convex
+        # combination of its four bilinear corner cells, and its dot product
+        # with the unit limb direction is at most its length, so a sample
+        # can only clear sample_threshold if one of those corners is longer
+        # than the threshold (NaN corners never are, and make the sample
+        # fail). Probing s of the n sample positions, a pair that is valid
+        # overall (>= min_valid_samples passing) must find such a corner on
+        # at least min_valid_samples - (n - s) probes; pairs below that
+        # cutoff are dropped without changing the decode result. Endpoint
+        # samples sit on part candidates where some limb band usually
+        # starts, so only interior positions are probed; the bound holds
+        # for any subset.
         n_s, m_v = params.n_samples, params.min_valid_samples
         lo, hi = (1, n_s - 2) if n_s >= 4 else (0, n_s - 1)
         n_probes = min(hi - lo + 1, max(2, n_s - m_v + 3))
@@ -343,42 +380,33 @@ def decode_with_stats(
         )
         cutoff = m_v - (n_s - probe_idx.size)
         if params.sample_threshold >= 0.0 and cutoff > 0:
-            support = binary_dilation(
-                (paf_x_all != 0.0) | (paf_y_all != 0.0),
-                structure=np.ones((1, 3, 3), dtype=bool),
-            )
-            # float32 with floor(x + 0.5) in place of rint: the probe cell
-            # only has to stay within one cell of the float64 sample, and the
-            # float32 error is far below the half-cell slack. One (pairs,
-            # probes) scratch buffer carries both position passes and the
-            # integer work runs in place, since this block touches every
-            # pair and is the widest part of the decode.
-            t = np.linspace(0.0, 1.0, n_s)[probe_idx].astype(np.float32)
-            half = np.float32(0.5)
-            buf = np.multiply(t[None, :], (dx - sx).astype(np.float32)[:, None])
-            buf += sx.astype(np.float32)[:, None]
-            buf += half
-            qx = buf.astype(np.int32)
-            np.clip(qx, 0, W - 1, out=qx)
-            np.multiply(t[None, :], (dy - sy).astype(np.float32)[:, None], out=buf)
-            buf += sy.astype(np.float32)[:, None]
-            buf += half
-            qy = buf.astype(np.int32)
-            np.clip(qy, 0, H - 1, out=qy)
-            qy += (ch.astype(np.int32) * np.int32(H))[:, None]
-            qy *= np.int32(W)
-            qy += qx
-            hits = support.ravel().take(qy).sum(axis=1)
+            corner = _corner_support(paf, params.sample_threshold)
+            # The scorer's own position expression, floor and clip, so each
+            # probe reads the block of exactly the cells the scorer reads.
+            # One probe at a time keeps the scratch arrays pair-sized.
+            t = np.linspace(0.0, 1.0, n_s)
+            vecx, vecy = dx - sx, dy - sy
+            plane = ch * (H * W)
+            cells = corner.reshape(-1)
+            hits = np.zeros(sx.size, dtype=np.int64)
+            for k in probe_idx:
+                x0 = np.floor(sx + t[k] * vecx).astype(np.int64)
+                np.clip(x0, 0, W - 1, out=x0)
+                y0 = np.floor(sy + t[k] * vecy).astype(np.int64)
+                np.clip(y0, 0, H - 1, out=y0)
+                y0 *= W
+                y0 += plane
+                y0 += x0
+                hits += cells.take(y0)
             keep = np.flatnonzero(hits >= cutoff)
         else:
             keep = np.arange(sx.size)
+        stats.connections_kept = int(keep.size)
 
         if keep.size:
-            flat_x = paf_x_all.reshape(-1)
-            flat_y = paf_y_all.reshape(-1)
-            base_k = ch[keep] * (H * W)
+            base_k = ch[keep] * (2 * H * W)
             scores_k, valid_k = _flat_pair_scores(
-                flat_x, flat_y, base_k, (H, W),
+                flat, flat[H * W:], base_k, (H, W),
                 sx[keep], sy[keep], dx[keep], dy[keep], params,
             )
             stats.connections_valid = int(valid_k.sum())
@@ -386,6 +414,7 @@ def decode_with_stats(
             acc_src, acc_dst, acc_score = _match_all_limbs(
                 limb_of[keep], scores_k, valid_k, sid[keep], did[keep]
             )
+            stats.connections_accepted = int(acc_src.size)
     stats.scoring_ns = time.perf_counter_ns() - t0
 
     t0 = time.perf_counter_ns()

@@ -49,6 +49,7 @@ def test_single_grid_point_yields_one_record(topo):
     assert r.repetitions == 10
     assert 0 < r.median_ns <= r.p90_ns
     assert r.candidates > 0
+    assert r.connections >= r.connections_kept >= r.connections_accepted > 0
 
 
 def test_records_sorted_and_connections_grow_with_people(topo):

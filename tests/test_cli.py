@@ -59,6 +59,15 @@ class TestPipeline:
             for p in poses:
                 assert p["person_score"] > 0
 
+    def test_decode_summary_counts_pairs(self, pipeline, capsys):
+        tensors = sorted(str(p) for p in (pipeline / "tensors").glob("*.wbpt"))
+        code, doc = run(capsys, "decode", *tensors)
+        assert code == EXIT_OK
+        assert (doc["n_scenes"], doc["n_poses"]) == (2, 4)
+        assert doc["candidates"] > 0
+        assert (doc["connections_scored"] >= doc["connections_kept"]
+                >= doc["connections_valid"] >= doc["connections_accepted"] > 0)
+
     def test_eval_detections_against_themselves(self, pipeline, capsys):
         poses = str(pipeline / "poses.json")
         code, doc = run(capsys, "eval", poses, poses, "--group", "body")
@@ -253,6 +262,18 @@ class TestExitCodes:
         assert main(["--quiet", "decode", str(s8), str(s4)]) == EXIT_IO
         err = capsys.readouterr().err
         assert str(s8) in err and str(s4) in err
+
+    def test_duplicate_scene_ids_are_format_error(self, capsys, tmp_path, pipeline):
+        # Same file name in two directories: one poses document cannot hold
+        # both scenes under one id, so decode refuses instead of keeping one.
+        blob = (pipeline / "tensors" / "scene_000000.wbpt").read_bytes()
+        paths = [tmp_path / d / "scene_000000.wbpt" for d in ("a", "b")]
+        for path in paths:
+            path.parent.mkdir()
+            path.write_bytes(blob)
+        assert main(["--quiet", "decode"] + [str(p) for p in paths]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert all(str(p) in err for p in paths)
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == EXIT_OK

@@ -12,6 +12,7 @@ from wbpose.decoder import (
     _match_all_limbs,
     _nms_arrays,
     decode,
+    decode_with_stats,
 )
 from wbpose.encoder import AnnotatedScene, EncoderParams, Person, Visibility, encode
 from wbpose.skeleton import PartGroup, default_topology, load_topology
@@ -304,6 +305,9 @@ def test_min_parts_and_min_score_filter():
     assert len(kept) == 1 and set(kept[0].parts) == {0, 1}
     dropped = decode(t, topo, DecoderParams(min_parts=2, min_score=1e9))
     assert dropped == []
+    # No candidates at all, with a filter that every component passes.
+    empty = (np.zeros_like(t.s_star), np.zeros_like(t.l_star))
+    assert decode(empty, topo, DecoderParams(min_parts=0)) == []
 
 
 DIFF_TOPOLOGIES = {"tiny": load_topology(tiny_manifest()), "default": default_topology()}
@@ -359,3 +363,79 @@ def test_decode_equals_oracle_on_noisy_maps(topo_name, seed, map_w, map_h, n_peo
         assert np.all(np.abs(ys[pids == p] - [i for i, _, _ in want]) <= 0.5)
 
     assert decode((conf, paf), topo, params) == oracle_decode(conf, paf, topo, params)
+
+
+def horizontal_limb_maps(paf_x):
+    """Two-part maps with one candidate at (5, 10) and one at (15, 10), and
+    a uniform PAF (paf_x, 0) along the limb between them."""
+    conf = np.stack([gaussian_channel(20, 20, [(5.0, 10.0, 1.0)]),
+                     gaussian_channel(20, 20, [(15.0, 10.0, 1.0)])])
+    paf = np.zeros((2, 20, 20))
+    paf[0] = paf_x
+    return conf, paf
+
+
+@pytest.mark.parametrize("scale, kept, valid", [(0.99, 0, 0), (1.0, 1, 0), (1.01, 1, 1)])
+def test_prefilter_boundary_at_threshold_length(scale, kept, valid):
+    # The threshold is a power of two and the endpoints share a row, so
+    # every bilinear sample of the scale-1 field reads exactly the
+    # threshold, which does not clear it; that field is still support for
+    # the prefilter, which only drops fields strictly shorter than the
+    # threshold.
+    topo = two_part_topo()
+    params = DecoderParams(sample_threshold=0.25, min_parts=2, min_score=0.0)
+    conf, paf = horizontal_limb_maps(scale * params.sample_threshold)
+    poses, stats = decode_with_stats((conf, paf), topo, params)
+    assert (stats.connections_scored, stats.connections_kept) == (1, kept)
+    assert stats.connections_valid == stats.connections_accepted == valid
+    assert len(poses) == valid
+    assert poses == oracle_decode(conf, paf, topo, params)
+
+
+def test_prefilter_keeps_cells_whose_square_underflows():
+    # 1e-165 squared underflows to 0.0, yet every sample of this field
+    # clears a threshold of 1e-170.
+    topo = two_part_topo()
+    params = DecoderParams(sample_threshold=1e-170, min_parts=2, min_score=0.0)
+    conf, paf = horizontal_limb_maps(1e-165)
+    poses, stats = decode_with_stats((conf, paf), topo, params)
+    assert stats.connections_valid == 1
+    assert poses == oracle_decode(conf, paf, topo, params)
+
+
+@pytest.mark.parametrize("topo_name", sorted(DIFF_TOPOLOGIES))
+@settings(max_examples=6, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    sample_threshold=st.sampled_from([-0.01, 0.0, 0.05, 0.2]),
+    n_samples=st.sampled_from([3, 5, 10]),
+)
+def test_decode_equals_oracle_with_nonfinite_paf_cells(topo_name, seed, dtype,
+                                                       sample_threshold, n_samples):
+    # NaN, +inf and -inf each on 0.5% of PAF cells. With valid_fraction=1
+    # every sample of a valid pair clears the threshold, so no accepted
+    # score is NaN and the poses compare with ==.
+    topo = DIFF_TOPOLOGIES[topo_name]
+    rng = np.random.default_rng(seed)
+    conf, paf = noisy_maps(topo, rng, 24, 24, 3, 0.01)
+    bad = rng.random(paf.shape)
+    paf[bad < 0.005] = np.nan
+    paf[(bad >= 0.005) & (bad < 0.01)] = np.inf
+    paf[(bad >= 0.01) & (bad < 0.015)] = -np.inf
+    conf, paf = conf.astype(dtype), paf.astype(dtype)
+    params = DecoderParams(sample_threshold=sample_threshold, n_samples=n_samples,
+                           valid_fraction=1.0, min_parts=2)
+    with np.errstate(invalid="ignore"):
+        assert decode((conf, paf), topo, params) == oracle_decode(conf, paf, topo, params)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_prefilter_prunes_noisy_maps(seed):
+    # Noise of sigma 0.02 makes nearly every PAF cell nonzero, but few cells
+    # are longer than the default sample_threshold of 0.05.
+    topo = DIFF_TOPOLOGIES["default"]
+    conf, paf = noisy_maps(topo, np.random.default_rng(seed), 30, 30, 3, 0.02)
+    _, stats = decode_with_stats((conf, paf), topo)
+    assert stats.connections_valid > 0
+    assert stats.connections_kept <= 0.3 * stats.connections_scored
