@@ -181,29 +181,3 @@ def read_bench_medians(lines: Iterable[str]) -> list[tuple[int, int]]:
     if missing:
         raise ValueError(f"bench CSV is missing columns: {sorted(missing)}")
     return [(int(row["n_people"]), int(row["median_ns"])) for row in reader]
-
-
-def phase_scaling_report(
-    image_sizes: Sequence[tuple[int, int]],
-    topo: SkeletonTopology,
-    n_people: int = 2,
-    seed: int = 0,
-    repetitions: int = 15,
-) -> list[dict]:
-    """Per-phase medians across map areas; the peak-extraction phase should
-    scale roughly with map area."""
-    records = run_bench(
-        [n_people], image_sizes, topo, seed=seed, repetitions=repetitions
-    )
-    out = []
-    for r in records:
-        out.append({
-            "map_w": r.map_w,
-            "map_h": r.map_h,
-            "area": r.map_w * r.map_h,
-            "nms_ns": r.nms_ns,
-            "scoring_ns": r.scoring_ns,
-            "assembly_ns": r.assembly_ns,
-            "median_ns": r.median_ns,
-        })
-    return out

@@ -46,6 +46,7 @@ from .formats import (
 from .loss import multitask_loss
 from .metrics import EvalPose, evaluate
 from .scheduler import (
+    PlanError,
     RegistryError,
     build_plan,
     default_registry,
@@ -75,9 +76,12 @@ def _size(text: str) -> tuple[int, int]:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(v) for v in text.split(",") if v != ""]
+        values = [int(v) for v in text.split(",") if v != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one integer, got {text!r}")
+    return values
 
 
 def _int_range(text: str) -> list[int]:
@@ -136,22 +140,25 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--min-ap", type=float, default=None, help="gate: exit 1 when AP is below this")
     ev.add_argument("--min-ar", type=float, default=None, help="gate: exit 1 when AR is below this")
 
-    syn = sub.add_parser("synth", help="generate annotated scenes")
+    # Scene options shared by synth and roundtrip. An option left out never
+    # reaches the namespace, so SceneRecipe's default applies (see _recipe).
+    scene = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    scene.add_argument("--image-size", type=_size, metavar="WxH", help="image size in px")
+    scene.add_argument("--min-separation", type=float, help="px between person boxes")
+    scene.add_argument("--person-scale", type=_scale, metavar="LO:HI",
+                       help="range of person heights in px")
+
+    syn = sub.add_parser("synth", parents=[scene], help="generate annotated scenes")
     syn.add_argument("--n-scenes", type=int, default=1)
     syn.add_argument("--n-people", type=int, default=3)
-    syn.add_argument("--image-size", type=_size, default=(480, 480), metavar="WxH")
-    syn.add_argument("--min-separation", type=float, default=30.0)
-    syn.add_argument("--person-scale", type=_scale, default=(90.0, 130.0), metavar="LO:HI")
-    syn.add_argument("--rotation-deg", type=float, default=20.0)
-    syn.add_argument("--jitter-deg", type=float, default=12.0)
-    syn.add_argument("--coverage", type=_groups, default=frozenset(PartGroup))
+    syn.add_argument("--rotation-deg", type=float, default=argparse.SUPPRESS)
+    syn.add_argument("--jitter-deg", type=float, default=argparse.SUPPRESS)
+    syn.add_argument("--coverage", type=_groups, default=argparse.SUPPRESS)
     syn.add_argument("--out", type=Path, help="scenes document JSON path")
 
-    rt = sub.add_parser("roundtrip", help="decode(encode(scene)) fidelity gate")
+    rt = sub.add_parser("roundtrip", parents=[scene], help="decode(encode(scene)) fidelity gate")
     rt.add_argument("--n-scenes", type=int, default=20)
     rt.add_argument("--n-people", type=_int_range, default=[1, 2, 3], metavar="LIST|A..B")
-    rt.add_argument("--image-size", type=_size, default=(480, 480), metavar="WxH")
-    rt.add_argument("--min-separation", type=float, default=30.0)
     rt.add_argument("--tol-cells", type=float, default=0.5)
 
     sp = sub.add_parser("sample-plan", help="deterministic training-batch plan as JSON lines")
@@ -324,17 +331,15 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+_RECIPE_OPTIONS = (
+    "image_size", "min_separation", "person_scale", "rotation_deg", "jitter_deg", "coverage",
+)
+
+
 def _recipe(args, n_people: int) -> SceneRecipe:
-    return SceneRecipe(
-        n_people=n_people,
-        image_size=args.image_size,
-        min_separation=args.min_separation,
-        person_scale=getattr(args, "person_scale", (90.0, 130.0)),
-        rotation_deg=getattr(args, "rotation_deg", 20.0),
-        jitter_deg=getattr(args, "jitter_deg", 12.0),
-        coverage=getattr(args, "coverage", frozenset(PartGroup)),
-        seed=args.seed,
-    )
+    """The options given on the command line; SceneRecipe fills in the rest."""
+    given = {k: v for k, v in vars(args).items() if k in _RECIPE_OPTIONS}
+    return SceneRecipe(n_people=n_people, seed=args.seed, **given)
 
 
 def cmd_synth(args) -> int:
@@ -484,7 +489,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return _HANDLERS[args.command](args)
-    except (WbptError, CocoIngestError, ManifestError, RegistryError,
+    except (WbptError, CocoIngestError, ManifestError, RegistryError, PlanError,
             json.JSONDecodeError, OSError) as e:
         print(f"wbpose: {e}", file=sys.stderr)
         return EXIT_IO

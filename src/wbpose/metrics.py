@@ -89,24 +89,53 @@ def oks(
     """
     if gt_area <= 0.0:
         raise ValueError("gt_area must be positive")
+    return _oks(det, gt, gt_area, topo.oks_kappa, _subset_ids(topo, group))
+
+
+def _subset_ids(topo: SkeletonTopology, group: Iterable[PartGroup] | None) -> frozenset[int]:
     groups = frozenset(group) if group is not None else frozenset(PartGroup)
-    part_group = {p.part_id: p.group for p in topo.parts}
-    s2 = gt_area
+    return frozenset(p.part_id for p in topo.parts if p.group in groups)
+
+
+def _oks(
+    det: Mapping[int, tuple[float, float]],
+    gt: Mapping[int, tuple[float, float]],
+    gt_area: float,
+    kappa: Sequence[float],
+    subset_ids: frozenset[int],
+) -> float:
     total = 0.0
     count = 0
     for pid, (gx, gy) in gt.items():
-        if part_group[pid] not in groups:
+        if pid not in subset_ids:
             continue
         count += 1
         if pid not in det:
             continue
         dx, dy = det[pid]
         d2 = (dx - gx) ** 2 + (dy - gy) ** 2
-        kappa = topo.oks_kappa[pid]
-        total += math.exp(-d2 / (2.0 * s2 * kappa * kappa))
+        k = kappa[pid]
+        total += math.exp(-d2 / (2.0 * gt_area * k * k))
     if count == 0:
         raise ValueError("ground-truth pose has no labeled parts in the requested subset")
     return total / count
+
+
+def oks_matrix(
+    dets: Sequence[EvalPose],
+    gts: Sequence[EvalPose],
+    topo: SkeletonTopology,
+    group: Iterable[PartGroup] | None = None,
+) -> np.ndarray:
+    """OKS of every detection (rows) against every ground truth (columns),
+    each ground truth scaled by its own bounding-box area."""
+    subset_ids = _subset_ids(topo, group)
+    mat = np.zeros((len(dets), len(gts)))
+    for gi, g in enumerate(gts):
+        area = pose_bbox_area(g.parts)
+        for di, d in enumerate(dets):
+            mat[di, gi] = _oks(d.parts, g.parts, area, topo.oks_kappa, subset_ids)
+    return mat
 
 
 def gt_poses_from_scene(scene: AnnotatedScene) -> list[EvalPose]:
@@ -161,7 +190,7 @@ def evaluate(
     if len(dets) != len(gts):
         raise ValueError(f"scene count mismatch: {len(dets)} det scenes vs {len(gts)} gt scenes")
     groups = frozenset(group) if group is not None else frozenset(PartGroup)
-    subset_ids = frozenset(p.part_id for p in topo.parts if p.group in groups)
+    subset_ids = _subset_ids(topo, groups)
 
     # Per scene: restrict to the subset, sort detections, compute OKS matrices.
     scene_matrices: list[np.ndarray] = []
@@ -178,11 +207,7 @@ def evaluate(
         order = sorted(range(len(scene_dets)), key=lambda i: (-scene_dets[i].score, i))
         sorted_dets = [scene_dets[i].restricted(subset_ids) for i in order]
         n_det_total += len(sorted_dets)
-        mat = np.zeros((len(sorted_dets), len(kept_gts)))
-        for di, d in enumerate(sorted_dets):
-            for gi, g in enumerate(kept_gts):
-                mat[di, gi] = oks(d.parts, g.parts, pose_bbox_area(g.parts), topo, groups)
-        scene_matrices.append(mat)
+        scene_matrices.append(oks_matrix(sorted_dets, kept_gts, topo, groups))
         scene_scores.append([d.score for d in sorted_dets])
 
     per_threshold: dict[float, tuple[float, float]] = {}

@@ -21,7 +21,7 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .skeleton import PartGroup, SkeletonTopology
+from .skeleton import PartGroup
 
 RNG_ALGORITHM = "numpy-philox4x64/seedseq(seed,counter)"
 
@@ -30,6 +30,10 @@ REGISTRY_VERSION = 1
 
 class RegistryError(ValueError):
     pass
+
+
+class PlanError(ValueError):
+    """A plan file is not a JSON-lines plan this version can replay."""
 
 
 class Special(str, Enum):
@@ -182,12 +186,19 @@ def registry_to_json(registry: Sequence[DatasetSpec]) -> dict:
 
 
 def registry_from_json(doc: Mapping) -> tuple[DatasetSpec, ...]:
+    if not isinstance(doc, Mapping):
+        raise RegistryError("registry is not a JSON object")
     if doc.get("registry_version") != REGISTRY_VERSION:
         raise RegistryError(
             f"unsupported registry_version {doc.get('registry_version')!r}"
         )
+    datasets = doc.get("datasets", [])
+    if not isinstance(datasets, list):
+        raise RegistryError("registry datasets is not a JSON list")
     specs = []
-    for entry in doc.get("datasets", []):
+    for entry in datasets:
+        if not isinstance(entry, Mapping):
+            raise RegistryError(f"dataset entry {entry!r} is not a JSON object")
         try:
             aug_doc = entry.get("aug", {})
             aug = AugmentationRanges(
@@ -206,7 +217,7 @@ def registry_from_json(doc: Mapping) -> tuple[DatasetSpec, ...]:
                     special=Special(entry.get("special", "normal")),
                 )
             )
-        except (KeyError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise RegistryError(f"bad dataset entry {entry.get('name', '?')!r}: {exc}") from exc
     registry = tuple(specs)
     validate_registry(registry)
@@ -242,20 +253,6 @@ def draw_augmentation(
     flip = bool(gen.random() < spec.aug.flip_prob)
     crop_offset = (float(gen.random()), float(gen.random()))
     return AugmentationDraw(scale, rotation, flip, crop_offset), state.advanced()
-
-
-def mask_policy(spec: DatasetSpec, topo: SkeletonTopology) -> np.ndarray:
-    """Channel enablement before any region carving: a bool per channel in
-    (confidence + PAF) order. A channel is enabled iff its part group is in
-    the dataset's coverage; the background channel is always enabled;
-    person-free datasets enable everything (their whole canvas is negative
-    supervision)."""
-    groups = list(topo.confidence_channel_groups()) + list(topo.paf_channel_groups())
-    if spec.special is Special.NO_PEOPLE:
-        return np.ones(len(groups), dtype=bool)
-    return np.array(
-        [g is None or g in spec.coverage for g in groups], dtype=bool
-    )
 
 
 @dataclass(frozen=True)
@@ -329,33 +326,42 @@ def write_plan_jsonl(plan: SamplePlan, fp: IO[str]) -> None:
 
 
 def read_plan_jsonl(lines: Iterable[str]) -> SamplePlan:
+    """Parse a plan written by write_plan_jsonl; PlanError on anything else."""
     it = iter(lines)
     try:
         header = json.loads(next(it))
     except StopIteration:
-        raise ValueError("empty plan file") from None
+        raise PlanError("empty plan file") from None
+    if not isinstance(header, dict):
+        raise PlanError("plan header is not a JSON object")
     if header.get("rng_algorithm") != RNG_ALGORITHM:
-        raise ValueError(f"plan was written with {header.get('rng_algorithm')!r}")
+        raise PlanError(f"plan was written with {header.get('rng_algorithm')!r}")
+    for key, kind in (("seed", int), ("batch_size", int), ("registry_hash", str)):
+        if not isinstance(header.get(key), kind):
+            raise PlanError(f"plan header needs {kind.__name__} {key!r}, got {header.get(key)!r}")
     batches = []
-    for line in it:
+    for line_no, line in enumerate(it, start=2):
         if not line.strip():
             continue
         doc = json.loads(line)
-        batches.append(
-            BatchPlan(
-                batch_index=doc["batch_index"],
-                dataset=doc["dataset"],
-                draws=tuple(
-                    AugmentationDraw(
-                        scale=d["scale"],
-                        rotation_deg=d["rotation_deg"],
-                        flip=d["flip"],
-                        crop_offset=tuple(d["crop_offset"]),
-                    )
-                    for d in doc["draws"]
-                ),
+        try:
+            batches.append(
+                BatchPlan(
+                    batch_index=doc["batch_index"],
+                    dataset=doc["dataset"],
+                    draws=tuple(
+                        AugmentationDraw(
+                            scale=d["scale"],
+                            rotation_deg=d["rotation_deg"],
+                            flip=d["flip"],
+                            crop_offset=tuple(d["crop_offset"]),
+                        )
+                        for d in doc["draws"]
+                    ),
+                )
             )
-        )
+        except (KeyError, TypeError) as exc:
+            raise PlanError(f"plan line {line_no}: missing or ill-typed key: {exc!r}") from exc
     return SamplePlan(
         seed=header["seed"],
         batch_size=header["batch_size"],

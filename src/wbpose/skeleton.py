@@ -127,9 +127,6 @@ class SkeletonTopology:
             out.extend((limb.group, limb.group))
         return out
 
-    def anchor_part_ids(self) -> frozenset[int]:
-        return frozenset(a.part_id for a in self.anchors)
-
 
 def _manifest_hash(manifest: Mapping) -> str:
     canon = json.dumps(manifest, sort_keys=True, separators=(",", ":"))

@@ -14,14 +14,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .decoder import DecoderParams, Pose, decode
+from .decoder import DecoderParams, decode
 from .encoder import AnnotatedScene, EncoderParams, Person, Visibility, encode
-from .metrics import oks, pose_bbox_area
+from .metrics import EvalPose, _greedy_match, gt_poses_from_scene, oks_matrix
 from .skeleton import PartGroup, SkeletonTopology
+
+
+# A decoded pose finds a true person only at OKS above 0.1; the evaluator's
+# matcher accepts OKS >= threshold, hence the float just above. (A fragment
+# holding 7 of a person's 70 labeled parts, all exact, scores exactly 0.1.)
+_FOUND_OKS = math.nextafter(0.1, 1.0)
 
 
 class PackingError(RuntimeError):
@@ -47,6 +53,9 @@ class SceneRecipe:
             raise ValueError("per-limb jitter is capped at 15 degrees")
         if self.n_people < 0:
             raise ValueError("n_people must be >= 0")
+        lo, hi = self.person_scale
+        if not 0.0 < lo <= hi:
+            raise ValueError(f"person_scale needs 0 < LO <= HI, got {lo}:{hi}")
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -59,11 +68,6 @@ def _children(topo: SkeletonTopology) -> dict[int, list[tuple[int, int]]]:
     for limb in topo.limbs:
         out[limb.src].append((limb.limb_id, limb.dst))
     return out
-
-
-def _roots(topo: SkeletonTopology) -> list[int]:
-    dsts = {l.dst for l in topo.limbs}
-    return [p.part_id for p in topo.parts if p.part_id not in dsts]
 
 
 def _jittered_template(
@@ -192,38 +196,6 @@ class RoundtripReport:
         }
 
 
-def _match_poses_to_truth(
-    poses: Sequence[Pose],
-    people: Sequence[Person],
-    topo: SkeletonTopology,
-    stride: int,
-) -> list[tuple[int, int]]:
-    """Greedy OKS assignment (descending person_score) of decoded poses to
-    true people; returns (pose_index, person_index) pairs."""
-    gt_parts = []
-    gt_area = []
-    for person in people:
-        pts = {pid: (x, y) for pid, (x, y, v) in person.parts.items() if v != Visibility.MISSING}
-        gt_parts.append(pts)
-        gt_area.append(pose_bbox_area(pts))
-    order = sorted(range(len(poses)), key=lambda i: -poses[i].person_score)
-    taken: set[int] = set()
-    matches: list[tuple[int, int]] = []
-    for pi in order:
-        det = {pid: (x * stride, y * stride) for pid, (x, y, _) in poses[pi].parts.items()}
-        best, best_oks = None, 0.0
-        for gi in range(len(people)):
-            if gi in taken or not gt_parts[gi]:
-                continue
-            val = oks(det, gt_parts[gi], gt_area[gi], topo)
-            if val > best_oks:
-                best, best_oks = gi, val
-        if best is not None and best_oks > 0.1:
-            taken.add(best)
-            matches.append((pi, best))
-    return matches
-
-
 def roundtrip_report(
     recipe: SceneRecipe,
     topo: SkeletonTopology,
@@ -243,35 +215,45 @@ def roundtrip_report(
     scene = generate(recipe, topo, scene_id=scene_id)
     tensors = encode(scene, topo, enc_params)
     poses = decode(tensors, topo, dec_params)
-    matches = _match_poses_to_truth(poses, scene.people, topo, enc_params.stride)
+
+    # The evaluator's matching: poses by descending score, each to the
+    # unmatched person with the highest OKS above _FOUND_OKS.
+    stride = enc_params.stride
+    order = sorted(range(len(poses)), key=lambda i: (-poses[i].person_score, i))
+    dets = [
+        EvalPose({pid: (x * stride, y * stride) for pid, (x, y, _) in poses[i].parts.items()})
+        for i in order
+    ]
+    truths = gt_poses_from_scene(scene)
+    labeled = [gi for gi, t in enumerate(truths) if t.parts]
+    matched = _greedy_match(oks_matrix(dets, [truths[gi] for gi in labeled], topo), _FOUND_OKS)
 
     errors: list[float] = []
     part_count_ok = True
-    for pi, gi in matches:
-        person = scene.people[gi]
-        truth = {pid: (x, y) for pid, (x, y, v) in person.parts.items() if v != Visibility.MISSING}
-        if set(poses[pi].parts) != set(truth):
+    n_found = 0
+    for di, col in enumerate(matched):
+        if col < 0:
+            continue
+        n_found += 1
+        got, truth = poses[order[di]].parts, truths[labeled[col]].parts
+        if set(got) != set(truth):
             part_count_ok = False
         for pid, (tx, ty) in truth.items():
-            got = poses[pi].parts.get(pid)
-            if got is None:
-                continue
-            errors.append(
-                math.hypot(got[0] - tx / enc_params.stride, got[1] - ty / enc_params.stride)
-            )
+            if pid in got:
+                errors.append(math.hypot(got[pid][0] - tx / stride, got[pid][1] - ty / stride))
 
     max_err = max(errors) if errors else 0.0
     mean_err = sum(errors) / len(errors) if errors else 0.0
     success = (
         len(poses) == recipe.n_people
-        and len(matches) == recipe.n_people
+        and n_found == recipe.n_people
         and part_count_ok
         and max_err <= tol_cells
     )
     return RoundtripReport(
         n_people=recipe.n_people,
         poses_decoded=len(poses),
-        people_found=len(matches),
+        people_found=n_found,
         part_count_ok=part_count_ok,
         max_error_cells=max_err,
         mean_error_cells=mean_err,

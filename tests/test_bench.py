@@ -9,7 +9,6 @@ import pytest
 from wbpose.bench import (
     CSV_COLUMNS,
     BenchRecord,
-    phase_scaling_report,
     read_bench_medians,
     run_bench,
     write_bench_csv,
@@ -74,12 +73,3 @@ def test_read_bench_medians_rejects_missing_columns():
     bad = ["n_people,median_ns", "1,100"]
     with pytest.raises(ValueError, match="missing columns"):
         read_bench_medians(bad)
-
-
-def test_phase_report_covers_each_area(topo):
-    report = phase_scaling_report([(128, 128), (256, 256)], topo, n_people=1,
-                                  repetitions=10)
-    assert [row["area"] for row in report] == [16 * 16, 32 * 32]
-    for row in report:
-        assert row["nms_ns"] > 0
-        assert row["median_ns"] > 0

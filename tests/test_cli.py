@@ -275,6 +275,35 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert all(str(p) in err for p in paths)
 
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--n-people", ",", "--csv", "unused.csv"],
+        ["roundtrip", "--n-people", ","],
+    ])
+    def test_empty_integer_list_is_usage_error(self, capsys, argv):
+        assert main(["--quiet"] + argv) == EXIT_USAGE
+        assert "expected at least one integer" in capsys.readouterr().err
+
+    def test_ill_typed_registry_is_format_error(self, capsys, tmp_path):
+        from wbpose.scheduler import default_registry, registry_to_json
+
+        doc = registry_to_json(default_registry())
+        doc["datasets"][0]["probability"] = "0.7651"
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps(doc))
+        assert main(["--quiet", "sample-plan", "--registry", str(registry),
+                     "--out", str(tmp_path / "plan.jsonl")]) == EXIT_IO
+        assert "bad dataset entry 'coco'" in capsys.readouterr().err
+
+    def test_plan_header_without_batch_size_is_format_error(self, capsys, tmp_path):
+        plan = tmp_path / "plan.jsonl"
+        main(["--quiet", "sample-plan", "--batches", "2", "--out", str(plan)])
+        header, *batches = plan.read_text().splitlines()
+        doc = json.loads(header)
+        del doc["batch_size"]
+        plan.write_text("\n".join([json.dumps(doc)] + batches) + "\n")
+        assert main(["--quiet", "sample-plan", "--check", str(plan)]) == EXIT_IO
+        assert "'batch_size'" in capsys.readouterr().err
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == EXIT_OK
 
@@ -287,6 +316,16 @@ class TestRoundtripCommand:
         assert doc["failures"] == []
         assert doc["max_error_cells"] <= 0.5
         assert len(doc["reports"]) == 2
+
+    def test_person_scale_reaches_the_recipe(self, capsys, topo):
+        # Ten people pack into 480x480 only at the small scale.
+        from wbpose.synth import SceneRecipe, roundtrip_report
+
+        code, doc = run(capsys, "--seed", "1", "roundtrip", "--n-scenes", "1",
+                        "--n-people", "10", "--person-scale", "45:65")
+        assert code == EXIT_OK
+        recipe = SceneRecipe(n_people=10, person_scale=(45.0, 65.0), seed=1)
+        assert doc["reports"] == [roundtrip_report(recipe, topo).as_dict()]
 
 
 class TestBenchCommand:

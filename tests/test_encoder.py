@@ -18,6 +18,7 @@ from wbpose.encoder import (
 )
 from wbpose.skeleton import PartGroup, load_topology
 
+from conftest import tiny_manifest
 from oracles import oracle_confidence, oracle_paf
 
 L = Visibility.LABELED
@@ -163,9 +164,11 @@ def test_shrinking_sigma_shrinks_support(sigma, tau):
     assert np.all((narrow > tau) <= (wide > tau))
 
 
-def test_masks_covered_uncovered_and_reenabled(tiny_topo):
-    # Coverage {body}: body channels on, foot channels re-enabled only away
-    # from the person box, every channel off inside the unlabeled region.
+def test_masks_covered_uncovered_and_reenabled():
+    # Coverage {body}: body channels and the background on, foot channels
+    # re-enabled only away from the person box, every channel off inside the
+    # unlabeled region.
+    tiny_topo = load_topology({**tiny_manifest(), "background_channel": True})
     params = EncoderParams(stride=8)
     sc = AnnotatedScene(
         image_size=(160, 160),
@@ -189,8 +192,9 @@ def test_masks_covered_uncovered_and_reenabled(tiny_topo):
     covered = (~in_region).astype(np.float32)
     reenabled = (~(in_person | in_region)).astype(np.float32)
 
+    assert groups.count(None) == 1
     for c, g in enumerate(groups):
-        if g == PartGroup.BODY:
+        if g is None or g == PartGroup.BODY:  # background stays supervised
             np.testing.assert_array_equal(w[c], covered, err_msg=f"channel {c}")
         elif g == PartGroup.FOOT:
             np.testing.assert_array_equal(w[c], reenabled, err_msg=f"channel {c}")

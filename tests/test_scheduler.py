@@ -13,13 +13,13 @@ from wbpose.scheduler import (
     RNG_ALGORITHM,
     AugmentationRanges,
     DatasetSpec,
+    PlanError,
     RegistryError,
     RngState,
     Special,
     build_plan,
     default_registry,
     draw_augmentation,
-    mask_policy,
     next_batch,
     plan_batch,
     read_plan_jsonl,
@@ -156,25 +156,6 @@ def test_plan_jsonl_roundtrip():
     assert restored == plan
 
 
-def test_mask_policy_follows_coverage(topo):
-    reg = {s.name: s for s in default_registry()}
-    n_conf = topo.confidence_channels
-    groups = list(topo.confidence_channel_groups()) + list(topo.paf_channel_groups())
-
-    enabled = mask_policy(reg["foot"], topo)
-    for idx, g in enumerate(groups):
-        if g is None:
-            assert enabled[idx]  # background stays supervised
-        else:
-            assert enabled[idx] == (g in (PartGroup.BODY, PartGroup.FOOT))
-
-    assert mask_policy(reg["no_people"], topo).all()
-    assert mask_policy(reg["wholebody"], topo).all()
-    face_only = mask_policy(reg["face_a"], topo)
-    assert not face_only[: n_conf - 1].all()
-    assert face_only.sum() < len(groups)
-
-
 def test_registry_json_roundtrip_and_validation():
     reg = default_registry()
     doc = registry_to_json(reg)
@@ -182,13 +163,23 @@ def test_registry_json_roundtrip_and_validation():
     assert restored == reg
     assert registry_hash(restored) == registry_hash(reg)
 
-    bad = json.loads(json.dumps(doc))
-    bad["datasets"][0]["probability"] = 0.5
-    with pytest.raises(RegistryError):
-        registry_from_json(bad)
+    for field, value in (
+        ("probability", 0.5),  # the mix no longer sums to 1
+        ("probability", "0.7651"),  # a string where a number belongs
+        ("aug", {"scale": None}),
+        ("aug", 5),
+    ):
+        bad = json.loads(json.dumps(doc))
+        bad["datasets"][0][field] = value
+        with pytest.raises(RegistryError):
+            registry_from_json(bad)
 
-    with pytest.raises(RegistryError):
-        registry_from_json({"registry_version": 99, "datasets": []})
+    for bad in ({"registry_version": 99, "datasets": []},
+                {"registry_version": 1, "datasets": 5},
+                {"registry_version": 1, "datasets": [5]},
+                [doc]):
+        with pytest.raises(RegistryError):
+            registry_from_json(bad)
 
     dup = (
         DatasetSpec("a", 1, frozenset({PartGroup.BODY}), 0.5),
@@ -196,6 +187,25 @@ def test_registry_json_roundtrip_and_validation():
     )
     with pytest.raises(RegistryError):
         validate_registry(dup)
+
+
+@pytest.mark.parametrize("line, key, value", [
+    (0, "batch_size", None),  # None deletes the key
+    (0, "seed", "1"),
+    (1, "draws", None),
+    (1, "draws", 3),
+    (2, "dataset", None),
+])
+def test_plan_with_missing_or_ill_typed_key_is_plan_error(line, key, value):
+    buf = io.StringIO()
+    write_plan_jsonl(build_plan(default_registry(), seed=1, n_batches=2, batch_size=2), buf)
+    docs = [json.loads(line) for line in buf.getvalue().splitlines()]
+    if value is None:
+        del docs[line][key]
+    else:
+        docs[line][key] = value
+    with pytest.raises(PlanError):
+        read_plan_jsonl([json.dumps(d) for d in docs])
 
 
 def test_empty_registry_rejected():

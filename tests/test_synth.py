@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from wbpose.decoder import DecoderParams, decode
 from wbpose.encoder import EncoderParams, PartGroup, Visibility, encode
+from wbpose.metrics import EvalPose, gt_poses_from_scene, oks_matrix
 from wbpose.skeleton import default_topology
 from wbpose.synth import PackingError, SceneRecipe, generate, roundtrip_report
 
@@ -67,6 +68,12 @@ def test_jitter_cap_enforced():
         SceneRecipe(n_people=1, jitter_deg=15.5)
 
 
+@pytest.mark.parametrize("scale", [(0.0, 0.0), (-10.0, 50.0), (65.0, 45.0)])
+def test_person_scale_must_be_a_positive_range(scale):
+    with pytest.raises(ValueError, match="person_scale"):
+        SceneRecipe(n_people=1, person_scale=scale)
+
+
 def test_roundtrip_three_people_full_coverage(topo):
     report = roundtrip_report(SceneRecipe(n_people=3, seed=9), topo)
     assert report.success
@@ -112,6 +119,20 @@ def test_missing_parts_are_absent_not_occluded(topo):
     assert all(
         v == Visibility.LABELED for _, _, v in scene.people[0].parts.values()
     )
+
+
+def test_fragment_at_exactly_a_tenth_oks_finds_nobody(topo):
+    # Half of all parts missing: the decode splits each person into
+    # fragments, and the best one carries 7 of its person's 70 labeled
+    # parts, all exact, so its OKS is exactly 0.1. Finding needs OKS > 0.1.
+    recipe = SceneRecipe(n_people=2, seed=3, missing_prob={g: 0.5 for g in PartGroup})
+    scene = generate(recipe, topo)
+    poses = decode(encode(scene, topo, EncoderParams()), topo, DecoderParams())
+    s = EncoderParams().stride
+    dets = [EvalPose({pid: (x * s, y * s) for pid, (x, y, _) in p.parts.items()}) for p in poses]
+    assert oks_matrix(dets, gt_poses_from_scene(scene), topo).max() == 0.1
+    report = roundtrip_report(recipe, topo)
+    assert (report.poses_decoded, report.people_found) == (10, 0)
 
 
 @settings(max_examples=8, deadline=None)
