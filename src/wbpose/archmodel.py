@@ -9,8 +9,9 @@ grammar; a width range interpolates linearly across stages.
 
 The module computes receptive fields, parameter counts, and multiply-
 accumulate estimates, and carries a small runtime model comparing the
-single-network design against a body-plus-per-person-crops baseline. Costs
-are arithmetic, never measured; the bench module supplies real timings.
+single-network design against a body-plus-per-person-crops baseline, in
+units of one whole-body pass. Costs are arithmetic, never measured; the
+bench module supplies real timings.
 """
 
 from __future__ import annotations
@@ -285,20 +286,18 @@ def cost_estimate(graph: StageGraph) -> CostEstimate:
 class RuntimeModel:
     """Single-network cost vs a body-pass-plus-crops baseline.
 
-    t_single is one whole-body pass (independent of the person count);
-    the baseline pays t_body once plus, for the visible fraction of people,
-    one face and one hand pass each. Units are whatever the fit received.
+    Costs are in units of one whole-body pass, which is independent of the
+    person count. The baseline pays t_body once plus, for the visible
+    fraction of people, one face and one hand crop pass each. With the
+    defaults the baseline is 7x slower at 10 people.
     """
 
-    t_single: float
-    t_body: float
-    t_face: float
-    t_hand: float
+    t_body: float = 1.0
+    t_face: float = 0.5
+    t_hand: float = 0.5
     visibility: float = 0.6
 
     def __post_init__(self) -> None:
-        if self.t_single <= 0:
-            raise ValueError("t_single must be positive")
         if min(self.t_body, self.t_face, self.t_hand) < 0:
             raise ValueError("costs must be nonnegative")
         if not (0.0 <= self.visibility <= 1.0):
@@ -307,32 +306,4 @@ class RuntimeModel:
 
 def runtime_ratio(model: RuntimeModel, n_people: float) -> float:
     """Baseline-over-single cost ratio at a crowd size; affine in n."""
-    extra = n_people * model.visibility * (model.t_face + model.t_hand)
-    return (model.t_body + extra) / model.t_single
-
-
-def fit_runtime_model(
-    medians_ns: Sequence[float],
-    visibility: float = 0.6,
-    face_cost_frac: float = 0.5,
-    hand_cost_frac: float = 0.5,
-) -> RuntimeModel:
-    """Anchor the model on measured single-network timings.
-
-    The single-network cost is flat in the person count, so its least-squares
-    fit over the bench medians is their mean. The baseline's components are
-    expressed relative to it: a body-only pass costs the same, and the
-    face/hand crop passes cost the given fractions. With the defaults
-    (visibility 0.6, fractions 0.5 each) the modeled baseline is 7x slower
-    at 10 people.
-    """
-    if not medians_ns:
-        raise ValueError("need at least one measurement")
-    t_single = float(np.mean(medians_ns))
-    return RuntimeModel(
-        t_single=t_single,
-        t_body=t_single,
-        t_face=face_cost_frac * t_single,
-        t_hand=hand_cost_frac * t_single,
-        visibility=visibility,
-    )
+    return model.t_body + n_people * model.visibility * (model.t_face + model.t_hand)

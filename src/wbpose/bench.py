@@ -12,7 +12,6 @@ modeled, never measured.
 from __future__ import annotations
 
 import csv
-import ctypes
 import gc
 import statistics
 import time
@@ -58,24 +57,6 @@ def _percentile(sorted_ns: Sequence[int], q: float) -> int:
     return sorted_ns[idx]
 
 
-def _quiet_allocator() -> None:
-    """Raise glibc's mmap/trim thresholds so the multi-megabyte scratch
-    arrays each decode call allocates are recycled through the heap instead
-    of being handed back to the kernel and page-faulted in again on the next
-    repetition. Those fault storms cost a machine-state dependent 1-3 ms per
-    call, right inside the timed region, and they scale with the person
-    count, so they distort exactly the comparison this harness exists to
-    make. Process-global and sticky by design (a timing run wants the
-    allocator in one steady state throughout); silently a no-op off glibc.
-    """
-    try:
-        libc = ctypes.CDLL("libc.so.6")
-        libc.mallopt(-3, 256 * 1024 * 1024)  # M_MMAP_THRESHOLD
-        libc.mallopt(-1, 256 * 1024 * 1024)  # M_TRIM_THRESHOLD
-    except (OSError, AttributeError):
-        pass
-
-
 def run_bench(
     n_people_grid: Sequence[int],
     image_sizes: Sequence[tuple[int, int]],
@@ -99,7 +80,6 @@ def run_bench(
         raise ValueError("warmup must be >= 3")
     if repetitions < 10:
         raise ValueError("repetitions must be >= 10")
-    _quiet_allocator()
     enc_params = enc_params or EncoderParams()
     dec_params = dec_params or DecoderParams()
     records = []
@@ -172,12 +152,3 @@ def write_bench_csv(records: Iterable[BenchRecord], fp: IO[str]) -> None:
             r.n_people, r.map_w, r.map_h,
             r.median_ns, r.p90_ns, r.candidates, r.connections,
         ])
-
-
-def read_bench_medians(lines: Iterable[str]) -> list[tuple[int, int]]:
-    """(n_people, median_ns) pairs from a bench CSV, for runtime-model fits."""
-    reader = csv.DictReader(lines)
-    missing = set(CSV_COLUMNS) - set(reader.fieldnames or ())
-    if missing:
-        raise ValueError(f"bench CSV is missing columns: {sorted(missing)}")
-    return [(int(row["n_people"]), int(row["median_ns"])) for row in reader]

@@ -4,7 +4,8 @@ One executable, nine subcommands: encode, decode, loss, eval, synth,
 roundtrip, sample-plan, arch, bench.  Global flags (--manifest, --seed,
 --stride, --quiet) sit before the subcommand.  Every run prints a
 single JSON summary to stdout (unless --quiet) carrying tool_version,
-manifest_hash and the seed, so outputs are attributable and replayable.
+the seed, the command and manifest_hash, so outputs are attributable and
+replayable.
 
 Exit codes: 0 success, 1 a tolerance gate failed (roundtrip/eval/sample-plan
 --check), 2 usage error, 3 I/O or format error.
@@ -21,13 +22,13 @@ from pathlib import Path
 from . import __version__
 from .archmodel import (
     MalformedSpec,
+    RuntimeModel,
     build_stage_graph,
     cost_estimate,
-    fit_runtime_model,
     receptive_field,
     runtime_ratio,
 )
-from .bench import read_bench_medians, run_bench, write_bench_csv
+from .bench import run_bench, write_bench_csv
 from .decoder import decode_with_stats
 from .encoder import EncoderParams, encode
 from .formats import (
@@ -174,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     ar.add_argument("--cm", help="confidence stage spec (default: same as --spec)")
     ar.add_argument("--input-resolution", type=int, default=480)
     ar.add_argument("--ratio", action="store_true", help="emit modeled baseline/single ratios")
-    ar.add_argument("--fit", type=Path, help="bench CSV with measured medians (with --ratio)")
     ar.add_argument("--n", type=_int_range, default=list(range(1, 21)), metavar="A..B")
     ar.add_argument("--out", type=Path, help="ratio CSV path (default stdout)")
 
@@ -193,8 +193,11 @@ def _topology(args):
     return load_topology(json.loads(args.manifest.read_text(encoding="utf-8")))
 
 
-def _emit(args, payload: dict) -> None:
-    doc = {"tool_version": __version__, "seed": args.seed, **payload}
+def _emit(args, topo, payload: dict) -> None:
+    doc = {
+        "tool_version": __version__, "seed": args.seed,
+        "command": args.command, "manifest_hash": topo.manifest_hash, **payload,
+    }
     if not args.quiet:
         print(json.dumps(doc, indent=2))
 
@@ -239,10 +242,7 @@ def cmd_encode(args) -> int:
             path = args.out_dir / f"scene_{scene.scene_id:06d}.wbpt"
             write_wbpt(path, f)
             written.append(path.name)
-    _emit(args, {
-        "command": "encode", "manifest_hash": topo.manifest_hash,
-        "n_scenes": len(scenes), "files_written": written,
-    })
+    _emit(args, topo, {"n_scenes": len(scenes), "files_written": written})
     return EXIT_OK
 
 
@@ -278,8 +278,7 @@ def cmd_decode(args) -> int:
     doc = poses_document(poses_by_scene, stride, topo.manifest_hash, args.seed)
     if args.out:
         _write_json(args.out, doc)
-    _emit(args, {
-        "command": "decode", "manifest_hash": topo.manifest_hash,
+    _emit(args, topo, {
         "n_scenes": len(poses_by_scene),
         "n_poses": sum(len(v) for v in poses_by_scene.values()),
         **totals,
@@ -296,10 +295,7 @@ def cmd_loss(args) -> int:
     pred_t = to_targets(pred)
     gt_t = to_targets(gt)
     breakdown = multitask_loss([pred_t.l_star], [pred_t.s_star], gt_t, topo)
-    _emit(args, {
-        "command": "loss", "manifest_hash": topo.manifest_hash,
-        "loss": breakdown.as_dict(),
-    })
+    _emit(args, topo, {"loss": breakdown.as_dict()})
     return EXIT_OK
 
 
@@ -320,10 +316,7 @@ def cmd_eval(args) -> int:
             w.writerow(["threshold", "precision", "recall"])
             for t, (prec, rec) in sorted(result.per_threshold.items()):
                 w.writerow([f"{t:.2f}", repr(prec), repr(rec)])
-    _emit(args, {
-        "command": "eval", "manifest_hash": topo.manifest_hash,
-        "n_scenes": len(scene_ids), "result": result.as_dict(),
-    })
+    _emit(args, topo, {"n_scenes": len(scene_ids), "result": result.as_dict()})
     if args.min_ap is not None and result.ap < args.min_ap:
         return EXIT_TOLERANCE
     if args.min_ar is not None and result.ar < args.min_ar:
@@ -349,8 +342,7 @@ def cmd_synth(args) -> int:
     doc = scenes_document(scenes, topo.manifest_hash, args.seed)
     if args.out:
         _write_json(args.out, doc)
-    _emit(args, {
-        "command": "synth", "manifest_hash": topo.manifest_hash,
+    _emit(args, topo, {
         "n_scenes": len(scenes),
         "n_people_total": sum(len(s.people) for s in scenes),
     })
@@ -368,8 +360,7 @@ def cmd_roundtrip(args) -> int:
             tol_cells=args.tol_cells, scene_id=i,
         ))
     failures = [i for i, r in enumerate(reports) if not r.success]
-    _emit(args, {
-        "command": "roundtrip", "manifest_hash": topo.manifest_hash,
+    _emit(args, topo, {
         "n_scenes": len(reports), "failures": failures,
         "max_error_cells": max((r.max_error_cells for r in reports), default=0.0),
         "reports": [r.as_dict() for r in reports],
@@ -389,16 +380,12 @@ def cmd_sample_plan(args) -> int:
             registry, reference.seed, len(reference.batches), reference.batch_size
         )
         identical = regenerated == reference
-        _emit(args, {
-            "command": "sample-plan", "manifest_hash": topo.manifest_hash,
-            "checked": str(args.check), "identical": identical,
-        })
+        _emit(args, topo, {"checked": str(args.check), "identical": identical})
         return EXIT_OK if identical else EXIT_TOLERANCE
     plan = build_plan(registry, args.seed, args.batches, args.batch_size)
     with open(args.out, "w", encoding="utf-8") as fh:
         write_plan_jsonl(plan, fh)
-    _emit(args, {
-        "command": "sample-plan", "manifest_hash": topo.manifest_hash,
+    _emit(args, topo, {
         "n_batches": len(plan.batches), "batch_size": plan.batch_size,
         "registry_hash": plan.registry_hash,
     })
@@ -408,11 +395,7 @@ def cmd_sample_plan(args) -> int:
 def cmd_arch(args) -> int:
     topo = _topology(args)
     if args.ratio:
-        if not args.fit:
-            raise UsageError("--ratio needs --fit BENCH_CSV")
-        with open(args.fit, encoding="utf-8") as fh:
-            medians = read_bench_medians(fh)
-        model = fit_runtime_model([m for _, m in medians])
+        model = RuntimeModel()
         rows = [(n, runtime_ratio(model, n)) for n in args.n]
 
         def write_rows(fh) -> None:
@@ -426,20 +409,15 @@ def cmd_arch(args) -> int:
                 write_rows(fh)
         else:
             write_rows(sys.stdout)
-        _emit(args, {
-            "command": "arch", "manifest_hash": topo.manifest_hash,
-            "mode": "ratio", "n_measurements": len(medians),
-            "ratio_at_10": runtime_ratio(model, 10.0),
-        })
+        _emit(args, topo, {"mode": "ratio", "ratio_at_10": runtime_ratio(model, 10.0)})
         return EXIT_OK
     if not args.spec:
-        raise UsageError("arch needs --spec (cost mode) or --ratio --fit (model mode)")
+        raise UsageError("arch needs --spec (cost mode) or --ratio (model mode)")
     graph = build_stage_graph(
         args.spec, args.cm or args.spec, topo, input_resolution=args.input_resolution
     )
     cost = cost_estimate(graph)
-    _emit(args, {
-        "command": "arch", "manifest_hash": topo.manifest_hash,
+    _emit(args, topo, {
         "mode": "cost", "paf_spec": args.spec, "cm_spec": args.cm or args.spec,
         "params": cost.params, "macs": cost.macs,
         "receptive_field": receptive_field(graph),
@@ -460,8 +438,7 @@ def cmd_bench(args) -> int:
         write_bench_csv(records, fh)
     first = (records[0].map_w, records[0].map_h)
     by_people = {r.n_people: r.median_ns for r in records if (r.map_w, r.map_h) == first}
-    _emit(args, {
-        "command": "bench", "manifest_hash": topo.manifest_hash,
+    _emit(args, topo, {
         "n_records": len(records), "csv": str(args.csv),
         "median_ns_by_n_people": {str(k): v for k, v in sorted(by_people.items())},
     })

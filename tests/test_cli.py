@@ -180,15 +180,8 @@ class TestArch:
         assert doc["receptive_field"] > 84  # deeper than the bare backbone
 
     def test_ratio_mode(self, capsys, tmp_path):
-        csv_path = tmp_path / "bench.csv"
-        csv_path.write_text(
-            "n_people,map_w,map_h,median_ns,p90_ns,candidates,connections\n"
-            "1,60,60,1000000,1100000,135,134\n"
-            "20,60,60,1500000,1600000,2700,2900\n"
-        )
         out = tmp_path / "ratios.csv"
-        code, doc = run(capsys, "arch", "--ratio", "--fit", str(csv_path),
-                        "--n", "1..10", "--out", str(out))
+        code, doc = run(capsys, "arch", "--ratio", "--n", "1..10", "--out", str(out))
         assert code == EXIT_OK
         rows = out.read_text().splitlines()
         assert rows[0] == "n_people,modeled_ratio"
@@ -197,10 +190,9 @@ class TestArch:
         diffs = np.diff(ratios)
         assert np.all(diffs > 0)
         np.testing.assert_allclose(diffs, diffs[0])  # affine in n
-        assert doc["ratio_at_10"] == pytest.approx(7.0)
-
-    def test_ratio_needs_fit(self, capsys):
-        assert main(["--quiet", "arch", "--ratio"]) == EXIT_USAGE
+        assert doc["ratio_at_10"] == 7.0
+        # The model reads no measurements: arch has no --fit option.
+        assert main(["--quiet", "arch", "--ratio", "--fit", "x.csv"]) == EXIT_USAGE
 
     def test_malformed_spec(self, capsys):
         assert main(["--quiet", "arch", "--spec", "not a spec"]) == EXIT_USAGE
