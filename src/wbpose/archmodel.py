@@ -164,6 +164,8 @@ def build_stage_graph(
     output. PAF stages emit 2 channels per limb, CM stages one per part
     plus background.
     """
+    if input_resolution < 1:
+        raise ValueError(f"input_resolution must be >= 1 px, got {input_resolution}")
     paf_spec = parse_config(paf) if isinstance(paf, str) else paf
     cm_spec = parse_config(cm) if isinstance(cm, str) else cm
     backbone = tuple(backbone)

@@ -6,27 +6,22 @@ warmup runs discarded and medians over a fixed repetition count. The point
 is the shape of the curve: a single decode pass is nearly flat in the person
 count, unlike a body-pass-plus-crops pipeline whose cost grows linearly.
 That comparison line comes from the runtime model and is always labeled
-modeled, never measured.
+modeled, never measured. Records go out as the `records` list of the
+`wbpose bench` JSON summary, one `dataclasses.asdict` per BenchRecord.
 """
 
 from __future__ import annotations
 
-import csv
 import gc
 import statistics
 import time
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import Sequence
 
-from .decoder import DecoderParams, decode_with_stats
+from .decoder import DecodeStats, DecoderParams, decode_with_stats
 from .encoder import EncoderParams, encode
 from .skeleton import SkeletonTopology
 from .synth import SceneRecipe, generate
-
-CSV_COLUMNS = (
-    "n_people", "map_w", "map_h",
-    "median_ns", "p90_ns", "candidates", "connections",
-)
 
 
 @dataclass(frozen=True)
@@ -41,6 +36,9 @@ class BenchRecord:
     repetitions: int
     connections_kept: int = 0  # pairs left after the decoder's prefilter
     connections_accepted: int = 0
+    poses_dropped_min_parts: int = 0
+    poses_dropped_min_score: int = 0
+    # Phase medians over the timed repetitions, like median_ns.
     nms_ns: int = 0
     scoring_ns: int = 0
     assembly_ns: int = 0
@@ -100,7 +98,7 @@ def run_bench(
             prepared.append((n_people, encode(scene, topo, enc_params)))
 
         timings: dict[int, list[int]] = {n: [] for n, _ in prepared}
-        last_stats = {}
+        stats_of: dict[int, list[DecodeStats]] = {n: [] for n, _ in prepared}
         # Collector pauses land in whichever repetition they interrupt, so
         # take them off the clock the way timeit does: collect once up
         # front, then keep the collector off for the timed block.
@@ -115,14 +113,19 @@ def run_bench(
                     elapsed = time.perf_counter_ns() - t0
                     if rep >= warmup:
                         timings[n_people].append(elapsed)
-                        last_stats[n_people] = stats
+                        stats_of[n_people].append(stats)
         finally:
             if gc_was_enabled:
                 gc.enable()
 
         for n_people, tensors in prepared:
             ns_sorted = sorted(timings[n_people])
-            stats = last_stats[n_people]
+            # Counts are the same on every repetition; phase times are not.
+            stats = stats_of[n_people][-1]
+            phase = {
+                key: int(statistics.median(getattr(st, key) for st in stats_of[n_people]))
+                for key in ("nms_ns", "scoring_ns", "assembly_ns")
+            }
             map_w, map_h, _ = tensors.grid
             records.append(
                 BenchRecord(
@@ -136,19 +139,9 @@ def run_bench(
                     repetitions=repetitions,
                     connections_kept=stats.connections_kept,
                     connections_accepted=stats.connections_accepted,
-                    nms_ns=stats.nms_ns,
-                    scoring_ns=stats.scoring_ns,
-                    assembly_ns=stats.assembly_ns,
+                    poses_dropped_min_parts=stats.poses_dropped_min_parts,
+                    poses_dropped_min_score=stats.poses_dropped_min_score,
+                    **phase,
                 )
             )
     return records
-
-
-def write_bench_csv(records: Iterable[BenchRecord], fp: IO[str]) -> None:
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for r in records:
-        writer.writerow([
-            r.n_people, r.map_w, r.map_h,
-            r.median_ns, r.p90_ns, r.candidates, r.connections,
-        ])

@@ -2,10 +2,11 @@
 
 One executable, nine subcommands: encode, decode, loss, eval, synth,
 roundtrip, sample-plan, arch, bench.  Global flags (--manifest, --seed,
---stride, --quiet) sit before the subcommand.  Every run prints a
-single JSON summary to stdout (unless --quiet) carrying tool_version,
-the seed, the command and manifest_hash, so outputs are attributable and
-replayable.
+--stride, --quiet) sit before the subcommand.  Every run prints one
+JSON document to stdout (unless --quiet) and nothing else there: a summary
+carrying tool_version, the seed, the command and manifest_hash, so outputs
+are attributable and replayable, and the process's peak_rss_mb. Tables
+(bench records, arch --ratio rows) are lists inside that document.
 
 Exit codes: 0 success, 1 a tolerance gate failed (roundtrip/eval/sample-plan
 --check), 2 usage error, 3 I/O or format error.
@@ -14,8 +15,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import re
+import resource
 import sys
 from pathlib import Path
 
@@ -28,7 +31,7 @@ from .archmodel import (
     receptive_field,
     runtime_ratio,
 )
-from .bench import run_bench, write_bench_csv
+from .bench import run_bench
 from .decoder import decode_with_stats
 from .encoder import EncoderParams, encode
 from .formats import (
@@ -176,14 +179,12 @@ def build_parser() -> argparse.ArgumentParser:
     ar.add_argument("--input-resolution", type=int, default=480)
     ar.add_argument("--ratio", action="store_true", help="emit modeled baseline/single ratios")
     ar.add_argument("--n", type=_int_range, default=list(range(1, 21)), metavar="A..B")
-    ar.add_argument("--out", type=Path, help="ratio CSV path (default stdout)")
 
     be = sub.add_parser("bench", help="decode-only timing over a synthetic grid")
     be.add_argument("--n-people", type=_int_list, default=[1, 5, 10, 20])
     be.add_argument("--image-size", type=_size, action="append", default=None, metavar="WxH")
     be.add_argument("--warmup", type=int, default=3)
     be.add_argument("--repetitions", type=int, default=30)
-    be.add_argument("--csv", type=Path, required=True, help="output CSV path")
     return p
 
 
@@ -197,6 +198,8 @@ def _emit(args, topo, payload: dict) -> None:
     doc = {
         "tool_version": __version__, "seed": args.seed,
         "command": args.command, "manifest_hash": topo.manifest_hash, **payload,
+        # Linux reports ru_maxrss in KiB.
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
     if not args.quiet:
         print(json.dumps(doc, indent=2))
@@ -253,6 +256,7 @@ def cmd_decode(args) -> int:
     totals = dict.fromkeys((
         "candidates", "connections_scored", "connections_kept",
         "connections_valid", "connections_accepted",
+        "poses_dropped_min_parts", "poses_dropped_min_score",
     ), 0)
     for i, path in enumerate(args.tensors):
         f = read_wbpt(path)
@@ -396,20 +400,10 @@ def cmd_arch(args) -> int:
     topo = _topology(args)
     if args.ratio:
         model = RuntimeModel()
-        rows = [(n, runtime_ratio(model, n)) for n in args.n]
-
-        def write_rows(fh) -> None:
-            w = csv.writer(fh)
-            w.writerow(["n_people", "modeled_ratio"])
-            for n, r in rows:
-                w.writerow([n, repr(r)])
-
-        if args.out:
-            with open(args.out, "w", newline="", encoding="utf-8") as fh:
-                write_rows(fh)
-        else:
-            write_rows(sys.stdout)
-        _emit(args, topo, {"mode": "ratio", "ratio_at_10": runtime_ratio(model, 10.0)})
+        _emit(args, topo, {
+            "mode": "ratio", "ratio_at_10": runtime_ratio(model, 10.0),
+            "rows": [{"n_people": n, "modeled_ratio": runtime_ratio(model, n)} for n in args.n],
+        })
         return EXIT_OK
     if not args.spec:
         raise UsageError("arch needs --spec (cost mode) or --ratio (model mode)")
@@ -434,13 +428,8 @@ def cmd_bench(args) -> int:
         enc_params=EncoderParams(stride=args.stride),
         warmup=args.warmup, repetitions=args.repetitions, seed=args.seed,
     )
-    with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-        write_bench_csv(records, fh)
-    first = (records[0].map_w, records[0].map_h)
-    by_people = {r.n_people: r.median_ns for r in records if (r.map_w, r.map_h) == first}
     _emit(args, topo, {
-        "n_records": len(records), "csv": str(args.csv),
-        "median_ns_by_n_people": {str(k): v for k, v in sorted(by_people.items())},
+        "n_records": len(records), "records": [dataclasses.asdict(r) for r in records],
     })
     return EXIT_OK
 

@@ -34,7 +34,6 @@ from .skeleton import SkeletonTopology
 @dataclass(frozen=True)
 class DecoderParams:
     nms_threshold: float = 0.05
-    nms_window: int = 3
     n_samples: int = 10
     sample_threshold: float = 0.05
     valid_fraction: float = 0.8
@@ -42,8 +41,6 @@ class DecoderParams:
     min_score: float | None = None  # None -> 0.2 * min_parts
 
     def __post_init__(self) -> None:
-        if self.nms_window < 3 or self.nms_window % 2 == 0:
-            raise ValueError("nms_window must be odd and >= 3")
         if self.n_samples < 2:
             raise ValueError("n_samples must be >= 2")
         if not 0.0 < self.valid_fraction <= 1.0:
@@ -74,6 +71,8 @@ class DecodeStats:
     connections_kept: int = 0  # pairs that survive the prefilter and are scored
     connections_valid: int = 0
     connections_accepted: int = 0  # pairs taken by matching
+    poses_dropped_min_parts: int = 0  # connected components below min_parts
+    poses_dropped_min_score: int = 0  # components kept by min_parts, below min_score
     nms_ns: int = 0
     scoring_ns: int = 0
     assembly_ns: int = 0
@@ -101,9 +100,8 @@ def _nms_arrays(conf: np.ndarray, topo: SkeletonTopology, params: DecoderParams)
     ordered by (-score, y, x) within each part; candidate id == row index."""
     n_parts = topo.n_parts
     parts_maps = np.asarray(conf, dtype=np.float64)[:n_parts]
-    w = params.nms_window
-    footprint = np.ones((1, w, w), dtype=bool)
-    footprint[0, w // 2, w // 2] = False
+    footprint = np.ones((1, 3, 3), dtype=bool)  # the 3x3 ring around a cell
+    footprint[0, 1, 1] = False
     neighbor_max = maximum_filter(parts_maps, footprint=footprint, mode="constant", cval=-np.inf)
     peak_mask = (parts_maps > neighbor_max) & (parts_maps >= params.nms_threshold)
 
@@ -247,10 +245,12 @@ def _assemble_forest(
     acc_dst: np.ndarray,
     acc_score: np.ndarray,
     params: DecoderParams,
+    stats: DecodeStats,
 ) -> list[Pose]:
     """Poses as connected components of the accepted connections. person_score
     is the sum of member candidate scores and internal connection scores;
-    components with fewer than min_parts parts or a lower score are dropped.
+    components with fewer than min_parts parts or a lower score are dropped
+    and counted in stats.
 
     The limb graph is a forest and each limb contributed a bipartite
     matching, so a component never holds two candidates of one part: a path
@@ -270,7 +270,9 @@ def _assemble_forest(
 
     # Components too small to make a pose (on noisy maps, mostly lone
     # candidates) are dropped before the split, not one group at a time.
-    big = np.bincount(labels, minlength=n_comp) >= params.min_parts
+    sizes = np.bincount(labels, minlength=n_comp)
+    big = sizes >= params.min_parts
+    stats.poses_dropped_min_parts = int(np.count_nonzero(~big & (sizes > 1)))
     members = np.flatnonzero(big[labels])
     if not members.size:
         return []
@@ -280,6 +282,7 @@ def _assemble_forest(
     for rows in np.split(order, cuts):
         score = float(cand_score[rows].sum()) + float(extra[labels[rows[0]]])
         if score < params.resolved_min_score:
+            stats.poses_dropped_min_score += 1
             continue
         pids = cand_part[rows].tolist()
         poses.append(
@@ -419,7 +422,8 @@ def decode_with_stats(
 
     t0 = time.perf_counter_ns()
     poses = _assemble_forest(
-        cand_part, cand_x, cand_y, cand_score, acc_src, acc_dst, acc_score, params
+        cand_part, cand_x, cand_y, cand_score, acc_src, acc_dst, acc_score, params,
+        stats,
     )
     stats.assembly_ns = time.perf_counter_ns() - t0
     return poses, stats

@@ -72,17 +72,18 @@ class EncoderParams:
     sigma_px: Mapping[PartGroup, float] = field(
         default_factory=lambda: dict(DEFAULT_SIGMA_PX)
     )
-    # None derives per-limb widths as max(sigma of the src part's group,
-    # stride): bands narrower than one grid cell can miss every cell center
-    # along the segment, which makes the limb undecodable.
-    limb_width_px: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.stride < 1:
+            raise ValueError(f"stride must be >= 1, got {self.stride}")
 
     def sigma_for(self, group: PartGroup) -> float:
         return float(self.sigma_px[group])
 
     def limb_width_for(self, src_group: PartGroup) -> float:
-        if self.limb_width_px is not None:
-            return float(self.limb_width_px)
+        """Band half-width of a limb: max(sigma of the src part's group,
+        stride). Bands narrower than one grid cell can miss every cell
+        center along the segment, which makes the limb undecodable."""
         return max(self.sigma_for(src_group), float(self.stride))
 
 
@@ -229,12 +230,11 @@ def _box_cells(
     return inside
 
 
-def person_regions_mask(
-    scene: AnnotatedScene, params: EncoderParams, sigma_body: float | None = None
-) -> np.ndarray:
+def person_regions_mask(scene: AnnotatedScene, params: EncoderParams) -> np.ndarray:
     """Boolean (H, W) map of cells inside any person region: per-person
-    keypoint bounding boxes dilated by 2 * sigma_body, plus unlabeled regions."""
-    pad = 2.0 * (sigma_body if sigma_body is not None else params.sigma_for(PartGroup.BODY))
+    keypoint bounding boxes dilated by twice the body sigma, plus unlabeled
+    regions."""
+    pad = 2.0 * params.sigma_for(PartGroup.BODY)
 
     boxes: list[tuple[float, float, float, float]] = []
     for person in scene.people:

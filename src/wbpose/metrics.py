@@ -176,14 +176,13 @@ def evaluate(
     gts: Sequence[Sequence[EvalPose]],
     topo: SkeletonTopology,
     group: Iterable[PartGroup] | None = None,
-    thresholds: Sequence[float] = OKS_THRESHOLDS,
 ) -> EvalResult:
     """AP / AR of per-scene detections against per-scene ground truth.
 
     Scenes are aligned by index. Per threshold, detections are matched
     greedily (descending score) to the unmatched ground truth with the
     highest OKS at or above the threshold. AP integrates the precision
-    envelope on a 101-point recall grid and averages over thresholds;
+    envelope on a 101-point recall grid and averages over OKS_THRESHOLDS;
     AR is the mean recall. Ground-truth poses with no labeled parts in
     the subset are excluded from both matching and the gt count.
     """
@@ -213,7 +212,7 @@ def evaluate(
     per_threshold: dict[float, tuple[float, float]] = {}
     ap_values = []
     recalls = []
-    for t in thresholds:
+    for t in OKS_THRESHOLDS:
         flags: list[tuple[float, int, int, bool]] = []  # (-score, scene, rank, is_tp)
         tp_total = 0
         for si, mat in enumerate(scene_matrices):

@@ -29,6 +29,11 @@ from .skeleton import PartGroup, SkeletonTopology
 # holding 7 of a person's 70 labeled parts, all exact, scores exactly 0.1.)
 _FOUND_OKS = math.nextafter(0.1, 1.0)
 
+# Keypoints in the outermost map cells cannot carry a subpixel offset (the
+# peak has no outer neighbour to fit against), so every keypoint keeps this
+# many px of clearance from the image borders.
+EDGE_MARGIN_PX = 16.0
+
 
 class PackingError(RuntimeError):
     """Rejection sampling could not place every person."""
@@ -40,7 +45,6 @@ class SceneRecipe:
     image_size: tuple[int, int] = (480, 480)
     min_separation: float = 30.0  # px between person bounding boxes
     person_scale: tuple[float, float] = (90.0, 130.0)  # px height of the template
-    edge_margin: float = 16.0  # px clearance from image borders for every keypoint
     coverage: frozenset[PartGroup] = frozenset(PartGroup)
     missing_prob: Mapping[PartGroup, float] = field(default_factory=dict)
     rotation_deg: float = 20.0  # whole-person rotation, uniform +-
@@ -110,10 +114,7 @@ def _place_person(
     attempts_left: int,
 ) -> tuple[dict[int, tuple[float, float]], tuple[float, float, float, float], int]:
     w, h = recipe.image_size
-    # Keypoints in the outermost map cells cannot carry a subpixel offset
-    # (the peak has no outer neighbour to fit against), so keep every
-    # keypoint edge_margin px inside the image.
-    m = recipe.edge_margin
+    m = EDGE_MARGIN_PX
     while attempts_left > 0:
         attempts_left -= 1
         skel = _jittered_template(topo, subtrees, rng, recipe.jitter_deg)

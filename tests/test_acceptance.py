@@ -29,7 +29,7 @@ from wbpose.archmodel import (
     runtime_ratio,
 )
 from wbpose.bench import run_bench
-from wbpose.decoder import DecoderParams, _assemble_forest
+from wbpose.decoder import DecoderParams, DecodeStats, _assemble_forest
 from wbpose.encoder import EncoderParams, TargetTensors
 from wbpose.formats import (
     KIND_COMBINED,
@@ -334,7 +334,7 @@ def test_criterion_6_anchor_assembly():
         part, xs, ys = (np.array(c) for c in zip(*cands))
         src, dst = (np.array(c, dtype=np.int64) for c in zip(*conns))
         return _assemble_forest(part, xs, ys, np.ones(len(cands)), src, dst,
-                                np.full(len(conns), 0.9), params)
+                                np.full(len(conns), 0.9), params, DecodeStats())
 
     # shared wrist: body limb and hand limbs meet at candidate 1
     shared = assemble(

@@ -1,13 +1,13 @@
-"""Timing-harness tests: parameter validation, record invariants, CSV schema
-stability, and the qualitative shape of the measurement grid. Absolute times
-are machine-dependent and left to the acceptance suite."""
+"""Timing-harness tests: parameter validation, record invariants, records
+that survive the JSON summary, and the qualitative shape of the measurement
+grid. Absolute times are machine-dependent and left to the acceptance suite."""
 
-import csv
-import io
+import dataclasses
+import json
 
 import pytest
 
-from wbpose.bench import CSV_COLUMNS, BenchRecord, run_bench, write_bench_csv
+from wbpose.bench import BenchRecord, run_bench
 
 
 def small_grid_records(topo, n_people_grid=(1, 3), image_size=(256, 256)):
@@ -53,13 +53,15 @@ def test_records_sorted_and_connections_grow_with_people(topo):
     assert records[1].candidates > records[0].candidates
 
 
-def test_csv_schema_and_roundtrip(topo):
+def test_records_roundtrip_through_json(topo):
     records = small_grid_records(topo)
-    buf = io.StringIO()
-    write_bench_csv(records, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == ",".join(CSV_COLUMNS)
-    assert len(lines) == 1 + len(records)
-    rows = csv.DictReader(lines)
-    pairs = [(int(row["n_people"]), int(row["median_ns"])) for row in rows]
-    assert pairs == [(r.n_people, r.median_ns) for r in records]
+    rows = json.loads(json.dumps([dataclasses.asdict(r) for r in records]))
+    assert [BenchRecord(**row) for row in rows] == records
+
+
+def test_phase_medians_within_p90(topo):
+    # Each phase is a part of its repetition's total, so its median over the
+    # repetitions cannot exceed the total's median, let alone its p90.
+    for r in small_grid_records(topo):
+        for phase in (r.nms_ns, r.scoring_ns, r.assembly_ns):
+            assert 0 < phase <= r.median_ns <= r.p90_ns

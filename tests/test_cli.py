@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from wbpose import __version__
+from wbpose.archmodel import RuntimeModel, runtime_ratio
+from wbpose.bench import BenchRecord
 from wbpose.cli import EXIT_IO, EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, main
 from wbpose.formats import read_wbpt, to_targets
 
@@ -179,20 +181,25 @@ class TestArch:
         assert doc["params"] > 0 and doc["macs"] > 0
         assert doc["receptive_field"] > 84  # deeper than the bare backbone
 
-    def test_ratio_mode(self, capsys, tmp_path):
-        out = tmp_path / "ratios.csv"
-        code, doc = run(capsys, "arch", "--ratio", "--n", "1..10", "--out", str(out))
+    def test_ratio_mode(self, capsys):
+        code, doc = run(capsys, "arch", "--ratio", "--n", "1..10")
         assert code == EXIT_OK
-        rows = out.read_text().splitlines()
-        assert rows[0] == "n_people,modeled_ratio"
-        ratios = [float(r.split(",")[1]) for r in rows[1:]]
-        assert len(ratios) == 10
+        assert [row["n_people"] for row in doc["rows"]] == list(range(1, 11))
+        ratios = [row["modeled_ratio"] for row in doc["rows"]]
+        assert ratios == [runtime_ratio(RuntimeModel(), n) for n in range(1, 11)]
         diffs = np.diff(ratios)
         assert np.all(diffs > 0)
         np.testing.assert_allclose(diffs, diffs[0])  # affine in n
         assert doc["ratio_at_10"] == 7.0
-        # The model reads no measurements: arch has no --fit option.
+        # The model reads no measurements (no --fit) and writes no file (no --out).
         assert main(["--quiet", "arch", "--ratio", "--fit", "x.csv"]) == EXIT_USAGE
+        assert main(["--quiet", "arch", "--ratio", "--out", "x.csv"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("resolution", ["-8", "0"])
+    def test_nonpositive_input_resolution_is_usage_error(self, capsys, resolution):
+        assert main(["--quiet", "arch", "--spec", "4s, 5b, 96w",
+                     "--input-resolution", resolution]) == EXIT_USAGE
+        assert "input_resolution must be >= 1" in capsys.readouterr().err
 
     def test_malformed_spec(self, capsys):
         assert main(["--quiet", "arch", "--spec", "not a spec"]) == EXIT_USAGE
@@ -268,7 +275,7 @@ class TestExitCodes:
         assert all(str(p) in err for p in paths)
 
     @pytest.mark.parametrize("argv", [
-        ["bench", "--n-people", ",", "--csv", "unused.csv"],
+        ["bench", "--n-people", ","],
         ["roundtrip", "--n-people", ","],
     ])
     def test_empty_integer_list_is_usage_error(self, capsys, argv):
@@ -299,6 +306,15 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == EXIT_OK
 
+    @pytest.mark.parametrize("command", [
+        ["encode", "--scenes", str(DATA / "toy_coco_expected_scenes.json")],
+        ["roundtrip", "--n-scenes", "1", "--n-people", "1"],
+        ["bench", "--n-people", "1", "--repetitions", "10"],
+    ])
+    def test_zero_stride_is_usage_error(self, capsys, command):
+        assert main(["--quiet", "--stride", "0"] + command) == EXIT_USAGE
+        assert "stride must be >= 1" in capsys.readouterr().err
+
 
 class TestRoundtripCommand:
     def test_small_gate_passes(self, capsys):
@@ -321,13 +337,48 @@ class TestRoundtripCommand:
 
 
 class TestBenchCommand:
-    def test_writes_csv_and_summary(self, capsys, tmp_path):
-        out = tmp_path / "bench.csv"
+    def test_summary_carries_records(self, capsys):
         code, doc = run(capsys, "--seed", "1", "bench", "--n-people", "1,2",
-                        "--image-size", "240x240", "--repetitions", "10",
-                        "--csv", str(out))
+                        "--image-size", "240x240", "--image-size", "160x160",
+                        "--repetitions", "10")
         assert code == EXIT_OK
-        lines = out.read_text().splitlines()
-        assert lines[0] == "n_people,map_w,map_h,median_ns,p90_ns,candidates,connections"
-        assert len(lines) == 3
-        assert set(doc["median_ns_by_n_people"]) == {"1", "2"}
+        assert doc["n_records"] == 4
+        records = [BenchRecord(**r) for r in doc["records"]]  # every field, no extras
+        assert [(r.n_people, r.map_w) for r in records] == [(1, 30), (2, 30), (1, 20), (2, 20)]
+        # The records are the output; bench writes no file.
+        assert main(["--quiet", "bench", "--csv", "x.csv"]) == EXIT_USAGE
+
+
+SYNTH = ["synth", "--n-people", "1", "--image-size", "160x160", "--out", "s.json"]
+ENCODE = ["encode", "--scenes", "s.json", "--out-dir", "t"]
+DECODE = ["decode", "t/scene_000000.wbpt", "--out", "p.json"]
+
+# Per case, the commands to run in a fresh directory: the last one is
+# checked, the ones before it make its inputs.
+ONE_DOCUMENT_CASES = {
+    "synth": [SYNTH],
+    "encode": [SYNTH, ENCODE],
+    "decode": [SYNTH, ENCODE, DECODE],
+    "loss": [SYNTH, ENCODE, ["loss", "--pred", "t/scene_000000.wbpt",
+                             "--gt", "t/scene_000000.wbpt"]],
+    "eval": [SYNTH, ENCODE, DECODE, ["eval", "p.json", "p.json"]],
+    "roundtrip": [["roundtrip", "--n-scenes", "1", "--n-people", "1", "--image-size", "160x160"]],
+    "sample-plan": [["sample-plan", "--batches", "2", "--out", "plan.jsonl"]],
+    "arch-cost": [["arch", "--spec", "4s, 5b, 96w"]],
+    "arch-ratio": [["arch", "--ratio", "--n", "1..3"]],
+    "bench": [["bench", "--n-people", "1", "--image-size", "160x160", "--repetitions", "10"]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_DOCUMENT_CASES))
+def test_stdout_is_one_json_document(case, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    *setup, argv = ONE_DOCUMENT_CASES[case]
+    for cmd in setup:
+        assert main(["--quiet"] + cmd) == EXIT_OK
+    capsys.readouterr()
+    assert main(argv) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["command"] == argv[0]
+    assert len(doc["manifest_hash"]) == 64
+    assert doc["peak_rss_mb"] > 0

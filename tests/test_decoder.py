@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from wbpose.decoder import (
     DecoderParams,
+    DecodeStats,
     _assemble_forest,
     _match_all_limbs,
     _nms_arrays,
@@ -64,7 +65,7 @@ def peaks_of(ch, params):
 
 def test_nms_two_gaussians_against_grid_scan_oracle():
     ch = gaussian_channel(20, 20, [(5.0, 9.0, 1.0), (11.0, 9.0, 0.8)])
-    cands = peaks_of(ch, DecoderParams(nms_threshold=0.1, nms_window=3))
+    cands = peaks_of(ch, DecoderParams(nms_threshold=0.1))
     expected = oracle_nms(ch, 0.1, 3)
     assert len(cands) == len(expected) == 2
     got = sorted((round(y), round(x)) for x, y, _ in cands)
@@ -112,11 +113,6 @@ def test_nms_threshold_monotonicity(seed, thr):
     low = peaks_of(ch, DecoderParams(nms_threshold=thr))
     high = peaks_of(ch, DecoderParams(nms_threshold=min(thr * 2, 0.95)))
     assert len(high) <= len(low)
-
-
-def test_window_must_be_odd():
-    with pytest.raises(ValueError):
-        DecoderParams(nms_window=4)
 
 
 def scene_tensors(topo, people, size=(96, 96)):
@@ -241,7 +237,7 @@ def wrist_fixture(topo):
 def assemble_rows(cands, accepted, params):
     """accepted: (src row, dst row, connection score) triples."""
     src, dst, conn = (np.array(c) for c in zip(*accepted))
-    return _assemble_forest(*cands, src, dst, conn, params)
+    return _assemble_forest(*cands, src, dst, conn, params, DecodeStats())
 
 
 def test_assembly_merges_groups_through_shared_anchor_candidate(topo):
@@ -310,6 +306,24 @@ def test_min_parts_and_min_score_filter():
     assert decode(empty, topo, DecoderParams(min_parts=0)) == []
 
 
+@pytest.mark.parametrize("params, by_parts, by_score, n_poses", [
+    (DecoderParams(), 1, 0, 0),  # the pair is below min_parts=4
+    (DecoderParams(min_parts=2, min_score=1e9), 0, 1, 0),
+    (DecoderParams(min_parts=1, min_score=1e9), 0, 2, 0),  # the lone candidate too
+    (DecoderParams(min_parts=2, min_score=0.5), 0, 0, 1),
+], ids=["min_parts", "min_score", "lone_min_score", "kept"])
+def test_dropped_poses_are_counted(params, by_parts, by_score, n_poses):
+    # One connected pair and one lone part-0 candidate. A lone candidate
+    # has no accepted connection, so min_parts does not count it as a pose.
+    topo = two_part_topo()
+    t = scene_tensors(topo, [Person({0: (16.0, 40.0, L), 1: (72.0, 40.0, L)}),
+                             Person({0: (16.0, 80.0, L)})])
+    poses, stats = decode_with_stats(t, topo, params)
+    assert (stats.candidates, stats.connections_accepted) == (3, 1)
+    assert (stats.poses_dropped_min_parts, stats.poses_dropped_min_score) == (by_parts, by_score)
+    assert len(poses) == n_poses
+
+
 DIFF_TOPOLOGIES = {"tiny": load_topology(tiny_manifest()), "default": default_topology()}
 
 
@@ -356,7 +370,7 @@ def test_decode_equals_oracle_on_noisy_maps(topo_name, seed, map_w, map_h, n_peo
 
     pids, xs, ys, scores = _nms_arrays(conf, topo, params)
     for p in range(topo.n_parts):
-        want = oracle_nms(conf[p], params.nms_threshold, params.nms_window)
+        want = oracle_nms(conf[p], params.nms_threshold, 3)
         want.sort(key=lambda c: (-c[2], c[0], c[1]))
         assert scores[pids == p].tolist() == [v for _, _, v in want]
         assert np.all(np.abs(xs[pids == p] - [j for _, j, _ in want]) <= 0.5)

@@ -84,7 +84,7 @@ def test_confidence_range_and_missing_ignored():
 
 def test_horizontal_limb_band_values():
     topo = two_part_topo()
-    params = EncoderParams(stride=8, limb_width_px=8.0)
+    params = EncoderParams(stride=8)
     sc = scene([Person({0: (16.0, 40.0, L), 1: (56.0, 40.0, L)})])
     l = encode_paf(sc, topo, params)
     # Inside the band: pure +x unit vector.
@@ -96,7 +96,7 @@ def test_horizontal_limb_band_values():
 
 def test_crossing_limbs_average_to_half_sqrt2():
     topo = two_part_topo()
-    params = EncoderParams(stride=8, limb_width_px=6.0)
+    params = EncoderParams(stride=8)
     sc = scene([
         Person({0: (8.0, 40.0, L), 1: (72.0, 40.0, L)}),   # +x limb
         Person({0: (40.0, 8.0, L), 1: (40.0, 72.0, L)}),   # +y limb

@@ -10,7 +10,7 @@ from wbpose.decoder import DecoderParams, decode
 from wbpose.encoder import EncoderParams, PartGroup, Visibility, encode
 from wbpose.metrics import EvalPose, gt_poses_from_scene, oks_matrix
 from wbpose.skeleton import default_topology
-from wbpose.synth import PackingError, SceneRecipe, generate, roundtrip_report
+from wbpose.synth import EDGE_MARGIN_PX, PackingError, SceneRecipe, generate, roundtrip_report
 
 
 def test_zero_people_scene_is_certified_empty(topo):
@@ -54,8 +54,8 @@ def test_all_keypoints_inside_margin(topo):
     w, h = recipe.image_size
     for person in scene.people:
         for x, y, _ in person.parts.values():
-            assert recipe.edge_margin <= x <= w - recipe.edge_margin
-            assert recipe.edge_margin <= y <= h - recipe.edge_margin
+            assert EDGE_MARGIN_PX <= x <= w - EDGE_MARGIN_PX
+            assert EDGE_MARGIN_PX <= y <= h - EDGE_MARGIN_PX
 
 
 def test_infeasible_packing_raises(topo):
