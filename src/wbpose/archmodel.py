@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -153,7 +153,6 @@ def build_stage_graph(
     cm: str | ArchSpec,
     topo: SkeletonTopology,
     input_resolution: int = 480,
-    backbone: Sequence[Layer] = DEFAULT_BACKBONE,
     kernel: int = 3,
 ) -> StageGraph:
     """Assemble the full graph for a topology.
@@ -168,7 +167,7 @@ def build_stage_graph(
         raise ValueError(f"input_resolution must be >= 1 px, got {input_resolution}")
     paf_spec = parse_config(paf) if isinstance(paf, str) else paf
     cm_spec = parse_config(cm) if isinstance(cm, str) else cm
-    backbone = tuple(backbone)
+    backbone = DEFAULT_BACKBONE
     backbone_channels = next(
         (l.out_channels for l in reversed(backbone) if l.kind == "conv"), 0
     )

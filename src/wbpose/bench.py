@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .decoder import DecodeStats, DecoderParams, decode_with_stats
+from .decoder import DecodeStats, decode_with_stats
 from .encoder import EncoderParams, encode
 from .skeleton import SkeletonTopology
 from .synth import SceneRecipe, generate
@@ -60,7 +60,6 @@ def run_bench(
     image_sizes: Sequence[tuple[int, int]],
     topo: SkeletonTopology,
     enc_params: EncoderParams | None = None,
-    dec_params: DecoderParams | None = None,
     warmup: int = 3,
     repetitions: int = 30,
     seed: int = 0,
@@ -79,7 +78,6 @@ def run_bench(
     if repetitions < 10:
         raise ValueError("repetitions must be >= 10")
     enc_params = enc_params or EncoderParams()
-    dec_params = dec_params or DecoderParams()
     records = []
     for image_size in image_sizes:
         prepared = []
@@ -109,7 +107,7 @@ def run_bench(
             for rep in range(warmup + repetitions):
                 for n_people, tensors in prepared:
                     t0 = time.perf_counter_ns()
-                    _, stats = decode_with_stats(tensors, topo, dec_params)
+                    _, stats = decode_with_stats(tensors, topo)
                     elapsed = time.perf_counter_ns() - t0
                     if rep >= warmup:
                         timings[n_people].append(elapsed)

@@ -67,6 +67,14 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
+# DecodeStats counters that decode and roundtrip summaries total over scenes.
+DECODE_TOTALS = (
+    "candidates", "connections_scored", "connections_kept",
+    "connections_valid", "connections_accepted",
+    "poses_dropped_min_parts", "poses_dropped_min_score",
+)
+
+
 class UsageError(ValueError):
     """Arguments parsed but their values make no sense together."""
 
@@ -76,6 +84,16 @@ def _size(text: str) -> tuple[int, int]:
     if not m:
         raise argparse.ArgumentTypeError(f"expected WxH, got {text!r}")
     return int(m.group(1)), int(m.group(2))
+
+
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a count of at least 1, got {value}")
+    return value
 
 
 def _int_list(text: str) -> list[int]:
@@ -153,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="range of person heights in px")
 
     syn = sub.add_parser("synth", parents=[scene], help="generate annotated scenes")
-    syn.add_argument("--n-scenes", type=int, default=1)
+    syn.add_argument("--n-scenes", type=_count, default=1)
     syn.add_argument("--n-people", type=int, default=3)
     syn.add_argument("--rotation-deg", type=float, default=argparse.SUPPRESS)
     syn.add_argument("--jitter-deg", type=float, default=argparse.SUPPRESS)
@@ -161,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     syn.add_argument("--out", type=Path, help="scenes document JSON path")
 
     rt = sub.add_parser("roundtrip", parents=[scene], help="decode(encode(scene)) fidelity gate")
-    rt.add_argument("--n-scenes", type=int, default=20)
+    rt.add_argument("--n-scenes", type=_count, default=20)
     rt.add_argument("--n-people", type=_int_range, default=[1, 2, 3], metavar="LIST|A..B")
     rt.add_argument("--tol-cells", type=float, default=0.5)
 
@@ -253,11 +271,7 @@ def cmd_decode(args) -> int:
     topo = _topology(args)
     poses_by_scene = {}
     path_of = {}
-    totals = dict.fromkeys((
-        "candidates", "connections_scored", "connections_kept",
-        "connections_valid", "connections_accepted",
-        "poses_dropped_min_parts", "poses_dropped_min_score",
-    ), 0)
+    totals = dict.fromkeys(DECODE_TOTALS, 0)
     for i, path in enumerate(args.tensors):
         f = read_wbpt(path)
         _check_hash(topo, f.manifest_hash, path)
@@ -366,7 +380,8 @@ def cmd_roundtrip(args) -> int:
     failures = [i for i, r in enumerate(reports) if not r.success]
     _emit(args, topo, {
         "n_scenes": len(reports), "failures": failures,
-        "max_error_cells": max((r.max_error_cells for r in reports), default=0.0),
+        "max_error_cells": max(r.max_error_cells for r in reports),
+        **{key: sum(getattr(r.decode_stats, key) for r in reports) for key in DECODE_TOTALS},
         "reports": [r.as_dict() for r in reports],
     })
     return EXIT_TOLERANCE if failures else EXIT_OK

@@ -11,6 +11,23 @@ exp(-||p*stride - x_c||^2 / sigma^2); the optional background channel is
 1 - max over part channels. PAF channels (2l, 2l+1) hold the unit vector
 src->dst of limb l inside a band around the segment, averaged where several
 persons' bands overlap.
+
+Both encoders work on small windows, gathered over all (part or limb,
+person) entries at once, and give the same float32 bits as a per-entry loop
+over the full grid (tests/oracles.py keeps that loop as the reference):
+  * a Gaussian is cut to a square of half-side sqrt(110) * sigma. Outside
+    it one axis factor is below exp(-110) ~ 1.7e-48 and the other at most 1,
+    so the float64 product is below 2**-150 and rounds to float32 +0, the
+    value the map starts from. Inside it the float64 per-axis exp and
+    their product are the loop's; entries merge with np.maximum.at after
+    the cast, which equals the loop's cast of the max because rounding is
+    monotone;
+  * a PAF band is tested on its segment's bounding window grown by the
+    band width, the loop's window, with the loop's float64 arithmetic. Sums
+    accumulate in float64 in limb-major, person-minor order, so each cell
+    adds the same terms in the same order.
+Windows are processed in blocks of at most _BLOCK_CELLS cells, so scratch
+memory does not grow with the crowd or the person scale.
 """
 
 from __future__ import annotations
@@ -58,6 +75,12 @@ class AnnotatedScene:
             raise ValueError("a certified no-people scene cannot carry people or unlabeled regions")
 
 
+# Half-side of a Gaussian's window in sigmas: exp(-110) < 2**-150.
+_GAUSS_CUT = math.sqrt(110.0)
+# Window cells per block of vectorized work: a few float64 temporaries of
+# this size, about 1 MB of scratch in all.
+_BLOCK_CELLS = 1 << 14
+
 DEFAULT_SIGMA_PX: dict[PartGroup, float] = {
     PartGroup.BODY: 7.0,
     PartGroup.FOOT: 7.0,
@@ -76,6 +99,14 @@ class EncoderParams:
     def __post_init__(self) -> None:
         if self.stride < 1:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
+        for group in PartGroup:
+            if group not in self.sigma_px:
+                raise ValueError(f"sigma_px has no sigma for part group {group.value!r}")
+            sigma = float(self.sigma_px[group])
+            if not (math.isfinite(sigma) and sigma > 0.0):
+                raise ValueError(
+                    f"sigma_px[{group.value!r}] must be finite and > 0, got {sigma}"
+                )
 
     def sigma_for(self, group: PartGroup) -> float:
         return float(self.sigma_px[group])
@@ -114,28 +145,74 @@ def _grid_axes(image_size: tuple[int, int], stride: int) -> tuple[np.ndarray, np
     return ys, xs
 
 
+def _annotated_table(
+    scene: AnnotatedScene, n_parts: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(xy, ok): xy is (people, n_parts, 2) float64 pixel coordinates and ok
+    marks the parts each person annotates (labeled or occluded). Ids outside
+    the topology are ignored. Raises ValueError on a non-finite coordinate,
+    which would otherwise spread NaN over a whole map."""
+    xy = np.zeros((len(scene.people), n_parts, 2), dtype=np.float64)
+    ok = np.zeros((len(scene.people), n_parts), dtype=bool)
+    missing = Visibility.MISSING
+    for k, person in enumerate(scene.people):
+        rows = [
+            (pid, x, y) for pid, (x, y, vis) in person.parts.items()
+            if vis != missing and 0 <= pid < n_parts
+        ]
+        if rows:
+            table = np.array(rows, dtype=np.float64)
+            pid = table[:, 0].astype(np.intp)
+            xy[k, pid] = table[:, 1:]
+            ok[k, pid] = True
+    if not np.isfinite(xy).all():
+        raise ValueError(f"scene {scene.scene_id}: annotated part coordinates must be finite")
+    return xy, ok
+
+
+def _blocks(n: int, cells_each: int):
+    """Slices over n windows of cells_each cells, _BLOCK_CELLS at most per
+    slice (a single larger window gets a slice of its own)."""
+    step = max(1, _BLOCK_CELLS // max(cells_each, 1))
+    return (slice(i, i + step) for i in range(0, n, step))
+
+
 def encode_confidence(
     scene: AnnotatedScene, topo: SkeletonTopology, params: EncoderParams
 ) -> np.ndarray:
-    """Per-part max-of-Gaussians confidence maps (+ background if enabled)."""
+    """Per-part max-of-Gaussians confidence maps (+ background if enabled).
+
+    Each (part, person) Gaussian is evaluated on a square of half-side
+    _GAUSS_CUT * sigma around its center and merged with np.maximum.at; all
+    entries sharing one sigma are handled together."""
     map_h, map_w = map_shape(scene.image_size, params.stride)
     out = np.zeros((topo.confidence_channels, map_h, map_w), dtype=np.float32)
-    ys, xs = _grid_axes(scene.image_size, params.stride)
+    flat = out.reshape(-1)
+    stride = params.stride
+    xy, ok = _annotated_table(scene, topo.n_parts)
+    person, part = np.nonzero(ok)
+    sigma_of_part = np.array([params.sigma_for(p.group) for p in topo.parts])
 
-    for part in topo.parts:
-        sigma2 = params.sigma_for(part.group) ** 2
-        acc: np.ndarray | None = None
-        for person in scene.people:
-            entry = person.parts.get(part.part_id)
-            if entry is None or entry[2] == Visibility.MISSING:
-                continue
-            px, py = entry[0], entry[1]
-            gy = np.exp(-((ys - py) ** 2) / sigma2)
-            gx = np.exp(-((xs - px) ** 2) / sigma2)
-            g = np.outer(gy, gx)
-            acc = g if acc is None else np.maximum(acc, g)
-        if acc is not None:
-            out[part.part_id] = acc.astype(np.float32)
+    for sigma in sorted({params.sigma_for(g) for g in PartGroup}):
+        sel = sigma_of_part[part] == sigma
+        chan = part[sel]
+        px, py = xy[person[sel], chan].T
+        sigma2 = sigma**2
+        reach = _GAUSS_CUT * sigma
+        # Window sizes that cover every cell within `reach` of any center.
+        kh = min(map_h, int(2 * reach // stride) + 2)
+        kw = min(map_w, int(2 * reach // stride) + 2)
+        y0 = np.clip(np.floor((py - reach) / stride), 0, map_h - kh).astype(np.intp)
+        x0 = np.clip(np.floor((px - reach) / stride), 0, map_w - kw).astype(np.intp)
+        for b in _blocks(len(chan), kh * kw):
+            rows = y0[b, None] + np.arange(kh)
+            cols = x0[b, None] + np.arange(kw)
+            # The loop's float64 arithmetic: per-axis exp, then the product.
+            gy = np.exp(-((rows * float(stride) - py[b, None]) ** 2) / sigma2)
+            gx = np.exp(-((cols * float(stride) - px[b, None]) ** 2) / sigma2)
+            g = (gy[:, :, None] * gx[:, None, :]).astype(np.float32)
+            idx = ((chan[b, None] * map_h + rows) * map_w)[:, :, None] + cols[:, None, :]
+            np.maximum.at(flat, idx.ravel(), g.ravel())
 
     bg = topo.background_index
     if bg is not None:
@@ -150,51 +227,63 @@ def encode_paf(
     scene: AnnotatedScene, topo: SkeletonTopology, params: EncoderParams
 ) -> np.ndarray:
     """Part affinity fields: unit vectors inside each limb's band, averaged
-    per cell over the persons whose bands cover it."""
+    per cell over the persons whose bands cover it.
+
+    Each (limb, person) band is tested on the cells of its bounding window,
+    padded to the largest window of its block and masked. Sums accumulate
+    with np.add.at in limb-major, person-minor order."""
     map_h, map_w = map_shape(scene.image_size, params.stride)
     out = np.zeros((2 * topo.n_limbs, map_h, map_w), dtype=np.float32)
     counts = np.zeros((topo.n_limbs, map_h, map_w), dtype=np.int32)
     acc = np.zeros((2 * topo.n_limbs, map_h, map_w), dtype=np.float64)
     stride = params.stride
+    plane = map_h * map_w
     group_of = {p.part_id: p.group for p in topo.parts}
+    src = np.array([l.src for l in topo.limbs], dtype=np.intp)
+    dst = np.array([l.dst for l in topo.limbs], dtype=np.intp)
+    width_of = np.array([params.limb_width_for(group_of[l.src]) for l in topo.limbs])
 
-    for limb in topo.limbs:
-        width = params.limb_width_for(group_of[limb.src])
-        for person in scene.people:
-            src = person.parts.get(limb.src)
-            dst = person.parts.get(limb.dst)
-            if src is None or dst is None:
-                continue
-            if src[2] == Visibility.MISSING or dst[2] == Visibility.MISSING:
-                continue
-            sx, sy = src[0], src[1]
-            dx, dy = dst[0], dst[1]
-            length = math.hypot(dx - sx, dy - sy)
-            if length == 0.0:
-                continue
-            ux, uy = (dx - sx) / length, (dy - sy) / length
+    xy, ok = _annotated_table(scene, topo.n_parts)
+    limb, person = np.nonzero((ok[:, src] & ok[:, dst]).T)
+    sx, sy = xy[person, src[limb]].T
+    dx, dy = xy[person, dst[limb]].T
+    length = np.array(list(map(math.hypot, (dx - sx).tolist(), (dy - sy).tolist())))
+    width = width_of[limb]
+    # Cells whose centers fall within `width` of the segment lie inside this
+    # window; the float floor division is Python's, as in the scalar form.
+    x0 = np.maximum(0, (np.minimum(sx, dx) - width) // stride)
+    x1 = np.minimum(map_w - 1, (np.maximum(sx, dx) + width) // stride + 1)
+    y0 = np.maximum(0, (np.minimum(sy, dy) - width) // stride)
+    y1 = np.minimum(map_h - 1, (np.maximum(sy, dy) + width) // stride + 1)
+    keep = (length != 0.0) & (x0 <= x1) & (y0 <= y1)
+    limb, sx, sy, dx, dy, length, width = (
+        a[keep] for a in (limb, sx, sy, dx, dy, length, width)
+    )
+    x0, x1, y0, y1 = (a[keep].astype(np.intp) for a in (x0, x1, y0, y1))
+    ux, uy = (dx - sx) / length, (dy - sy) / length
+    nx, ny = x1 - x0 + 1, y1 - y0 + 1
 
-            # Cells whose centers fall within `width` of the segment. Work on
-            # the bounding window only; the test oracle scans the full grid.
-            x0 = max(0, int((min(sx, dx) - width) // stride))
-            x1 = min(map_w - 1, int((max(sx, dx) + width) // stride) + 1)
-            y0 = max(0, int((min(sy, dy) - width) // stride))
-            y1 = min(map_h - 1, int((max(sy, dy) + width) // stride) + 1)
-            if x0 > x1 or y0 > y1:
-                continue
-            cx = np.arange(x0, x1 + 1, dtype=np.float64) * stride
-            cy = np.arange(y0, y1 + 1, dtype=np.float64) * stride
-            gx, gy = np.meshgrid(cx, cy)
-            rx, ry = gx - sx, gy - sy
-            t = np.clip(rx * ux + ry * uy, 0.0, length)
-            dist2 = (rx - t * ux) ** 2 + (ry - t * uy) ** 2
-            band = dist2 <= width * width
-            if not band.any():
-                continue
-            sl = (slice(y0, y1 + 1), slice(x0, x1 + 1))
-            acc[2 * limb.limb_id][sl][band] += ux
-            acc[2 * limb.limb_id + 1][sl][band] += uy
-            counts[limb.limb_id][sl][band] += 1
+    flat_acc, flat_counts = acc.reshape(-1), counts.reshape(-1)
+    wx, wy = int(nx.max(initial=1)), int(ny.max(initial=1))
+    for b in _blocks(len(limb), wx * wy):
+        bx, by = int(nx[b].max()), int(ny[b].max())
+        cols = x0[b, None] + np.arange(bx)
+        rows = y0[b, None] + np.arange(by)
+        rx = (cols * float(stride) - sx[b, None])[:, None, :]
+        ry = (rows * float(stride) - sy[b, None])[:, :, None]
+        bux, buy = ux[b, None, None], uy[b, None, None]
+        t = np.clip(rx * bux + ry * buy, 0.0, length[b, None, None])
+        dist2 = (rx - t * bux) ** 2 + (ry - t * buy) ** 2
+        band = dist2 <= (width[b] * width[b])[:, None, None]
+        band &= (np.arange(bx) < nx[b, None])[:, None, :]
+        band &= (np.arange(by) < ny[b, None])[:, :, None]
+        e, i, j = np.nonzero(band)
+        cell = rows[e, i] * map_w + cols[e, j]
+        lb = limb[b][e]
+        np.add.at(flat_counts, lb * plane + cell, 1)
+        xcell = 2 * lb * plane + cell
+        np.add.at(flat_acc, xcell, ux[b][e])
+        np.add.at(flat_acc, xcell + plane, uy[b][e])
 
     # Divide the covered cells only. A full-array divide writes every page of
     # acc plus full-size temporaries, which raised peak RSS by about 2%.

@@ -18,7 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .decoder import DecoderParams, decode
+from .decoder import DecodeStats, decode_with_stats
 from .encoder import AnnotatedScene, EncoderParams, Person, Visibility, encode
 from .metrics import EvalPose, _greedy_match, gt_poses_from_scene, oks_matrix
 from .skeleton import PartGroup, SkeletonTopology
@@ -188,6 +188,7 @@ class RoundtripReport:
     mean_error_cells: float
     success: bool
     tol_cells: float
+    decode_stats: DecodeStats  # the decode's counters and phase times
 
     def as_dict(self) -> dict:
         return {
@@ -206,7 +207,6 @@ def roundtrip_report(
     recipe: SceneRecipe,
     topo: SkeletonTopology,
     enc_params: EncoderParams | None = None,
-    dec_params: DecoderParams | None = None,
     tol_cells: float = 0.5,
     scene_id: int = 0,
 ) -> RoundtripReport:
@@ -217,10 +217,9 @@ def roundtrip_report(
     every part within tol_cells map cells of the true location.
     """
     enc_params = enc_params or EncoderParams()
-    dec_params = dec_params or DecoderParams()
     scene = generate(recipe, topo, scene_id=scene_id)
     tensors = encode(scene, topo, enc_params)
-    poses = decode(tensors, topo, dec_params)
+    poses, stats = decode_with_stats(tensors, topo)
 
     # The evaluator's matching: poses by descending score, each to the
     # unmatched person with the highest OKS above _FOUND_OKS.
@@ -265,4 +264,5 @@ def roundtrip_report(
         mean_error_cells=mean_err,
         success=success,
         tol_cells=tol_cells,
+        decode_stats=stats,
     )

@@ -5,7 +5,10 @@ scans, no shared code with the library beyond dataclass types. The
 exceptions are oracle_limb_scores and oracle_decode, which reuse the
 library's peak extraction and line-integral scorer (checked by the NMS and
 connection tests) so that they can compare the decode's pair enumeration,
-prefilter, matching and assembly bit for bit.
+prefilter, matching and assembly bit for bit. loop_encode_confidence and
+loop_encode_paf are the encoders' scalar form, one full-grid or bounding-
+window pass per (part or limb, person) entry, and pin the windowed,
+vectorized encoders down to the bit.
 """
 
 import math
@@ -37,6 +40,92 @@ def oracle_confidence(scene, topo, params):
                 out[part.part_id, i, j] = best
     if topo.background_index is not None:
         out[topo.background_index] = 1.0 - out[: topo.n_parts].max(axis=0)
+    return out
+
+
+def loop_encode_confidence(scene, topo, params):
+    """Per-part max over persons of float64 full-grid Gaussians, cast once."""
+    map_h = math.ceil(scene.image_size[1] / params.stride)
+    map_w = math.ceil(scene.image_size[0] / params.stride)
+    out = np.zeros((topo.confidence_channels, map_h, map_w), dtype=np.float32)
+    ys = np.arange(map_h, dtype=np.float64) * params.stride
+    xs = np.arange(map_w, dtype=np.float64) * params.stride
+
+    for part in topo.parts:
+        sigma2 = params.sigma_for(part.group) ** 2
+        acc = None
+        for person in scene.people:
+            entry = person.parts.get(part.part_id)
+            if entry is None or entry[2] == Visibility.MISSING:
+                continue
+            px, py = entry[0], entry[1]
+            gy = np.exp(-((ys - py) ** 2) / sigma2)
+            gx = np.exp(-((xs - px) ** 2) / sigma2)
+            g = np.outer(gy, gx)
+            acc = g if acc is None else np.maximum(acc, g)
+        if acc is not None:
+            out[part.part_id] = acc.astype(np.float32)
+
+    bg = topo.background_index
+    if bg is not None:
+        if topo.n_parts:
+            out[bg] = 1.0 - out[: topo.n_parts].max(axis=0)
+        else:
+            out[bg] = 1.0
+    return out
+
+
+def loop_encode_paf(scene, topo, params):
+    """Per (limb, person) band on its bounding window, float64 sums in
+    limb-major, person-minor order, divided by the count per cell."""
+    map_h = math.ceil(scene.image_size[1] / params.stride)
+    map_w = math.ceil(scene.image_size[0] / params.stride)
+    out = np.zeros((2 * topo.n_limbs, map_h, map_w), dtype=np.float32)
+    counts = np.zeros((topo.n_limbs, map_h, map_w), dtype=np.int32)
+    acc = np.zeros((2 * topo.n_limbs, map_h, map_w), dtype=np.float64)
+    stride = params.stride
+    group_of = {p.part_id: p.group for p in topo.parts}
+
+    for limb in topo.limbs:
+        width = params.limb_width_for(group_of[limb.src])
+        for person in scene.people:
+            src = person.parts.get(limb.src)
+            dst = person.parts.get(limb.dst)
+            if src is None or dst is None:
+                continue
+            if src[2] == Visibility.MISSING or dst[2] == Visibility.MISSING:
+                continue
+            sx, sy = src[0], src[1]
+            dx, dy = dst[0], dst[1]
+            length = math.hypot(dx - sx, dy - sy)
+            if length == 0.0:
+                continue
+            ux, uy = (dx - sx) / length, (dy - sy) / length
+
+            x0 = max(0, int((min(sx, dx) - width) // stride))
+            x1 = min(map_w - 1, int((max(sx, dx) + width) // stride) + 1)
+            y0 = max(0, int((min(sy, dy) - width) // stride))
+            y1 = min(map_h - 1, int((max(sy, dy) + width) // stride) + 1)
+            if x0 > x1 or y0 > y1:
+                continue
+            cx = np.arange(x0, x1 + 1, dtype=np.float64) * stride
+            cy = np.arange(y0, y1 + 1, dtype=np.float64) * stride
+            gx, gy = np.meshgrid(cx, cy)
+            rx, ry = gx - sx, gy - sy
+            t = np.clip(rx * ux + ry * uy, 0.0, length)
+            dist2 = (rx - t * ux) ** 2 + (ry - t * uy) ** 2
+            band = dist2 <= width * width
+            if not band.any():
+                continue
+            sl = (slice(y0, y1 + 1), slice(x0, x1 + 1))
+            acc[2 * limb.limb_id][sl][band] += ux
+            acc[2 * limb.limb_id + 1][sl][band] += uy
+            counts[limb.limb_id][sl][band] += 1
+
+    limb, i, j = np.nonzero(counts)
+    c = counts[limb, i, j]
+    out[2 * limb, i, j] = acc[2 * limb, i, j] / c
+    out[2 * limb + 1, i, j] = acc[2 * limb + 1, i, j] / c
     return out
 
 

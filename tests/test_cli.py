@@ -8,7 +8,7 @@ import pytest
 from wbpose import __version__
 from wbpose.archmodel import RuntimeModel, runtime_ratio
 from wbpose.bench import BenchRecord
-from wbpose.cli import EXIT_IO, EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, main
+from wbpose.cli import DECODE_TOTALS, EXIT_IO, EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, main
 from wbpose.formats import read_wbpt, to_targets
 
 DATA = Path(__file__).parent / "data"
@@ -315,15 +315,37 @@ class TestExitCodes:
         assert main(["--quiet", "--stride", "0"] + command) == EXIT_USAGE
         assert "stride must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["roundtrip", "--n-scenes", "0"],
+        ["synth", "--n-scenes", "-1"],
+    ])
+    def test_scene_count_below_one_is_usage_error(self, capsys, command):
+        assert main(["--quiet"] + command) == EXIT_USAGE
+        assert "expected a count of at least 1" in capsys.readouterr().err
+
 
 class TestRoundtripCommand:
-    def test_small_gate_passes(self, capsys):
+    def test_small_gate_passes(self, capsys, topo):
         code, doc = run(capsys, "--seed", "2", "roundtrip", "--n-scenes", "2",
                         "--n-people", "1..2", "--image-size", "320x320")
         assert code == EXIT_OK
         assert doc["failures"] == []
         assert doc["max_error_cells"] <= 0.5
         assert len(doc["reports"]) == 2
+        # Decoder counters totalled over both scenes, as in `wbpose decode`.
+        from wbpose.synth import SceneRecipe, roundtrip_report
+
+        totals = dict.fromkeys(DECODE_TOTALS, 0)
+        for i, n_people in enumerate((1, 2)):
+            recipe = SceneRecipe(n_people=n_people, image_size=(320, 320), seed=2)
+            stats = roundtrip_report(recipe, topo, scene_id=i).decode_stats
+            for key in DECODE_TOTALS:
+                totals[key] += getattr(stats, key)
+        assert {key: doc[key] for key in DECODE_TOTALS} == totals
+        assert doc["candidates"] == 3 * topo.n_parts
+        assert doc["connections_accepted"] == 3 * topo.n_limbs
+        assert doc["connections_kept"] >= doc["connections_valid"] >= doc["connections_accepted"]
+        assert doc["poses_dropped_min_parts"] == doc["poses_dropped_min_score"] == 0
 
     def test_person_scale_reaches_the_recipe(self, capsys, topo):
         # Ten people pack into 480x480 only at the small scale.

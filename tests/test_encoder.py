@@ -1,5 +1,7 @@
 """Target encoding against brute-force per-pixel oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,9 +19,10 @@ from wbpose.encoder import (
     map_shape,
 )
 from wbpose.skeleton import PartGroup, load_topology
+from wbpose.synth import SceneRecipe, generate
 
 from conftest import tiny_manifest
-from oracles import oracle_confidence, oracle_paf
+from oracles import loop_encode_confidence, loop_encode_paf, oracle_confidence, oracle_paf
 
 L = Visibility.LABELED
 
@@ -262,3 +265,130 @@ def test_encode_shapes_consistent(topo):
     assert t.l_star.shape == (268, 60, 60)
     assert t.w_mask.shape == (136 + 268, 60, 60)
     assert t.grid == (60, 60, 8)
+
+
+def four_group_topo():
+    """Seven parts over all four groups and a background channel; limbs start
+    in every group, so every sigma and every limb width is in use."""
+    groups = ["body", "body", "body", "foot", "face", "body", "hand"]
+    limbs = [(0, 1), (0, 2), (3, 2), (4, 1), (0, 5), (6, 5)]
+    return load_topology({
+        "manifest_version": 1,
+        "background_channel": True,
+        "parts": [{"id": i, "name": f"p{i}", "group": g} for i, g in enumerate(groups)],
+        "limbs": [{"id": i, "src": a, "dst": b} for i, (a, b) in enumerate(limbs)],
+        "anchors": [],
+        "oks_kappa": {str(i): 0.05 for i in range(len(groups))},
+    })
+
+
+FOUR_GROUP_TOPO = four_group_topo()
+SIGMAS = st.one_of(st.sampled_from([0.5, 3.5, 7.0, 8.0]), st.floats(0.2, 20.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_windowed_encoders_equal_loop_encoders(data):
+    """Bit-identical to the scalar loops: any stride, map sizes that leave
+    partial cells, per-group sigma, parts off the image or exactly on a
+    window edge, missing parts, zero-length limbs and coincident people."""
+    topo = FOUR_GROUP_TOPO
+    stride = data.draw(st.integers(1, 16), label="stride")
+    size = (data.draw(st.integers(1, 120), label="w"), data.draw(st.integers(1, 120), label="h"))
+    sigma = {g: data.draw(SIGMAS, label=f"sigma {g.value}") for g in PartGroup}
+    params = EncoderParams(stride=stride, sigma_px=sigma)
+    group_of = {p.part_id: p.group for p in topo.parts}
+
+    def coordinate(pid, extent):
+        if data.draw(st.booleans()):
+            return data.draw(st.floats(-60.0, extent + 60.0))
+        # A cell center, or a Gaussian cut or band edge away from one.
+        cell = data.draw(st.integers(-4, math.ceil(extent / stride) + 4)) * stride
+        edge = data.draw(st.sampled_from([
+            0.0, math.sqrt(110.0) * params.sigma_for(group_of[pid]),
+            params.limb_width_for(group_of[pid]),
+        ]))
+        return cell + data.draw(st.sampled_from([-1.0, 1.0])) * edge
+
+    people = []
+    for _ in range(data.draw(st.integers(0, 4), label="people")):
+        parts = {}
+        for pid in range(topo.n_parts):
+            kind = data.draw(st.sampled_from(["labeled", "occluded", "missing", "absent", "copy"]))
+            if kind == "absent":
+                continue
+            if kind == "copy" and parts:  # zero-length limb when both ends meet
+                x, y, _ = parts[data.draw(st.sampled_from(sorted(parts)))]
+                parts[pid] = (x, y, L)
+                continue
+            vis = Visibility.MISSING if kind == "missing" else (
+                Visibility.OCCLUDED if kind == "occluded" else L)
+            parts[pid] = (coordinate(pid, size[0]), coordinate(pid, size[1]), vis)
+        people.append(Person(parts))
+        if data.draw(st.booleans(), label="coincident twin"):
+            people.append(Person(dict(parts)))
+    sc = scene(people, size=size)
+
+    got = encode_confidence(sc, topo, params)
+    want = loop_encode_confidence(sc, topo, params)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    got = encode_paf(sc, topo, params)
+    want = loop_encode_paf(sc, topo, params)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_paf_sums_follow_person_order():
+    # Three bands cross cell (5, 5): ux = eps < 2**-54, +1, -1 in person
+    # order. In float64, (eps + 1) - 1 == 0 while (-1 + 1) + eps == eps, so
+    # only the loop's person order gives exactly 0 there.
+    topo = two_part_topo()
+    params = EncoderParams(stride=8)
+    sc = scene([
+        Person({0: (40.0, -56.0, L), 1: (math.nextafter(40.0, 41.0), 136.0, L)}),
+        Person({0: (8.0, 40.0, L), 1: (72.0, 40.0, L)}),
+        Person({0: (72.0, 40.0, L), 1: (8.0, 40.0, L)}),
+    ])
+    l = encode_paf(sc, topo, params)
+    assert l[0, 5, 5] == 0.0
+    assert l[1, 5, 5] == np.float32(1.0 / 3.0)
+    assert l.tobytes() == loop_encode_paf(sc, topo, params).tobytes()
+
+
+@pytest.mark.parametrize("stride,size", [(8, (480, 480)), (4, (250, 190)), (3, (251, 203)), (16, (333, 479))])
+def test_windowed_encoders_equal_loop_encoders_on_generated_scenes(topo, stride, size):
+    # The whole-body topology at the bench person scale, several crowd sizes.
+    params = EncoderParams(stride=stride)
+    for n_people in (1, 3, 6):
+        recipe = SceneRecipe(n_people=n_people, image_size=size, min_separation=10.0,
+                             person_scale=(45.0, 65.0), seed=stride, max_attempts=20_000)
+        sc = generate(recipe, topo, scene_id=n_people)
+        assert encode_confidence(sc, topo, params).tobytes() == \
+            loop_encode_confidence(sc, topo, params).tobytes()
+        assert encode_paf(sc, topo, params).tobytes() == loop_encode_paf(sc, topo, params).tobytes()
+
+
+@pytest.mark.parametrize("sigma_px,match", [
+    ({PartGroup.BODY: 7.0, PartGroup.FOOT: 7.0, PartGroup.FACE: 3.5}, "no sigma for part group 'hand'"),
+    ({g: -1.0 for g in PartGroup}, "finite and > 0"),
+    ({g: 0.0 for g in PartGroup}, "finite and > 0"),
+    ({g: float("nan") for g in PartGroup}, "finite and > 0"),
+    ({g: float("inf") for g in PartGroup}, "finite and > 0"),
+])
+def test_sigma_must_cover_every_group_and_be_positive(sigma_px, match):
+    with pytest.raises(ValueError, match=match):
+        EncoderParams(sigma_px=sigma_px)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_part_coordinates_are_rejected(bad):
+    topo = two_part_topo()
+    sc = scene([Person({0: (bad, 16.0, L), 1: (40.0, 16.0, L)})])
+    for encoder in (encode_confidence, encode_paf):
+        with pytest.raises(ValueError, match="finite"):
+            encoder(sc, topo, EncoderParams())
+    # A missing part's coordinates are never read.
+    ok = scene([Person({0: (bad, 16.0, Visibility.MISSING), 1: (40.0, 16.0, L)})])
+    assert encode_confidence(ok, topo, EncoderParams()).tobytes() == \
+        loop_encode_confidence(ok, topo, EncoderParams()).tobytes()
