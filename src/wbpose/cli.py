@@ -36,6 +36,7 @@ from .decoder import decode_with_stats
 from .encoder import EncoderParams, encode
 from .formats import (
     CocoIngestError,
+    DocumentError,
     WbptError,
     from_targets,
     ingest_coco,
@@ -470,8 +471,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return _HANDLERS[args.command](args)
-    except (WbptError, CocoIngestError, ManifestError, RegistryError, PlanError,
-            json.JSONDecodeError, OSError) as e:
+    except (WbptError, CocoIngestError, DocumentError, ManifestError, RegistryError,
+            PlanError, json.JSONDecodeError, OSError) as e:
         print(f"wbpose: {e}", file=sys.stderr)
         return EXIT_IO
     except (UsageError, PackingError, MalformedSpec, ValueError) as e:

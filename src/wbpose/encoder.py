@@ -264,6 +264,7 @@ def encode_paf(
     nx, ny = x1 - x0 + 1, y1 - y0 + 1
 
     flat_acc, flat_counts = acc.reshape(-1), counts.reshape(-1)
+    covered = []  # flat indices into counts, one per band cell (with repeats)
     wx, wy = int(nx.max(initial=1)), int(ny.max(initial=1))
     for b in _blocks(len(limb), wx * wy):
         bx, by = int(nx[b].max()), int(ny[b].max())
@@ -280,17 +281,23 @@ def encode_paf(
         e, i, j = np.nonzero(band)
         cell = rows[e, i] * map_w + cols[e, j]
         lb = limb[b][e]
-        np.add.at(flat_counts, lb * plane + cell, 1)
+        covered.append(lb * plane + cell)
+        np.add.at(flat_counts, covered[-1], 1)
         xcell = 2 * lb * plane + cell
         np.add.at(flat_acc, xcell, ux[b][e])
         np.add.at(flat_acc, xcell + plane, uy[b][e])
 
-    # Divide the covered cells only. A full-array divide writes every page of
-    # acc plus full-size temporaries, which raised peak RSS by about 2%.
-    limb, i, j = np.nonzero(counts)
-    c = counts[limb, i, j]
-    out[2 * limb, i, j] = acc[2 * limb, i, j] / c
-    out[2 * limb + 1, i, j] = acc[2 * limb + 1, i, j] / c
+    # Divide the covered cells only, found from the indices the blocks
+    # scattered rather than by scanning counts; a cell covered twice is
+    # written twice with the same value. A full-array divide writes every
+    # page of acc plus full-size temporaries, which raised peak RSS by
+    # about 2%.
+    idx = np.concatenate(covered) if covered else np.zeros(0, dtype=np.intp)
+    c = flat_counts[idx]
+    xcell = idx + (idx // plane) * plane  # channel 2 * limb of the same cell
+    flat_out = out.reshape(-1)
+    flat_out[xcell] = flat_acc[xcell] / c
+    flat_out[xcell + plane] = flat_acc[xcell + plane] / c
     return out
 
 

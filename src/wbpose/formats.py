@@ -23,6 +23,7 @@ need the topology to slice the payload.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from importlib import resources
@@ -289,11 +290,31 @@ def scene_to_obj(scene: AnnotatedScene) -> dict:
     }
 
 
+class DocumentError(ValueError):
+    """A scenes or poses document holds a value no stage can use."""
+
+
+def _finite(value, *where) -> float:
+    """float(value), refusing the NaN and Infinity that json.loads accepts.
+    The words of where name the value in the error message."""
+    out = float(value)
+    if not math.isfinite(out):
+        raise DocumentError(f"{' '.join(map(str, where))}: {value!r} is not a finite number")
+    return out
+
+
 def scene_from_obj(obj: Mapping) -> AnnotatedScene:
+    """The scene of one scenes-document entry. Raises DocumentError on a
+    non-finite coordinate."""
+    scene_id = int(obj.get("scene_id", 0))
     people = [
         Person(
             parts={
-                int(pid): (float(x), float(y), Visibility(vis))
+                int(pid): (
+                    _finite(x, "scene", scene_id, "part", pid),
+                    _finite(y, "scene", scene_id, "part", pid),
+                    Visibility(vis),
+                )
                 for pid, (x, y, vis) in p["parts"].items()
             }
         )
@@ -303,9 +324,12 @@ def scene_from_obj(obj: Mapping) -> AnnotatedScene:
         image_size=(int(obj["image_size"][0]), int(obj["image_size"][1])),
         people=people,
         coverage=frozenset(PartGroup(g) for g in obj["coverage"]),
-        unlabeled_regions=[tuple(float(v) for v in box) for box in obj.get("unlabeled_regions", [])],
+        unlabeled_regions=[
+            tuple(_finite(v, "scene", scene_id, "unlabeled region") for v in box)
+            for box in obj.get("unlabeled_regions", [])
+        ],
         no_people=bool(obj.get("no_people", False)),
-        scene_id=int(obj.get("scene_id", 0)),
+        scene_id=scene_id,
     )
 
 
@@ -347,15 +371,22 @@ def poses_document(
 
 
 def poses_from_document(doc: Mapping) -> dict[int, list[EvalPose]]:
-    """Pixel-space poses keyed by scene id, ready for the evaluator."""
+    """Pixel-space poses keyed by scene id, ready for the evaluator. Raises
+    DocumentError on a non-finite coordinate or person score."""
     out: dict[int, list[EvalPose]] = {}
     for scene_id, poses in doc["poses"].items():
         out[int(scene_id)] = [
             EvalPose(
-                parts={int(pid): (float(x), float(y)) for pid, (x, y, _) in p["parts"].items()},
-                score=float(p["person_score"]),
+                parts={
+                    int(pid): (
+                        _finite(x, "scene", scene_id, "pose", i, "part", pid),
+                        _finite(y, "scene", scene_id, "pose", i, "part", pid),
+                    )
+                    for pid, (x, y, _) in p["parts"].items()
+                },
+                score=_finite(p["person_score"], "scene", scene_id, "pose", i, "person_score"),
             )
-            for p in poses
+            for i, p in enumerate(poses)
         ]
     return out
 

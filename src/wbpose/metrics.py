@@ -9,8 +9,9 @@ ground-truth area and kappa the per-part falloff from the topology manifest.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import chain, groupby
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -33,12 +34,6 @@ class EvalPose:
 
     parts: Mapping[int, tuple[float, float]]
     score: float = 0.0
-
-    def restricted(self, part_ids: frozenset[int]) -> "EvalPose":
-        return EvalPose(
-            parts={pid: xy for pid, xy in self.parts.items() if pid in part_ids},
-            score=self.score,
-        )
 
 
 @dataclass(frozen=True)
@@ -64,14 +59,93 @@ class EvalResult:
         }
 
 
+def _subset_mask(topo: SkeletonTopology, group: Iterable[PartGroup] | None) -> np.ndarray:
+    """(n_parts,) bool: the parts whose group is in the subset (all groups
+    when group is None)."""
+    groups = frozenset(group) if group is not None else frozenset(PartGroup)
+    mask = np.zeros(topo.n_parts, dtype=bool)
+    for p in topo.parts:
+        mask[p.part_id] = p.group in groups
+    return mask
+
+
+def _pose_arrays(
+    poses: Sequence[Mapping[int, tuple[float, float]]], subset: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(xy, has) of the given part dicts, part-major: xy is (2, n_parts, N)
+    float64 with +inf at absent parts, has (n_parts, N) marks the parts each
+    pose carries. Parts outside the subset, and ids outside [0, n_parts),
+    are left out."""
+    n_parts = len(subset)
+    xy = np.full((2, n_parts, len(poses)), np.inf)
+    has = np.zeros((n_parts, len(poses)), dtype=bool)
+    sizes = [len(p) for p in poses]
+    total = sum(sizes)
+    if total:
+        ids = np.fromiter(chain.from_iterable(poses), dtype=np.int64, count=total)
+        values = chain.from_iterable(chain.from_iterable(p.values() for p in poses))
+        pts = np.fromiter(values, dtype=np.float64, count=2 * total).reshape(total, 2)
+        row = np.repeat(np.arange(len(poses)), sizes)
+        ok = (ids >= 0) & (ids < n_parts)
+        ok[ok] = subset[ids[ok]]
+        xy[:, ids[ok], row[ok]] = pts[ok].T
+        has[ids[ok], row[ok]] = True
+    return xy, has
+
+
+def _bbox_areas(xy: np.ndarray, has: np.ndarray) -> np.ndarray:
+    """Per pose, the bounding-box area of its parts (see _pose_arrays),
+    floored at 1 px^2 so a single-keypoint pose still has a usable OKS
+    scale."""
+    lo = np.where(has, xy, np.inf).min(axis=1, initial=np.inf)
+    hi = np.where(has, xy, -np.inf).max(axis=1, initial=-np.inf)
+    span = np.maximum(hi - lo, 0.0)  # a pose with no parts spans nothing
+    return np.maximum(span[0] * span[1], 1.0)
+
+
 def pose_bbox_area(parts: Mapping[int, tuple[float, float]]) -> float:
-    """Bounding-box area of the given points, floored at 1 px^2 so a
-    single-keypoint pose still has a usable OKS scale."""
-    if not parts:
-        return 1.0
-    xs = [p[0] for p in parts.values()]
-    ys = [p[1] for p in parts.values()]
-    return max((max(xs) - min(xs)) * (max(ys) - min(ys)), 1.0)
+    """Bounding-box area of the given points, floored at 1 px^2."""
+    xy = np.array(list(parts.values()), dtype=np.float64).reshape(-1, 2).T[:, :, None]
+    return float(_bbox_areas(xy, np.ones(xy.shape[1:], dtype=bool))[0])
+
+
+# exp() of any argument below this is 0.0 in float64.
+_EXP_UNDERFLOW = -746.0
+
+
+def _oks_columns(
+    det_xy: np.ndarray,
+    gt_xy: np.ndarray,
+    gt_has: np.ndarray,
+    gt_area: np.ndarray,
+    kappa: np.ndarray,
+) -> np.ndarray:
+    """OKS of every detection (rows) against every ground truth (columns),
+    from the arrays of _pose_arrays. Every ground truth must carry at least
+    one part; an absent detection part sits at +inf and scores 0.
+
+    One column at a time, vectorized over the detections and that ground
+    truth's k parts, so scratch memory is O(D * n_parts). The sum runs over
+    parts in id order, one part after another, as a scalar loop adds them."""
+    mat = np.zeros((det_xy.shape[2], gt_xy.shape[2]))
+    for g in range(gt_xy.shape[2]):
+        pid = np.flatnonzero(gt_has[:, g])
+        dx = det_xy[0, pid] - gt_xy[0, pid, g][:, None]  # (k, D)
+        dy = det_xy[1, pid] - gt_xy[1, pid, g][:, None]
+        k = kappa[pid, None]
+        z = -(dx ** 2 + dy ** 2) / (2.0 * gt_area[g] * k * k)
+        # np.exp is slow where its result underflows, and most pairs in a
+        # crowd are far apart: give those the 0.0 that exp would.
+        live = ~(z < _EXP_UNDERFLOW)
+        sim = np.zeros_like(z)
+        sim[live] = np.exp(z[live])
+        mat[:, g] = np.add.reduce(sim, axis=0) / len(pid)
+    return mat
+
+
+def _require_parts(gt_has: np.ndarray) -> None:
+    if not gt_has.any(axis=0).all():
+        raise ValueError("ground-truth pose has no labeled parts in the requested subset")
 
 
 def oks(
@@ -89,36 +163,12 @@ def oks(
     """
     if gt_area <= 0.0:
         raise ValueError("gt_area must be positive")
-    return _oks(det, gt, gt_area, topo.oks_kappa, _subset_ids(topo, group))
-
-
-def _subset_ids(topo: SkeletonTopology, group: Iterable[PartGroup] | None) -> frozenset[int]:
-    groups = frozenset(group) if group is not None else frozenset(PartGroup)
-    return frozenset(p.part_id for p in topo.parts if p.group in groups)
-
-
-def _oks(
-    det: Mapping[int, tuple[float, float]],
-    gt: Mapping[int, tuple[float, float]],
-    gt_area: float,
-    kappa: Sequence[float],
-    subset_ids: frozenset[int],
-) -> float:
-    total = 0.0
-    count = 0
-    for pid, (gx, gy) in gt.items():
-        if pid not in subset_ids:
-            continue
-        count += 1
-        if pid not in det:
-            continue
-        dx, dy = det[pid]
-        d2 = (dx - gx) ** 2 + (dy - gy) ** 2
-        k = kappa[pid]
-        total += math.exp(-d2 / (2.0 * gt_area * k * k))
-    if count == 0:
-        raise ValueError("ground-truth pose has no labeled parts in the requested subset")
-    return total / count
+    subset = _subset_mask(topo, group)
+    gt_xy, gt_has = _pose_arrays([gt], subset)
+    _require_parts(gt_has)
+    det_xy, _ = _pose_arrays([det], subset)
+    kappa = np.asarray(topo.oks_kappa, dtype=np.float64)
+    return float(_oks_columns(det_xy, gt_xy, gt_has, np.array([gt_area]), kappa)[0, 0])
 
 
 def oks_matrix(
@@ -128,14 +178,14 @@ def oks_matrix(
     group: Iterable[PartGroup] | None = None,
 ) -> np.ndarray:
     """OKS of every detection (rows) against every ground truth (columns),
-    each ground truth scaled by its own bounding-box area."""
-    subset_ids = _subset_ids(topo, group)
-    mat = np.zeros((len(dets), len(gts)))
-    for gi, g in enumerate(gts):
-        area = pose_bbox_area(g.parts)
-        for di, d in enumerate(dets):
-            mat[di, gi] = _oks(d.parts, g.parts, area, topo.oks_kappa, subset_ids)
-    return mat
+    each ground truth scaled by the bounding-box area of its parts in the
+    subset. Raises ValueError when a ground truth has no part in the subset."""
+    subset = _subset_mask(topo, group)
+    gt_xy, gt_has = _pose_arrays([g.parts for g in gts], subset)
+    _require_parts(gt_has)
+    det_xy, _ = _pose_arrays([d.parts for d in dets], subset)
+    kappa = np.asarray(topo.oks_kappa, dtype=np.float64)
+    return _oks_columns(det_xy, gt_xy, gt_has, _bbox_areas(gt_xy, gt_has), kappa)
 
 
 def gt_poses_from_scene(scene: AnnotatedScene) -> list[EvalPose]:
@@ -151,23 +201,30 @@ def gt_poses_from_scene(scene: AnnotatedScene) -> list[EvalPose]:
     return out
 
 
-def _greedy_match(oks_matrix: np.ndarray, threshold: float) -> list[int]:
-    """For detections in row order (already sorted by descending score),
-    return the matched gt column per detection (-1 if unmatched)."""
-    matched: list[int] = []
-    taken: set[int] = set()
-    n_det, n_gt = oks_matrix.shape
-    for di in range(n_det):
-        best, best_val = -1, threshold
-        for gi in range(n_gt):
-            if gi in taken:
-                continue
-            val = oks_matrix[di, gi]
-            if val >= best_val:
-                best, best_val = gi, val
-        if best >= 0:
-            taken.add(best)
-        matched.append(best)
+def greedy_match(oks: np.ndarray, thresholds: Sequence[float]) -> np.ndarray:
+    """Greedy OKS matching at each threshold.
+
+    Rows of oks are detections, already sorted by descending score. Per
+    threshold, each detection in row order takes the unmatched column with
+    the largest OKS at or above the threshold; on a tie the later column
+    wins. Returns (len(thresholds), n_det) matched columns, -1 if unmatched.
+    """
+    matched = np.full((len(thresholds), oks.shape[0]), -1, dtype=np.intp)
+    # Only entries at or above the lowest threshold can ever be taken; in a
+    # crowd that is about one per detection, so the loops below stay short.
+    rows, cols = np.nonzero(oks >= min(thresholds))
+    entries = zip(rows.tolist(), cols.tolist(), oks[rows, cols].tolist())
+    by_row = [(r, list(row)) for r, row in groupby(entries, key=itemgetter(0))]
+    for ti, t in enumerate(thresholds):
+        taken: set[int] = set()
+        for r, row in by_row:
+            best, best_val = -1, t
+            for _, c, val in row:
+                if val >= best_val and c not in taken:
+                    best, best_val = c, val
+            if best >= 0:
+                taken.add(best)
+                matched[ti, r] = best
     return matched
 
 
@@ -189,68 +246,56 @@ def evaluate(
     if len(dets) != len(gts):
         raise ValueError(f"scene count mismatch: {len(dets)} det scenes vs {len(gts)} gt scenes")
     groups = frozenset(group) if group is not None else frozenset(PartGroup)
-    subset_ids = _subset_ids(topo, groups)
+    subset = _subset_mask(topo, groups)
+    kappa = np.asarray(topo.oks_kappa, dtype=np.float64)
 
-    # Per scene: restrict to the subset, sort detections, compute OKS matrices.
-    scene_matrices: list[np.ndarray] = []
-    scene_scores: list[list[float]] = []
+    # Per scene: detections by descending score (stable), the OKS matrix
+    # against the ground truths with parts in the subset, and its matches.
+    scene_scores = [np.zeros(0)]
+    scene_matches = [np.zeros((len(OKS_THRESHOLDS), 0), dtype=np.intp)]
     n_gt_total = 0
-    n_det_total = 0
     for scene_dets, scene_gts in zip(dets, gts):
-        kept_gts = []
-        for g in scene_gts:
-            r = g.restricted(subset_ids)
-            if r.parts:
-                kept_gts.append(r)
-        n_gt_total += len(kept_gts)
-        order = sorted(range(len(scene_dets)), key=lambda i: (-scene_dets[i].score, i))
-        sorted_dets = [scene_dets[i].restricted(subset_ids) for i in order]
-        n_det_total += len(sorted_dets)
-        scene_matrices.append(oks_matrix(sorted_dets, kept_gts, topo, groups))
-        scene_scores.append([d.score for d in sorted_dets])
+        gt_xy, gt_has = _pose_arrays([g.parts for g in scene_gts], subset)
+        kept = gt_has.any(axis=0)
+        gt_xy, gt_has = gt_xy[:, :, kept], gt_has[:, kept]
+        n_gt_total += int(kept.sum())
+        scores = np.array([d.score for d in scene_dets], dtype=np.float64)
+        order = np.argsort(-scores, kind="stable")
+        det_xy, _ = _pose_arrays([scene_dets[i].parts for i in order], subset)
+        mat = _oks_columns(det_xy, gt_xy, gt_has, _bbox_areas(gt_xy, gt_has), kappa)
+        scene_matches.append(greedy_match(mat, OKS_THRESHOLDS))
+        scene_scores.append(scores[order])
+
+    # All detections by descending score; ties keep scene, then rank, order.
+    scores = np.concatenate(scene_scores)
+    n_det_total = len(scores)
+    ranked = np.argsort(-scores, kind="stable")
+    is_tp = np.concatenate(scene_matches, axis=1)[:, ranked] >= 0
+    tp = np.cumsum(is_tp, axis=1)
+    precision_curve = tp / np.arange(1, n_det_total + 1)
+    # Precision envelope: best precision at this recall or beyond.
+    envelope = np.maximum.accumulate(precision_curve[:, ::-1], axis=1)[:, ::-1]
 
     per_threshold: dict[float, tuple[float, float]] = {}
     ap_values = []
     recalls = []
-    for t in OKS_THRESHOLDS:
-        flags: list[tuple[float, int, int, bool]] = []  # (-score, scene, rank, is_tp)
-        tp_total = 0
-        for si, mat in enumerate(scene_matrices):
-            matched = _greedy_match(mat, t)
-            for di, gi in enumerate(matched):
-                is_tp = gi >= 0
-                tp_total += int(is_tp)
-                flags.append((-scene_scores[si][di], si, di, is_tp))
-        flags.sort()
-        tp = np.cumsum([f[3] for f in flags]) if flags else np.zeros(0)
-        fp = np.cumsum([not f[3] for f in flags]) if flags else np.zeros(0)
+    for ti, t in enumerate(OKS_THRESHOLDS):
         if n_gt_total == 0:
-            ap_values.append(0.0)
-            recalls.append(0.0)
-            per_threshold[float(t)] = (0.0, 0.0)
-            continue
-        recall_curve = tp / n_gt_total
-        with np.errstate(invalid="ignore"):
-            precision_curve = np.where(tp + fp > 0, tp / np.maximum(tp + fp, 1), 0.0)
-        # Precision envelope: best precision at this recall or beyond.
-        envelope = np.maximum.accumulate(precision_curve[::-1])[::-1] if len(flags) else np.zeros(0)
-        ap = 0.0
-        for r in _RECALL_GRID:
+            ap, precision, recall = 0.0, 0.0, 0.0
+        else:
             # 1e-12 slack so a prefix whose recall equals the grid point
             # (up to float rounding) still counts as reaching it.
-            idx = np.searchsorted(recall_curve, r - 1e-12, side="left")
-            if idx < len(envelope):
-                ap += float(envelope[idx])
-        ap /= len(_RECALL_GRID)
-        recall = tp_total / n_gt_total
-        precision = float(precision_curve[-1]) if len(flags) else 0.0
+            idx = np.searchsorted(tp[ti] / n_gt_total, _RECALL_GRID - 1e-12, side="left")
+            # Summed in grid order, one value after another.
+            ap = sum(envelope[ti, idx[idx < n_det_total]].tolist()) / len(_RECALL_GRID)
+            recall = int(is_tp[ti].sum()) / n_gt_total
+            precision = float(precision_curve[ti, -1]) if n_det_total else 0.0
         ap_values.append(ap)
         recalls.append(recall)
         per_threshold[float(t)] = (precision, recall)
 
-    ap = float(np.mean(ap_values)) if ap_values else 0.0
-    ar = float(np.mean(recalls)) if recalls else 0.0
     return EvalResult(
-        ap=ap, ar=ar, per_threshold=per_threshold, group=groups,
+        ap=float(np.mean(ap_values)), ar=float(np.mean(recalls)),
+        per_threshold=per_threshold, group=groups,
         n_gt=n_gt_total, n_det=n_det_total,
     )

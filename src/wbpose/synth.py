@@ -20,7 +20,7 @@ import numpy as np
 
 from .decoder import DecodeStats, decode_with_stats
 from .encoder import AnnotatedScene, EncoderParams, Person, Visibility, encode
-from .metrics import EvalPose, _greedy_match, gt_poses_from_scene, oks_matrix
+from .metrics import EvalPose, greedy_match, gt_poses_from_scene, oks_matrix
 from .skeleton import PartGroup, SkeletonTopology
 
 
@@ -231,7 +231,8 @@ def roundtrip_report(
     ]
     truths = gt_poses_from_scene(scene)
     labeled = [gi for gi, t in enumerate(truths) if t.parts]
-    matched = _greedy_match(oks_matrix(dets, [truths[gi] for gi in labeled], topo), _FOUND_OKS)
+    oks = oks_matrix(dets, [truths[gi] for gi in labeled], topo)
+    matched = greedy_match(oks, (_FOUND_OKS,))[0].tolist()
 
     errors: list[float] = []
     part_count_ok = True

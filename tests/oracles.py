@@ -310,15 +310,15 @@ def oracle_oks(det_parts, gt_parts, gt_area, kappa, part_ids):
     return total / count
 
 
-def oracle_greedy_oks_match(det_list, gt_list, oks_fn, threshold):
+def oracle_greedy_oks_assign(det_list, gt_list, oks_fn, threshold):
     """Greedy matching by descending score, explicit loops.
 
-    det_list: [(score, det_parts)], gt_list: [gt_parts]. Returns tp flags in
-    descending-score order.
+    det_list: [(score, det_parts)], gt_list: [gt_parts]. Returns the matched
+    gt index (None if unmatched) per detection in descending-score order.
     """
     order = sorted(range(len(det_list)), key=lambda i: -det_list[i][0])
     taken = set()
-    flags = []
+    assigned = []
     for di in order:
         best, best_val = None, threshold
         for gi in range(len(gt_list)):
@@ -329,8 +329,13 @@ def oracle_greedy_oks_match(det_list, gt_list, oks_fn, threshold):
                 best, best_val = gi, val
         if best is not None:
             taken.add(best)
-        flags.append(best is not None)
-    return flags
+        assigned.append(best)
+    return assigned
+
+
+def oracle_greedy_oks_match(det_list, gt_list, oks_fn, threshold):
+    """tp flags of oracle_greedy_oks_assign, in descending-score order."""
+    return [gi is not None for gi in oracle_greedy_oks_assign(det_list, gt_list, oks_fn, threshold)]
 
 
 def oracle_ap_101(tp_flags, n_gt):

@@ -217,6 +217,28 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert main(["--quiet", "encode", "--scenes", str(bad)]) == EXIT_IO
 
+    def test_nan_scene_coordinate_is_format_error(self, pipeline, capsys, tmp_path):
+        doc = json.loads((pipeline / "scenes.json").read_text())
+        part = next(iter(doc["scenes"][0]["people"][0]["parts"].values()))
+        part[0] = float("nan")
+        bad = tmp_path / "nan_scenes.json"
+        bad.write_text(json.dumps(doc))  # json writes NaN and reads it back
+        code = main(["--quiet", "encode", "--scenes", str(bad), "--out-dir", str(tmp_path / "t")])
+        assert code == EXIT_IO
+        assert "not a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("side", ["detections", "groundtruth"])
+    def test_nan_pose_coordinate_is_format_error(self, pipeline, capsys, tmp_path, side):
+        good = pipeline / "poses.json"
+        doc = json.loads(good.read_text())
+        part = next(iter(doc["poses"]["0"][0]["parts"].values()))
+        part[1] = float("nan")
+        bad = tmp_path / "nan_poses.json"
+        bad.write_text(json.dumps(doc))
+        files = [bad, good] if side == "detections" else [good, bad]
+        assert main(["--quiet", "eval", *map(str, files)]) == EXIT_IO
+        assert "not a finite number" in capsys.readouterr().err
+
     def test_manifest_mismatch_is_format_error(self, capsys, tmp_path, tiny_topo):
         from wbpose.encoder import AnnotatedScene, Person, Visibility, encode
         from wbpose.formats import from_targets, write_wbpt

@@ -18,6 +18,7 @@ from wbpose.formats import (
     KIND_PAF,
     BadMagic,
     CocoIngestError,
+    DocumentError,
     Truncated,
     UnsupportedVersion,
     WbptError,
@@ -229,6 +230,25 @@ class TestJsonDocuments:
         assert ep.score == pytest.approx(3.1)
         assert ep.parts[0] == (16.0, 32.0)
         assert ep.parts[5] == (12.0, 2.0)
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_values_rejected(self, bad):
+        scenes = json.loads(json.dumps(scenes_document(self.scenes(), HASH64)))
+        scenes["scenes"][0]["people"][0]["parts"]["1"][1] = float(bad)
+        with pytest.raises(DocumentError, match="scene 7 part 1"):
+            scenes_from_document(scenes)
+        scenes = json.loads(json.dumps(scenes_document(self.scenes(), HASH64)))
+        scenes["scenes"][0]["unlabeled_regions"][0][2] = float(bad)
+        with pytest.raises(DocumentError, match="unlabeled region"):
+            scenes_from_document(scenes)
+        poses = {"poses": {"3": [{"person_score": 1.0, "parts": {"0": [1.0, 2.0, 0.9]}}]}}
+        poses["poses"]["3"][0]["parts"]["0"][0] = float(bad)
+        with pytest.raises(DocumentError, match="scene 3 pose 0 part 0"):
+            poses_from_document(poses)
+        poses["poses"]["3"][0]["parts"]["0"][0] = 1.0
+        poses["poses"]["3"][0]["person_score"] = float(bad)
+        with pytest.raises(DocumentError, match="person_score"):
+            poses_from_document(poses)
 
 
 class TestCocoIngestion:

@@ -7,15 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_ap_101, oracle_greedy_oks_match, oracle_oks
+from oracles import oracle_ap_101, oracle_greedy_oks_assign, oracle_greedy_oks_match, oracle_oks
 from wbpose.metrics import (
     OKS_THRESHOLDS,
     EvalPose,
     evaluate,
+    greedy_match,
     oks,
+    oks_matrix,
     pose_bbox_area,
 )
-from wbpose.skeleton import PartGroup
+from wbpose.skeleton import PartGroup, default_topology
 
 
 def test_oks_identical_poses_is_one(tiny_topo):
@@ -217,3 +219,145 @@ def test_evaluating_groundtruth_as_detections_is_perfect_per_group(topo):
         result = evaluate(dets, scenes, topo, group={group})
         assert result.ap == pytest.approx(1.0)
         assert result.ar == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# Differential test: the array kernels against the loop oracles, on the full
+# whole-body topology.
+
+FULL = default_topology()
+FULL_KAPPA = {p.part_id: FULL.oks_kappa[p.part_id] for p in FULL.parts}
+# Ids the evaluator ignores; a kernel that indexed with them would wrap the
+# negative ones to the last parts (hand parts) or fail on the others.
+BAD_IDS = (-1, -2, -FULL.n_parts, FULL.n_parts, FULL.n_parts + 7)
+
+
+def _loop_bbox_area(parts):
+    xs = [x for x, _ in parts.values()]
+    ys = [y for _, y in parts.values()]
+    return max((max(xs) - min(xs)) * (max(ys) - min(ys)), 1.0) if parts else 1.0
+
+
+@st.composite
+def _eval_scenes(draw):
+    """Scenes of ground truths and detections on the full topology: sparse
+    and partly-missing poses, ground truths with parts in few groups (or
+    none, or only ignored ids), flat ones, exact duplicates, noisy and
+    spurious detections, tied scores and out-of-range part ids."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    groups = list(PartGroup)
+
+    def random_pose(keep, in_groups, center, spread):
+        return {
+            p.part_id: (float(center[0] + rng.normal(0, spread)), float(center[1] + rng.normal(0, spread)))
+            for p in FULL.parts
+            if p.group in in_groups and rng.random() < keep
+        }
+
+    def with_bad_ids(parts, like):
+        # Place each ignored id where its wrapped index sits in `like`, so
+        # wrapping would change the result.
+        out = dict(parts)
+        for bad in BAD_IDS:
+            out[bad] = like.get(bad % FULL.n_parts, (float(rng.uniform(0, 400)), 0.0))
+        return out
+
+    scenes = []
+    for _ in range(draw(st.integers(0, 3))):
+        gts, dets = [], []
+        for _ in range(draw(st.integers(0, 4))):
+            kind = draw(st.sampled_from(["pose", "pose", "flat", "duplicate", "empty", "bad_only"]))
+            if kind == "duplicate" and gts:
+                gts.append(EvalPose(parts=dict(gts[-1].parts)))
+                continue
+            if kind == "empty":
+                gts.append(EvalPose(parts={}))
+                continue
+            if kind == "bad_only":
+                gts.append(EvalPose(parts=with_bad_ids({}, {})))
+                continue
+            in_groups = set(draw(st.sets(st.sampled_from(groups), min_size=1)))
+            keep = draw(st.sampled_from([1.0, 0.5, 0.05]))
+            center = rng.uniform(0, 400, 2)
+            parts = random_pose(keep, in_groups, center, 40.0)
+            if kind == "flat":  # zero bounding-box height: the 1 px^2 floor
+                parts = {pid: (x, float(center[1])) for pid, (x, _) in parts.items()}
+            if draw(st.booleans()):
+                parts = with_bad_ids(parts, parts)
+            gts.append(EvalPose(parts=parts))
+        for g in gts:
+            if not draw(st.booleans()):
+                continue
+            noise = draw(st.sampled_from([0.0, 0.5, 3.0, 15.0]))
+            drop = draw(st.sampled_from([0.0, 0.3, 0.9]))
+            parts = {
+                pid: (x + float(rng.normal(0, noise)), y + float(rng.normal(0, noise)))
+                for pid, (x, y) in g.parts.items()
+                if 0 <= pid < FULL.n_parts and rng.random() >= drop
+            }
+            if draw(st.booleans()):
+                parts = with_bad_ids(parts, g.parts)
+            dets.append(EvalPose(parts=parts, score=draw(st.sampled_from([0.25, 0.5, 1.0]))))
+        for _ in range(draw(st.integers(0, 2))):
+            parts = random_pose(0.5, set(groups), rng.uniform(0, 400, 2), 40.0)
+            dets.append(EvalPose(parts=parts, score=float(rng.random())))
+        rng.shuffle(dets)
+        scenes.append((dets, gts))
+    return scenes
+
+
+@pytest.mark.parametrize(
+    "group", [None] + [frozenset({g}) for g in PartGroup], ids=lambda g: "all" if g is None else next(iter(g)).value
+)
+@settings(max_examples=25, deadline=None)
+@given(scenes=_eval_scenes())
+def test_kernels_equal_loop_oracles(group, scenes):
+    subset = sorted(p.part_id for p in FULL.parts if group is None or p.group in group)
+    subset_set = set(subset)
+
+    def oks_fn(det_parts, gt_parts):
+        area = _loop_bbox_area({k: v for k, v in gt_parts.items() if k in subset_set})
+        return oracle_oks(det_parts, gt_parts, area, FULL_KAPPA, part_ids=subset)
+
+    per_t_flags = {t: [] for t in OKS_THRESHOLDS}
+    n_gt = n_det = 0
+    for dets, gts in scenes:
+        kept = [g for g in gts if subset_set & set(g.parts)]
+        n_gt += len(kept)
+        n_det += len(dets)
+        order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
+        ranked = [dets[i] for i in order]
+        mat = oks_matrix(ranked, kept, FULL, group)
+        assert mat.shape == (len(dets), len(kept))
+        for di, d in enumerate(ranked):
+            for gi, g in enumerate(kept):
+                assert mat[di, gi] == pytest.approx(oks_fn(d.parts, g.parts), rel=0, abs=1e-12)
+        if ranked and kept:
+            area = _loop_bbox_area({k: v for k, v in kept[0].parts.items() if k in subset_set})
+            assert oks(ranked[0].parts, kept[0].parts, area, FULL, group) == pytest.approx(
+                oks_fn(ranked[0].parts, kept[0].parts), rel=0, abs=1e-12)
+        assigned = greedy_match(mat, OKS_THRESHOLDS)
+        det_list = [(d.score, d.parts) for d in dets]
+        gt_list = [g.parts for g in kept]
+        scores = [d.score for d in ranked]
+        for ti, t in enumerate(OKS_THRESHOLDS):
+            want = oracle_greedy_oks_assign(det_list, gt_list, oks_fn, t)
+            assert assigned[ti].tolist() == [-1 if gi is None else gi for gi in want]
+            per_t_flags[t].extend(zip(scores, (gi is not None for gi in want)))
+
+    result = evaluate([d for d, _ in scenes], [g for _, g in scenes], FULL, group)
+    assert (result.n_gt, result.n_det) == (n_gt, n_det)
+    aps, ars = [], []
+    for t in OKS_THRESHOLDS:
+        # Stable: equal scores keep scene order, then rank order.
+        ordered = [f for _, f in sorted(per_t_flags[t], key=lambda sf: -sf[0])]
+        ap = oracle_ap_101(ordered, n_gt) if n_gt else 0.0
+        recall = sum(ordered) / n_gt if n_gt else 0.0
+        precision = sum(ordered) / len(ordered) if n_gt and ordered else 0.0
+        aps.append(ap)
+        ars.append(recall)
+        got_p, got_r = result.per_threshold[t]
+        assert got_p == pytest.approx(precision, rel=0, abs=1e-12)
+        assert got_r == pytest.approx(recall, rel=0, abs=1e-12)
+    assert result.ap == pytest.approx(sum(aps) / len(aps), rel=0, abs=1e-12)
+    assert result.ar == pytest.approx(sum(ars) / len(ars), rel=0, abs=1e-12)
