@@ -242,16 +242,6 @@ class CostEstimate:
     macs: int
     per_segment: dict[str, SegmentCost] = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {
-            "params": self.params,
-            "macs": self.macs,
-            "per_segment": {
-                name: {"params": c.params, "macs": c.macs}
-                for name, c in self.per_segment.items()
-            },
-        }
-
 
 def cost_estimate(graph: StageGraph) -> CostEstimate:
     """Parameters and multiply-accumulates at the graph's input resolution.

@@ -15,7 +15,7 @@ from __future__ import annotations
 import gc
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 from .decoder import DecodeStats, decode_with_stats
@@ -31,17 +31,10 @@ class BenchRecord:
     map_h: int
     median_ns: int
     p90_ns: int
-    candidates: int
-    connections: int
     repetitions: int
-    connections_kept: int = 0  # pairs left after the decoder's prefilter
-    connections_accepted: int = 0
-    poses_dropped_min_parts: int = 0
-    poses_dropped_min_score: int = 0
-    # Phase medians over the timed repetitions, like median_ns.
-    nms_ns: int = 0
-    scoring_ns: int = 0
-    assembly_ns: int = 0
+    # The decoder's counters, the same on every repetition, and its phase
+    # times as medians over the timed repetitions, like median_ns.
+    stats: DecodeStats
 
     def __post_init__(self) -> None:
         if self.repetitions < 10:
@@ -118,11 +111,9 @@ def run_bench(
 
         for n_people, tensors in prepared:
             ns_sorted = sorted(timings[n_people])
-            # Counts are the same on every repetition; phase times are not.
-            stats = stats_of[n_people][-1]
             phase = {
-                key: int(statistics.median(getattr(st, key) for st in stats_of[n_people]))
-                for key in ("nms_ns", "scoring_ns", "assembly_ns")
+                f.name: int(statistics.median(getattr(st, f.name) for st in stats_of[n_people]))
+                for f in fields(DecodeStats) if f.name.endswith("_ns")
             }
             map_w, map_h, _ = tensors.grid
             records.append(
@@ -132,14 +123,8 @@ def run_bench(
                     map_h=map_h,
                     median_ns=int(statistics.median(ns_sorted)),
                     p90_ns=_percentile(ns_sorted, 0.9),
-                    candidates=stats.candidates,
-                    connections=stats.connections_scored,
                     repetitions=repetitions,
-                    connections_kept=stats.connections_kept,
-                    connections_accepted=stats.connections_accepted,
-                    poses_dropped_min_parts=stats.poses_dropped_min_parts,
-                    poses_dropped_min_score=stats.poses_dropped_min_score,
-                    **phase,
+                    stats=replace(stats_of[n_people][-1], **phase),
                 )
             )
     return records

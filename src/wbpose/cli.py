@@ -32,7 +32,7 @@ from .archmodel import (
     runtime_ratio,
 )
 from .bench import run_bench
-from .decoder import decode_with_stats
+from .decoder import DecodeStats, decode_with_stats
 from .encoder import EncoderParams, encode
 from .formats import (
     CocoIngestError,
@@ -49,7 +49,7 @@ from .formats import (
     write_wbpt,
 )
 from .loss import multitask_loss
-from .metrics import EvalPose, evaluate
+from .metrics import evaluate
 from .scheduler import (
     PlanError,
     RegistryError,
@@ -69,10 +69,8 @@ EXIT_IO = 3
 
 
 # DecodeStats counters that decode and roundtrip summaries total over scenes.
-DECODE_TOTALS = (
-    "candidates", "connections_scored", "connections_kept",
-    "connections_valid", "connections_accepted",
-    "poses_dropped_min_parts", "poses_dropped_min_score",
+DECODE_TOTALS = tuple(
+    f.name for f in dataclasses.fields(DecodeStats) if not f.name.endswith("_ns")
 )
 
 
@@ -314,7 +312,7 @@ def cmd_loss(args) -> int:
     pred_t = to_targets(pred)
     gt_t = to_targets(gt)
     breakdown = multitask_loss([pred_t.l_star], [pred_t.s_star], gt_t, topo)
-    _emit(args, topo, {"loss": breakdown.as_dict()})
+    _emit(args, topo, {"loss": dataclasses.asdict(breakdown)})
     return EXIT_OK
 
 
@@ -324,10 +322,8 @@ def cmd_eval(args) -> int:
     gt_doc = poses_from_document(_read_json(args.groundtruth))
     scene_ids = sorted(set(det_doc) | set(gt_doc))
     dets = [det_doc.get(sid, []) for sid in scene_ids]
-    gts = [
-        [EvalPose(parts=p.parts) for p in gt_doc.get(sid, [])]
-        for sid in scene_ids
-    ]
+    # The evaluator ignores the score of a ground-truth pose.
+    gts = [gt_doc.get(sid, []) for sid in scene_ids]
     result = evaluate(dets, gts, topo, group=args.group)
     if args.pr_csv:
         with open(args.pr_csv, "w", newline="", encoding="utf-8") as fh:
@@ -383,7 +379,10 @@ def cmd_roundtrip(args) -> int:
         "n_scenes": len(reports), "failures": failures,
         "max_error_cells": max(r.max_error_cells for r in reports),
         **{key: sum(getattr(r.decode_stats, key) for r in reports) for key in DECODE_TOTALS},
-        "reports": [r.as_dict() for r in reports],
+        "reports": [
+            {k: v for k, v in dataclasses.asdict(r).items() if k != "decode_stats"}
+            for r in reports
+        ],
     })
     return EXIT_TOLERANCE if failures else EXIT_OK
 
@@ -431,7 +430,7 @@ def cmd_arch(args) -> int:
         "mode": "cost", "paf_spec": args.spec, "cm_spec": args.cm or args.spec,
         "params": cost.params, "macs": cost.macs,
         "receptive_field": receptive_field(graph),
-        "per_segment": cost.as_dict()["per_segment"],
+        "per_segment": dataclasses.asdict(cost)["per_segment"],
     })
     return EXIT_OK
 

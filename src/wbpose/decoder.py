@@ -126,18 +126,18 @@ def _nms_arrays(conf: np.ndarray, topo: SkeletonTopology, params: DecoderParams)
     return pids[order], (xs + dx)[order], (ys + dy)[order], vc[order]
 
 
-def _flat_pair_scores(flat_x, flat_y, base, shape, sx, sy, dx, dy, params: DecoderParams):
+def _flat_pair_scores(flat, base, shape, sx, sy, dx, dy, params: DecoderParams):
     """Line-integral scores for flat pair-endpoint arrays.
 
-    flat_x / flat_y are raveled PAF component maps and base is each pair's
-    offset into them: 0 for a single channel pair; for an interleaved
-    (x, y, x, y, ...) stack, flat_y is the flat stack shifted by one plane
-    and base is 2 * limb_id * H * W per pair. The first bilinear corner's
+    flat is the raveled, interleaved (x, y, x, y, ...) PAF stack and base
+    is each pair's offset 2 * limb_id * H * W into it; y is read through
+    the view flat[H*W:], one plane later. The first bilinear corner's
     linear index is built once and the other three derived by integer
     adds; everything after the gather is elementwise, so a pair's score
     does not depend on which other pairs share the call.
     """
     H, W = shape
+    flat_x, flat_y = flat, flat[H * W:]
     vecx = dx - sx
     vecy = dy - sy
     length = np.hypot(vecx, vecy)
@@ -159,10 +159,7 @@ def _flat_pair_scores(flat_x, flat_y, base, shape, sx, sy, dx, dy, params: Decod
     w10 = fx * (1 - fy)
     w01 = (1 - fx) * fy
     w11 = fx * fy
-    off = np.asarray(base, dtype=np.int64)
-    if off.ndim == 1:
-        off = off[:, None]
-    lin00 = off + y0 * W + x0
+    lin00 = base[:, None] + y0 * W + x0
     lin10 = lin00 + stepx
     lin01 = lin00 + stepy
     lin11 = lin01 + stepx
@@ -409,7 +406,7 @@ def decode_with_stats(
         if keep.size:
             base_k = ch[keep] * (2 * H * W)
             scores_k, valid_k = _flat_pair_scores(
-                flat, flat[H * W:], base_k, (H, W),
+                flat, base_k, (H, W),
                 sx[keep], sy[keep], dx[keep], dy[keep], params,
             )
             stats.connections_valid = int(valid_k.sum())

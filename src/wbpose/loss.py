@@ -27,14 +27,6 @@ class LossBreakdown:
     f_s_per_stage: list[float]  # confidence stages, in stage order
     per_group: dict[PartGroup, float] = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "f_l_per_stage": self.f_l_per_stage,
-            "f_s_per_stage": self.f_s_per_stage,
-            "per_group": {g.value: v for g, v in self.per_group.items()},
-        }
-
 
 def masked_l2(pred: np.ndarray, gt: np.ndarray, mask: np.ndarray) -> float:
     """sum(W * (pred - gt)^2) accumulated in float64, C-order."""

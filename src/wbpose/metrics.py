@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .encoder import AnnotatedScene, Visibility
+from .encoder import AnnotatedScene
 from .skeleton import PartGroup, SkeletonTopology
 
 OKS_THRESHOLDS: tuple[float, ...] = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
@@ -190,15 +190,7 @@ def oks_matrix(
 
 def gt_poses_from_scene(scene: AnnotatedScene) -> list[EvalPose]:
     """Ground-truth poses (labeled and occluded parts, pixel coordinates)."""
-    out = []
-    for person in scene.people:
-        parts = {
-            pid: (x, y)
-            for pid, (x, y, v) in person.parts.items()
-            if v != Visibility.MISSING
-        }
-        out.append(EvalPose(parts=parts))
-    return out
+    return [EvalPose(parts=person.annotated()) for person in scene.people]
 
 
 def greedy_match(oks: np.ndarray, thresholds: Sequence[float]) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -100,14 +100,6 @@ class AugmentationDraw:
     flip: bool
     crop_offset: tuple[float, float]  # fractional placement in [0, 1)^2
 
-    def as_dict(self) -> dict:
-        return {
-            "scale": self.scale,
-            "rotation_deg": self.rotation_deg,
-            "flip": self.flip,
-            "crop_offset": list(self.crop_offset),
-        }
-
 
 def default_registry() -> tuple[DatasetSpec, ...]:
     """The shipped training mix.
@@ -167,22 +159,41 @@ def registry_to_json(registry: Sequence[DatasetSpec]) -> dict:
     return {
         "registry_version": REGISTRY_VERSION,
         "datasets": [
-            {
-                "name": s.name,
-                "size": s.size,
-                "coverage": sorted(g.value for g in s.coverage),
-                "probability": s.probability,
-                "special": s.special.value,
-                "aug": {
-                    "scale": list(s.aug.scale),
-                    "rotation_deg": s.aug.rotation_deg,
-                    "flip_prob": s.aug.flip_prob,
-                    "crop": list(s.aug.crop),
-                },
-            }
+            {**asdict(s), "coverage": sorted(g.value for g in s.coverage),
+             "special": s.special.value}
             for s in registry
         ],
     }
+
+
+# JSON types that a field annotated str, int, float or bool accepts (bool is
+# not a number). Annotations are strings here: the module is lazily annotated.
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
+
+
+def _from_json(cls, doc: Mapping, **convert):
+    """cls built by keyword from a JSON object, so cls declares the keys and
+    their defaults. convert[key] is applied to each key the object holds;
+    str, int, float and bool fields take only values of that JSON type. A
+    missing, unknown or ill-typed key raises TypeError naming the key."""
+    if not isinstance(doc, Mapping):
+        raise TypeError(f"{doc!r} is not a JSON object")
+    out = dict(doc)
+    for f in fields(cls):
+        if f.name not in out:
+            continue
+        value = out[f.name]
+        if f.name in convert:
+            try:
+                out[f.name] = convert[f.name](value)
+            except (TypeError, ValueError) as exc:
+                raise TypeError(f"bad {f.name!r}: {exc}") from exc
+        elif f.type in _JSON_TYPES and (
+            isinstance(value, bool) != (f.type == "bool")
+            or not isinstance(value, _JSON_TYPES[f.type])
+        ):
+            raise TypeError(f"bad {f.name!r}: expected {f.type}, got {value!r}")
+    return cls(**out)
 
 
 def registry_from_json(doc: Mapping) -> tuple[DatasetSpec, ...]:
@@ -200,24 +211,12 @@ def registry_from_json(doc: Mapping) -> tuple[DatasetSpec, ...]:
         if not isinstance(entry, Mapping):
             raise RegistryError(f"dataset entry {entry!r} is not a JSON object")
         try:
-            aug_doc = entry.get("aug", {})
-            aug = AugmentationRanges(
-                scale=tuple(aug_doc.get("scale", (1.0 / 3.0, 1.5))),
-                rotation_deg=aug_doc.get("rotation_deg", 45.0),
-                flip_prob=aug_doc.get("flip_prob", 0.5),
-                crop=tuple(aug_doc.get("crop", (480, 480))),
-            )
-            specs.append(
-                DatasetSpec(
-                    name=entry["name"],
-                    size=entry["size"],
-                    coverage=frozenset(PartGroup(g) for g in entry["coverage"]),
-                    probability=entry["probability"],
-                    aug=aug,
-                    special=Special(entry.get("special", "normal")),
-                )
-            )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            specs.append(_from_json(
+                DatasetSpec, entry, special=Special,
+                coverage=lambda groups: frozenset(PartGroup(g) for g in groups),
+                aug=lambda aug: _from_json(AugmentationRanges, aug, scale=tuple, crop=tuple),
+            ))
+        except (TypeError, ValueError) as exc:
             raise RegistryError(f"bad dataset entry {entry.get('name', '?')!r}: {exc}") from exc
     registry = tuple(specs)
     validate_registry(registry)
@@ -260,13 +259,6 @@ class BatchPlan:
     batch_index: int
     dataset: str
     draws: tuple[AugmentationDraw, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "batch_index": self.batch_index,
-            "dataset": self.dataset,
-            "draws": [d.as_dict() for d in self.draws],
-        }
 
 
 @dataclass(frozen=True)
@@ -322,7 +314,7 @@ def write_plan_jsonl(plan: SamplePlan, fp: IO[str]) -> None:
     }
     fp.write(json.dumps(header) + "\n")
     for batch in plan.batches:
-        fp.write(json.dumps(batch.as_dict()) + "\n")
+        fp.write(json.dumps(asdict(batch)) + "\n")
 
 
 def read_plan_jsonl(lines: Iterable[str]) -> SamplePlan:
@@ -343,25 +335,14 @@ def read_plan_jsonl(lines: Iterable[str]) -> SamplePlan:
     for line_no, line in enumerate(it, start=2):
         if not line.strip():
             continue
-        doc = json.loads(line)
         try:
-            batches.append(
-                BatchPlan(
-                    batch_index=doc["batch_index"],
-                    dataset=doc["dataset"],
-                    draws=tuple(
-                        AugmentationDraw(
-                            scale=d["scale"],
-                            rotation_deg=d["rotation_deg"],
-                            flip=d["flip"],
-                            crop_offset=tuple(d["crop_offset"]),
-                        )
-                        for d in doc["draws"]
-                    ),
-                )
-            )
-        except (KeyError, TypeError) as exc:
-            raise PlanError(f"plan line {line_no}: missing or ill-typed key: {exc!r}") from exc
+            batches.append(_from_json(BatchPlan, json.loads(line), draws=lambda draws: tuple(
+                _from_json(AugmentationDraw, d, crop_offset=tuple) for d in draws
+            )))
+        except TypeError as exc:
+            raise PlanError(
+                f"plan line {line_no}: missing, unknown or ill-typed key: {exc}"
+            ) from exc
     return SamplePlan(
         seed=header["seed"],
         batch_size=header["batch_size"],

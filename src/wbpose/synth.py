@@ -190,18 +190,6 @@ class RoundtripReport:
     tol_cells: float
     decode_stats: DecodeStats  # the decode's counters and phase times
 
-    def as_dict(self) -> dict:
-        return {
-            "n_people": self.n_people,
-            "poses_decoded": self.poses_decoded,
-            "people_found": self.people_found,
-            "part_count_ok": self.part_count_ok,
-            "max_error_cells": self.max_error_cells,
-            "mean_error_cells": self.mean_error_cells,
-            "success": self.success,
-            "tol_cells": self.tol_cells,
-        }
-
 
 def roundtrip_report(
     recipe: SceneRecipe,

@@ -2,10 +2,11 @@
 
 Everything here is deliberately naive: per-pixel scalar loops, exhaustive
 scans, no shared code with the library beyond dataclass types. The
-exceptions are oracle_limb_scores and oracle_decode, which reuse the
-library's peak extraction and line-integral scorer (checked by the NMS and
-connection tests) so that they can compare the decode's pair enumeration,
-prefilter, matching and assembly bit for bit. loop_encode_confidence and
+exception is oracle_decode, which reuses the library's peak extraction
+(checked by the NMS tests) so that it can compare the decode's pair
+enumeration, prefilter, scoring, matching and assembly bit for bit; its
+scorer, oracle_limb_scores, is a scalar loop of its own that repeats the
+library scorer's float operations in the same order. loop_encode_confidence and
 loop_encode_paf are the encoders' scalar form, one full-grid or bounding-
 window pass per (part or limb, person) entry, and pin the windowed,
 vectorized encoders down to the bit.
@@ -15,7 +16,7 @@ import math
 
 import numpy as np
 
-from wbpose.decoder import Pose, _flat_pair_scores, _nms_arrays
+from wbpose.decoder import Pose, _nms_arrays
 from wbpose.encoder import Visibility
 
 
@@ -216,17 +217,54 @@ def oracle_greedy_match(connections):
 
 def oracle_limb_scores(paf, limb, src_xy, dst_xy, params):
     """(scores, valid) of every src x dst pair of one limb, row-major in src,
-    with no prefilter. src_xy / dst_xy are (n, 2) arrays of map coords."""
-    src_xy = np.asarray(src_xy, dtype=np.float64).reshape(-1, 2)
-    dst_xy = np.asarray(dst_xy, dtype=np.float64).reshape(-1, 2)
-    ns, nd = len(src_xy), len(dst_xy)
-    paf_x = np.ascontiguousarray(paf[2 * limb.limb_id], dtype=np.float64)
-    paf_y = np.ascontiguousarray(paf[2 * limb.limb_id + 1], dtype=np.float64)
-    return _flat_pair_scores(
-        paf_x.reshape(-1), paf_y.reshape(-1), 0, paf_x.shape,
-        np.repeat(src_xy[:, 0], nd), np.repeat(src_xy[:, 1], nd),
-        np.tile(dst_xy[:, 0], ns), np.tile(dst_xy[:, 1], ns), params,
-    )
+    with no prefilter. src_xy / dst_xy are (n, 2) arrays of map coords.
+
+    One pair and one sample at a time: samples at np.linspace positions
+    along the segment, each read bilinearly from the limb's two PAF planes
+    (floored corner clipped to the map, far corner clamped at the border,
+    fractions clipped to [0, 1], the four weighted corners summed in the
+    order (x0, y0), (x1, y0), (x0, y1), (x1, y1)) and dotted with the unit
+    limb direction. The score is the mean of the pair's dots (np.mean, one
+    row per pair); a pair is valid when it has nonzero length and at least
+    min_valid_samples dots clear sample_threshold."""
+    src_xy = np.asarray(src_xy, dtype=np.float64).reshape(-1, 2).tolist()
+    dst_xy = np.asarray(dst_xy, dtype=np.float64).reshape(-1, 2).tolist()
+    H, W = paf.shape[1:]
+    # float64 holds every float32 cell exactly.
+    plane_x = np.asarray(paf[2 * limb.limb_id], dtype=np.float64).tolist()
+    plane_y = np.asarray(paf[2 * limb.limb_id + 1], dtype=np.float64).tolist()
+    t = np.linspace(0.0, 1.0, params.n_samples).tolist()
+    dots, nonzero = [], []
+    for sx, sy in src_xy:
+        for dx, dy in dst_xy:
+            vecx, vecy = dx - sx, dy - sy
+            length = float(np.hypot(vecx, vecy))
+            nonzero.append(length > 1e-12)
+            if not nonzero[-1]:
+                dots.extend([0.0] * len(t))
+                continue
+            ux, uy = vecx / length, vecy / length
+            for tk in t:
+                px, py = sx + tk * vecx, sy + tk * vecy
+                x0, y0 = math.floor(px), math.floor(py)
+                x0 = 0 if x0 < 0 else W - 1 if x0 > W - 1 else x0
+                y0 = 0 if y0 < 0 else H - 1 if y0 > H - 1 else y0
+                x1 = x0 + 1 if x0 < W - 1 else x0
+                y1 = y0 + 1 if y0 < H - 1 else y0
+                fx, fy = px - x0, py - y0
+                fx = 0.0 if fx < 0.0 else 1.0 if fx > 1.0 else fx
+                fy = 0.0 if fy < 0.0 else 1.0 if fy > 1.0 else fy
+                gx, gy = 1 - fx, 1 - fy
+                w00, w10, w01, w11 = gx * gy, fx * gy, gx * fy, fx * fy
+                ax0, ax1, ay0, ay1 = plane_x[y0], plane_x[y1], plane_y[y0], plane_y[y1]
+                vx = ax0[x0] * w00 + ax0[x1] * w10 + ax1[x0] * w01 + ax1[x1] * w11
+                vy = ay0[x0] * w00 + ay0[x1] * w10 + ay1[x0] * w01 + ay1[x1] * w11
+                dots.append(vx * ux + vy * uy)
+    dots = np.array(dots).reshape(len(nonzero), len(t))
+    nonzero = np.array(nonzero, dtype=bool)
+    scores = np.where(nonzero, np.mean(dots, axis=1), 0.0)
+    valid = nonzero & ((dots > params.sample_threshold).sum(axis=1) >= params.min_valid_samples)
+    return scores, valid
 
 
 def oracle_decode(conf, paf, topo, params):

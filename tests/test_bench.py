@@ -8,6 +8,7 @@ import json
 import pytest
 
 from wbpose.bench import BenchRecord, run_bench
+from wbpose.decoder import DecodeStats
 
 
 def small_grid_records(topo, n_people_grid=(1, 3), image_size=(256, 256)):
@@ -25,8 +26,8 @@ def test_run_bench_rejects_thin_sampling(topo):
 
 def test_bench_record_invariants():
     ok = dict(
-        n_people=1, map_w=16, map_h=16, median_ns=10, p90_ns=20,
-        candidates=5, connections=4, repetitions=10,
+        n_people=1, map_w=16, map_h=16, median_ns=10, p90_ns=20, repetitions=10,
+        stats=DecodeStats(candidates=5, connections_scored=4),
     )
     BenchRecord(**ok)
     with pytest.raises(ValueError):
@@ -42,26 +43,37 @@ def test_single_grid_point_yields_one_record(topo):
     assert (r.map_w, r.map_h) == (16, 16)
     assert r.repetitions == 10
     assert 0 < r.median_ns <= r.p90_ns
-    assert r.candidates > 0
-    assert r.connections >= r.connections_kept >= r.connections_accepted > 0
+    assert r.stats.candidates > 0
+    s = r.stats
+    assert s.connections_scored >= s.connections_kept >= s.connections_accepted > 0
 
 
 def test_records_sorted_and_connections_grow_with_people(topo):
     records = small_grid_records(topo)
     assert [r.n_people for r in records] == [1, 3]
-    assert records[1].connections > records[0].connections
-    assert records[1].candidates > records[0].candidates
+    assert records[1].stats.connections_scored > records[0].stats.connections_scored
+    assert records[1].stats.candidates > records[0].stats.candidates
 
 
 def test_records_roundtrip_through_json(topo):
     records = small_grid_records(topo)
     rows = json.loads(json.dumps([dataclasses.asdict(r) for r in records]))
-    assert [BenchRecord(**row) for row in rows] == records
+    assert [BenchRecord(**{**row, "stats": DecodeStats(**row["stats"])}) for row in rows] == records
+
+
+def test_records_nest_every_decoder_counter(topo):
+    # Every DecodeStats field reaches the JSON record, valid pairs included.
+    keys = [f.name for f in dataclasses.fields(DecodeStats)]
+    for row in json.loads(json.dumps([dataclasses.asdict(r) for r in small_grid_records(topo)])):
+        stats = row["stats"]
+        assert list(stats) == keys
+        assert (stats["connections_scored"] >= stats["connections_kept"]
+                >= stats["connections_valid"] >= stats["connections_accepted"] > 0)
 
 
 def test_phase_medians_within_p90(topo):
     # Each phase is a part of its repetition's total, so its median over the
     # repetitions cannot exceed the total's median, let alone its p90.
     for r in small_grid_records(topo):
-        for phase in (r.nms_ns, r.scoring_ns, r.assembly_ns):
+        for phase in (r.stats.nms_ns, r.stats.scoring_ns, r.stats.assembly_ns):
             assert 0 < phase <= r.median_ns <= r.p90_ns

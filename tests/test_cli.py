@@ -1,4 +1,5 @@
 """End-to-end command-line tests: every subcommand, every exit-code class."""
+import dataclasses
 import json
 from pathlib import Path
 
@@ -315,6 +316,38 @@ class TestExitCodes:
                      "--out", str(tmp_path / "plan.jsonl")]) == EXIT_IO
         assert "bad dataset entry 'coco'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dataset, where, key, misspelled", [
+        ("coco", "aug", "flip_prob", "flip_probabilty"),
+        ("no_people", None, "special", "speical"),
+    ])
+    def test_misspelled_registry_key_is_format_error(self, capsys, tmp_path, dataset, where,
+                                                     key, misspelled):
+        # Both keys have defaults, so a reader that skipped unknown keys
+        # would plan with flip 0.5, or with people in the negatives.
+        from wbpose.scheduler import default_registry, registry_to_json
+
+        doc = registry_to_json(default_registry())
+        entry = next(e for e in doc["datasets"] if e["name"] == dataset)
+        obj = entry[where] if where else entry
+        obj[misspelled] = obj.pop(key)
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps(doc))
+        assert main(["--quiet", "sample-plan", "--registry", str(registry),
+                     "--out", str(tmp_path / "plan.jsonl")]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert f"bad dataset entry {dataset!r}" in err and repr(misspelled) in err
+
+    def test_plan_draw_with_extra_key_is_format_error(self, capsys, tmp_path):
+        plan = tmp_path / "plan.jsonl"
+        main(["--quiet", "sample-plan", "--batches", "2", "--out", str(plan)])
+        header, first, *rest = plan.read_text().splitlines()
+        doc = json.loads(first)
+        doc["draws"][0]["shear_deg"] = 0.0
+        plan.write_text("\n".join([header, json.dumps(doc)] + rest) + "\n")
+        assert main(["--quiet", "sample-plan", "--check", str(plan)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "plan line 2" in err and "'shear_deg'" in err
+
     def test_plan_header_without_batch_size_is_format_error(self, capsys, tmp_path):
         plan = tmp_path / "plan.jsonl"
         main(["--quiet", "sample-plan", "--batches", "2", "--out", str(plan)])
@@ -377,7 +410,9 @@ class TestRoundtripCommand:
                         "--n-people", "10", "--person-scale", "45:65")
         assert code == EXIT_OK
         recipe = SceneRecipe(n_people=10, person_scale=(45.0, 65.0), seed=1)
-        assert doc["reports"] == [roundtrip_report(recipe, topo).as_dict()]
+        report = dataclasses.asdict(roundtrip_report(recipe, topo))
+        del report["decode_stats"]
+        assert doc["reports"] == [report]
 
 
 class TestBenchCommand:

@@ -211,3 +211,25 @@ def test_plan_with_missing_or_ill_typed_key_is_plan_error(line, key, value):
 def test_empty_registry_rejected():
     with pytest.raises(RegistryError):
         next_batch((), RngState(0))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("name", 5), ("size", "5"), ("probability", None), ("rotation_deg", True),
+])
+def test_ill_typed_registry_value_names_its_key(key, value):
+    doc = registry_to_json(default_registry())
+    entry = doc["datasets"][1]
+    (entry["aug"] if key in entry["aug"] else entry)[key] = value
+    with pytest.raises(RegistryError, match=f"bad '{key}': expected"):
+        registry_from_json(doc)
+
+
+@pytest.mark.parametrize("key, value", [("flip", 1), ("scale", "1.0"), ("rotation_deg", None)])
+def test_ill_typed_draw_value_names_its_key(key, value):
+    buf = io.StringIO()
+    write_plan_jsonl(build_plan(default_registry(), seed=1, n_batches=1, batch_size=2), buf)
+    header, line = buf.getvalue().splitlines()
+    doc = json.loads(line)
+    doc["draws"][1][key] = value
+    with pytest.raises(PlanError, match=f"bad '{key}': expected"):
+        read_plan_jsonl([header, json.dumps(doc)])
