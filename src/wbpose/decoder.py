@@ -1,14 +1,20 @@
 """Map-to-skeleton decoding: peaks, limb scoring, matching and assembly.
 
 Pipeline: strict-local-max NMS per part channel with subpixel refinement,
-line-integral scoring of every candidate pair along each limb's PAF (after
-an exact prefilter that drops pairs whose sampled cells are all shorter
-than the sample threshold), greedy bipartite matching per limb, then
-assembly of accepted connections into poses as connected components over
-the limb forest (the loader rejects cyclic limb graphs). Anchor parts
+line-integral scoring of candidate pairs along each limb's PAF, greedy
+bipartite matching per limb, then assembly of accepted connections into
+poses as connected components over the limb forest (the loader rejects
+cyclic limb graphs). Anchor parts
 (wrists, ankles, eyes) carry a single candidate shared by the body and the
 non-body group, so connections meeting at the same anchor candidate join
 one component by identity.
+
+An exact prefilter runs before the scorer. A sample can only clear the
+sample threshold if a cell of its bilinear corner block holds a PAF vector
+longer than the threshold, so a pair with fewer than min_valid_samples such
+sample positions cannot be valid. The prefilter tests the scorer's own
+positions, drops each pair at its first miss beyond n_samples -
+min_valid_samples, and scores exactly the pairs that are left.
 
 All positions are subpixel map-cell coordinates (x, y); multiply by the grid
 stride to get pixels. The decode is deterministic: candidates are ordered by
@@ -196,6 +202,50 @@ def _corner_support(paf: np.ndarray, threshold: float) -> np.ndarray:
     return support
 
 
+def _support_keep(paf, ch, sx, sy, dx, dy, params: DecoderParams) -> np.ndarray:
+    """Indices of the pairs (limb ch, from (sx, sy) to (dx, dy)) with at
+    least min_valid_samples sample positions whose bilinear corner block
+    is supported (_corner_support), ascending.
+
+    The scorer's PAF vector at a sample is a convex combination of its four
+    corner cells, and its dot product with the unit limb direction is at
+    most its length, so a sample can only clear sample_threshold on a
+    supported block (NaN corners never support, and fail the sample). A
+    pair with fewer supported positions cannot be valid, so dropping it
+    leaves the decode unchanged; a pair with that many is kept. Positions
+    are the scorer's own (same expression, floor and clip), tested middle
+    first, since the endpoints sit on part candidates where some limb band
+    usually starts. A pair is dropped at its first miss beyond the budget
+    n_samples - min_valid_samples; the survivors are compacted once the
+    first budget + 1 positions are in and after every later one."""
+    n_s = params.n_samples
+    budget = n_s - params.min_valid_samples
+    idx = np.arange(sx.size)
+    if budget >= n_s:
+        return idx
+    H, W = paf.shape[1:]
+    cells = _corner_support(paf, params.sample_threshold).reshape(-1)
+    t = np.linspace(0.0, 1.0, n_s)
+    vecx, vecy = dx - sx, dy - sy
+    plane = ch * (H * W)
+    misses = np.zeros(sx.size, dtype=np.int64)
+    for j, k in enumerate(np.argsort(np.abs(2 * np.arange(n_s) - (n_s - 1)), kind="stable")):
+        x0 = np.floor(sx + t[k] * vecx).astype(np.int64)
+        np.clip(x0, 0, W - 1, out=x0)
+        y0 = np.floor(sy + t[k] * vecy).astype(np.int64)
+        np.clip(y0, 0, H - 1, out=y0)
+        y0 *= W
+        y0 += plane
+        y0 += x0
+        misses += ~cells.take(y0)
+        if j >= budget:
+            live = np.flatnonzero(misses <= budget)
+            idx, misses, sx, sy, vecx, vecy, plane = (
+                a.take(live) for a in (idx, misses, sx, sy, vecx, vecy, plane)
+            )
+    return idx
+
+
 def _match_all_limbs(
     limb_ids: np.ndarray,
     scores: np.ndarray,
@@ -360,45 +410,10 @@ def decode_with_stats(
         ch = np.repeat(np.array([l.limb_id for l in live_limbs], dtype=np.int64), totals)
         stats.connections_scored = int(sx.size)
 
-        # Exact prefilter. The scorer's PAF vector at a sample is a convex
-        # combination of its four bilinear corner cells, and its dot product
-        # with the unit limb direction is at most its length, so a sample
-        # can only clear sample_threshold if one of those corners is longer
-        # than the threshold (NaN corners never are, and make the sample
-        # fail). Probing s of the n sample positions, a pair that is valid
-        # overall (>= min_valid_samples passing) must find such a corner on
-        # at least min_valid_samples - (n - s) probes; pairs below that
-        # cutoff are dropped without changing the decode result. Endpoint
-        # samples sit on part candidates where some limb band usually
-        # starts, so only interior positions are probed; the bound holds
-        # for any subset.
-        n_s, m_v = params.n_samples, params.min_valid_samples
-        lo, hi = (1, n_s - 2) if n_s >= 4 else (0, n_s - 1)
-        n_probes = min(hi - lo + 1, max(2, n_s - m_v + 3))
-        probe_idx = np.unique(
-            np.round(np.linspace(lo, hi, n_probes)).astype(np.int64)
-        )
-        cutoff = m_v - (n_s - probe_idx.size)
-        if params.sample_threshold >= 0.0 and cutoff > 0:
-            corner = _corner_support(paf, params.sample_threshold)
-            # The scorer's own position expression, floor and clip, so each
-            # probe reads the block of exactly the cells the scorer reads.
-            # One probe at a time keeps the scratch arrays pair-sized.
-            t = np.linspace(0.0, 1.0, n_s)
-            vecx, vecy = dx - sx, dy - sy
-            plane = ch * (H * W)
-            cells = corner.reshape(-1)
-            hits = np.zeros(sx.size, dtype=np.int64)
-            for k in probe_idx:
-                x0 = np.floor(sx + t[k] * vecx).astype(np.int64)
-                np.clip(x0, 0, W - 1, out=x0)
-                y0 = np.floor(sy + t[k] * vecy).astype(np.int64)
-                np.clip(y0, 0, H - 1, out=y0)
-                y0 *= W
-                y0 += plane
-                y0 += x0
-                hits += cells.take(y0)
-            keep = np.flatnonzero(hits >= cutoff)
+        # Exact prefilter: drops exactly the pairs with too few supported
+        # sample positions to be valid (see _support_keep).
+        if params.sample_threshold >= 0.0:
+            keep = _support_keep(paf, ch, sx, sy, dx, dy, params)
         else:
             keep = np.arange(sx.size)
         stats.connections_kept = int(keep.size)

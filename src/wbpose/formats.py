@@ -237,9 +237,12 @@ def from_targets(targets: TargetTensors, manifest_hash: str) -> WbptFile:
 
 
 def to_targets(f: WbptFile) -> TargetTensors:
-    """Unpack a combined file.  The original image size is not stored, so it
-    is reconstructed as map size * stride (exact when the image was a
-    multiple of the stride, otherwise rounded up to the next cell)."""
+    """Unpack a combined file.  The three tensors are views of f.payload and
+    share its memory: writing into one writes into the WbptFile, and the
+    payload stays alive while any of them does.  The original image size is
+    not stored, so it is reconstructed as map size * stride (exact when the
+    image was a multiple of the stride, otherwise rounded up to the next
+    cell)."""
     if f.kind != KIND_COMBINED:
         raise WbptError(f"need a combined (kind {KIND_COMBINED}) file, got kind {f.kind}")
     kinds = tuple(k for k, _ in f.sections)
@@ -248,9 +251,9 @@ def to_targets(f: WbptFile) -> TargetTensors:
     n_s = f.sections[0][1]
     n_l = f.sections[1][1]
     return TargetTensors(
-        s_star=f.payload[:n_s].copy(),
-        l_star=f.payload[n_s : n_s + n_l].copy(),
-        w_mask=f.payload[n_s + n_l :].copy(),
+        s_star=f.payload[:n_s],
+        l_star=f.payload[n_s : n_s + n_l],
+        w_mask=f.payload[n_s + n_l :],
         stride=f.stride,
         image_size=(f.map_w * f.stride, f.map_h * f.stride),
     )

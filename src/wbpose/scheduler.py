@@ -171,28 +171,44 @@ def registry_to_json(registry: Sequence[DatasetSpec]) -> dict:
 _JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
 
 
+def _json_value(annotation: str, value):
+    """value if it is of the JSON type annotation names, or any annotation
+    outside those; a tuple[...] of those types is read from a list (or
+    tuple) of that length. TypeError otherwise."""
+    if annotation.startswith("tuple["):
+        kinds = [k.strip() for k in annotation[len("tuple["):-1].split(",")]
+        if all(k in _JSON_TYPES for k in kinds):
+            if not isinstance(value, (list, tuple)) or len(value) != len(kinds):
+                raise TypeError(f"expected {annotation}, got {value!r}")
+            return tuple(_json_value(k, v) for k, v in zip(kinds, value))
+    if annotation in _JSON_TYPES and (
+        isinstance(value, bool) != (annotation == "bool")
+        or not isinstance(value, _JSON_TYPES[annotation])
+    ):
+        raise TypeError(f"expected {annotation}, got {value!r}")
+    return value
+
+
 def _from_json(cls, doc: Mapping, **convert):
     """cls built by keyword from a JSON object, so cls declares the keys and
     their defaults. convert[key] is applied to each key the object holds;
-    str, int, float and bool fields take only values of that JSON type. A
-    missing, unknown or ill-typed key raises TypeError naming the key."""
+    str, int, float and bool fields take only values of that JSON type, and
+    tuple[...] fields of those types only a list of that length and those
+    types. A missing, unknown or ill-typed key raises TypeError naming the
+    key."""
     if not isinstance(doc, Mapping):
         raise TypeError(f"{doc!r} is not a JSON object")
     out = dict(doc)
     for f in fields(cls):
         if f.name not in out:
             continue
-        value = out[f.name]
-        if f.name in convert:
-            try:
-                out[f.name] = convert[f.name](value)
-            except (TypeError, ValueError) as exc:
-                raise TypeError(f"bad {f.name!r}: {exc}") from exc
-        elif f.type in _JSON_TYPES and (
-            isinstance(value, bool) != (f.type == "bool")
-            or not isinstance(value, _JSON_TYPES[f.type])
-        ):
-            raise TypeError(f"bad {f.name!r}: expected {f.type}, got {value!r}")
+        try:
+            if f.name in convert:
+                out[f.name] = convert[f.name](out[f.name])
+            else:
+                out[f.name] = _json_value(f.type, out[f.name])
+        except (TypeError, ValueError) as exc:
+            raise TypeError(f"bad {f.name!r}: {exc}") from exc
     return cls(**out)
 
 
@@ -214,7 +230,7 @@ def registry_from_json(doc: Mapping) -> tuple[DatasetSpec, ...]:
             specs.append(_from_json(
                 DatasetSpec, entry, special=Special,
                 coverage=lambda groups: frozenset(PartGroup(g) for g in groups),
-                aug=lambda aug: _from_json(AugmentationRanges, aug, scale=tuple, crop=tuple),
+                aug=lambda aug: _from_json(AugmentationRanges, aug),
             ))
         except (TypeError, ValueError) as exc:
             raise RegistryError(f"bad dataset entry {entry.get('name', '?')!r}: {exc}") from exc
@@ -337,7 +353,7 @@ def read_plan_jsonl(lines: Iterable[str]) -> SamplePlan:
             continue
         try:
             batches.append(_from_json(BatchPlan, json.loads(line), draws=lambda draws: tuple(
-                _from_json(AugmentationDraw, d, crop_offset=tuple) for d in draws
+                _from_json(AugmentationDraw, d) for d in draws
             )))
         except TypeError as exc:
             raise PlanError(

@@ -6,7 +6,9 @@ exception is oracle_decode, which reuses the library's peak extraction
 (checked by the NMS tests) so that it can compare the decode's pair
 enumeration, prefilter, scoring, matching and assembly bit for bit; its
 scorer, oracle_limb_scores, is a scalar loop of its own that repeats the
-library scorer's float operations in the same order. loop_encode_confidence and
+library scorer's float operations in the same order. oracle_support_keep
+is the prefilter's rule as a scalar loop over pairs and all sample
+positions. loop_encode_confidence and
 loop_encode_paf are the encoders' scalar form, one full-grid or bounding-
 window pass per (part or limb, person) entry, and pin the windowed,
 vectorized encoders down to the bit.
@@ -265,6 +267,51 @@ def oracle_limb_scores(paf, limb, src_xy, dst_xy, params):
     scores = np.where(nonzero, np.mean(dots, axis=1), 0.0)
     valid = nonzero & ((dots > params.sample_threshold).sum(axis=1) >= params.min_valid_samples)
     return scores, valid
+
+
+def oracle_support_keep(paf, ch, sx, sy, dx, dy, params):
+    """Indices of the pairs (limb ch, from (sx, sy) to (dx, dy)) that have at
+    least min_valid_samples supported sample positions: the exact set the
+    decoder's prefilter must keep.
+
+    One pair and one sample position at a time, with the scorer's
+    positions (np.linspace, floor, clip to the map). A position is supported
+    when a cell of its bilinear corner block, the floored cell and its
+    right, lower and lower-right neighbours clamped at the border, holds a
+    long vector: squared float64 length above threshold**2 * (1 - 1e-9),
+    or, for a threshold below 1e-150 whose square underflows, any nonzero
+    component. NaN cells are never long."""
+    H, W = paf.shape[1:]
+    thr = params.sample_threshold
+
+    def is_long(vx, vy):
+        if thr < 1e-150:
+            return abs(vx) > 0.0 or abs(vy) > 0.0
+        return vx * vx + vy * vy > thr * thr * (1.0 - 1e-9)
+
+    cells = np.asarray(paf, dtype=np.float64).tolist()
+    long = [
+        [[is_long(vx, vy) for vx, vy in zip(row_x, row_y)]
+         for row_x, row_y in zip(cells[2 * limb], cells[2 * limb + 1])]
+        for limb in range(len(cells) // 2)
+    ]
+    t = np.linspace(0.0, 1.0, params.n_samples).tolist()
+    keep = []
+    for p, (limb, x_a, y_a, x_b, y_b) in enumerate(zip(
+        np.asarray(ch).tolist(), np.asarray(sx).tolist(), np.asarray(sy).tolist(),
+        np.asarray(dx).tolist(), np.asarray(dy).tolist(),
+    )):
+        vecx, vecy = x_b - x_a, y_b - y_a
+        plane = long[limb]
+        supported = 0
+        for tk in t:
+            x0 = min(max(math.floor(x_a + tk * vecx), 0), W - 1)
+            y0 = min(max(math.floor(y_a + tk * vecy), 0), H - 1)
+            x1, y1 = min(x0 + 1, W - 1), min(y0 + 1, H - 1)
+            supported += plane[y0][x0] or plane[y0][x1] or plane[y1][x0] or plane[y1][x1]
+        if supported >= params.min_valid_samples:
+            keep.append(p)
+    return keep
 
 
 def oracle_decode(conf, paf, topo, params):

@@ -316,6 +316,29 @@ class TestExitCodes:
                      "--out", str(tmp_path / "plan.jsonl")]) == EXIT_IO
         assert "bad dataset entry 'coco'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("crop", [480.5, 480]), ("scale", ["a", 1])])
+    def test_ill_typed_aug_range_element_is_format_error(self, capsys, tmp_path, key, value):
+        from wbpose.scheduler import default_registry, registry_to_json
+
+        doc = registry_to_json(default_registry())
+        doc["datasets"][0]["aug"][key] = value
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps(doc))
+        assert main(["--quiet", "sample-plan", "--registry", str(registry),
+                     "--out", str(tmp_path / "plan.jsonl")]) == EXIT_IO
+        assert f"bad '{key}'" in capsys.readouterr().err
+
+    def test_ill_typed_crop_offset_is_format_error(self, capsys, tmp_path):
+        plan = tmp_path / "plan.jsonl"
+        main(["--quiet", "sample-plan", "--batches", "2", "--out", str(plan)])
+        header, first, *rest = plan.read_text().splitlines()
+        doc = json.loads(first)
+        doc["draws"][0]["crop_offset"] = ["x", 0]
+        plan.write_text("\n".join([header, json.dumps(doc)] + rest) + "\n")
+        assert main(["--quiet", "sample-plan", "--check", str(plan)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "plan line 2" in err and "'crop_offset'" in err
+
     @pytest.mark.parametrize("dataset, where, key, misspelled", [
         ("coco", "aug", "flip_prob", "flip_probabilty"),
         ("no_people", None, "special", "speical"),

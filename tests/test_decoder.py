@@ -12,6 +12,7 @@ from wbpose.decoder import (
     _assemble_forest,
     _match_all_limbs,
     _nms_arrays,
+    _support_keep,
     decode,
     decode_with_stats,
 )
@@ -19,7 +20,13 @@ from wbpose.encoder import AnnotatedScene, EncoderParams, Person, Visibility, en
 from wbpose.skeleton import PartGroup, default_topology, load_topology
 
 from conftest import tiny_manifest
-from oracles import oracle_decode, oracle_greedy_match, oracle_limb_scores, oracle_nms
+from oracles import (
+    oracle_decode,
+    oracle_greedy_match,
+    oracle_limb_scores,
+    oracle_nms,
+    oracle_support_keep,
+)
 
 L = Visibility.LABELED
 
@@ -453,3 +460,65 @@ def test_prefilter_prunes_noisy_maps(seed):
     _, stats = decode_with_stats((conf, paf), topo)
     assert stats.connections_valid > 0
     assert stats.connections_kept <= 0.3 * stats.connections_scored
+
+
+def limb_pairs(topo, conf, params, rng, cap):
+    """(ch, sx, sy, dx, dy) of every candidate pair of every limb, at most
+    cap of them drawn at random, plus one zero-length pair per limb."""
+    part, xs, ys, _ = _nms_arrays(conf, topo, params)
+    rows = []
+    for limb in topo.limbs:
+        src, dst = np.flatnonzero(part == limb.src), np.flatnonzero(part == limb.dst)
+        rows += [(limb.limb_id, xs[a], ys[a], xs[b], ys[b]) for a in src for b in dst]
+        rows.append((limb.limb_id, 3.5, 2.25, 3.5, 2.25))
+    if len(rows) > cap:
+        rows = [rows[i] for i in np.sort(rng.choice(len(rows), cap, replace=False))]
+    ch, sx, sy, dx, dy = (np.array(c) for c in zip(*rows))
+    return ch.astype(np.int64), sx, sy, dx, dy
+
+
+@pytest.mark.parametrize("topo_name", sorted(DIFF_TOPOLOGIES))
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sigma=st.sampled_from([0.01, 0.02, 0.05]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    sample_threshold=st.sampled_from([0.0, 0.05, 0.2]),
+    n_samples=st.sampled_from([3, 5, 10]),
+    valid_fraction=st.sampled_from([1e-12, 0.5, 0.8, 1.0]),
+)
+def test_support_keep_equals_oracle_on_noisy_maps(topo_name, seed, sigma, dtype,
+                                                  sample_threshold, n_samples, valid_fraction):
+    # The kept set is exactly the pairs with enough supported positions: no
+    # pair that could be valid is dropped (exact), and no pair short of
+    # support is kept (tight). NaN and inf on 1% of cells.
+    topo = DIFF_TOPOLOGIES[topo_name]
+    rng = np.random.default_rng(seed)
+    conf, paf = noisy_maps(topo, rng, 24, 24, 3, sigma)
+    paf[rng.random(paf.shape) < 0.005] = np.nan
+    paf[rng.random(paf.shape) < 0.005] = np.inf
+    paf = paf.astype(dtype)
+    params = DecoderParams(sample_threshold=sample_threshold, n_samples=n_samples,
+                           valid_fraction=valid_fraction)
+    pairs = limb_pairs(topo, conf, params, rng, cap=3000)
+    assert _support_keep(paf, *pairs, params).tolist() == oracle_support_keep(paf, *pairs, params)
+
+
+@pytest.mark.parametrize("missed, kept", [
+    ((4, 5), True), ((0, 9), True), ((1, 6), True),
+    ((4, 5, 3), False), ((0, 8, 9), False), ((2, 4, 7), False),
+])
+def test_support_keep_boundary_at_miss_budget(missed, kept):
+    # n_samples 10, valid_fraction 0.8: a valid pair needs 8 supported
+    # positions, so it can miss 2. Sample k of the pair from (0.25, 1.25)
+    # to (18.25, 1.25) floors to cell (2k, 1), so its corner block is
+    # columns 2k and 2k + 1 of rows 1 and 2, which no other sample reads.
+    params = DecoderParams(n_samples=10, valid_fraction=0.8, sample_threshold=0.25)
+    assert params.n_samples - params.min_valid_samples == 2
+    paf = np.zeros((2, 4, 20))
+    paf[0] = 0.3
+    for k in missed:
+        paf[0, :, 2 * k : 2 * k + 2] = 0.2
+    pair = (np.array([0]), np.array([0.25]), np.array([1.25]), np.array([18.25]), np.array([1.25]))
+    assert _support_keep(paf, *pair, params).tolist() == ([0] if kept else [])
+    assert oracle_support_keep(paf, *pair, params) == ([0] if kept else [])

@@ -169,6 +169,15 @@ class TestTargetsPacking:
         assert back.stride == targets.stride
         assert back.image_size == targets.image_size
 
+    def test_to_targets_returns_writeable_views_of_the_payload(self):
+        f = from_bytes(to_bytes(random_file(np.random.default_rng(9), kind=KIND_COMBINED)))
+        back = to_targets(f)
+        for tensor in (back.s_star, back.l_star, back.w_mask):
+            assert np.shares_memory(tensor, f.payload)
+            assert tensor.flags.writeable
+        back.l_star[0, 0, 0] = 7.0
+        assert f.payload[1, 0, 0] == 7.0
+
     def test_to_targets_needs_combined(self):
         f = random_file(np.random.default_rng(8), kind=KIND_PAF)
         with pytest.raises(WbptError, match="combined"):

@@ -215,6 +215,7 @@ def test_empty_registry_rejected():
 
 @pytest.mark.parametrize("key, value", [
     ("name", 5), ("size", "5"), ("probability", None), ("rotation_deg", True),
+    ("scale", ["a", 1]), ("scale", [0.5]), ("crop", [480.5, 480]), ("crop", "48"),
 ])
 def test_ill_typed_registry_value_names_its_key(key, value):
     doc = registry_to_json(default_registry())
@@ -224,7 +225,10 @@ def test_ill_typed_registry_value_names_its_key(key, value):
         registry_from_json(doc)
 
 
-@pytest.mark.parametrize("key, value", [("flip", 1), ("scale", "1.0"), ("rotation_deg", None)])
+@pytest.mark.parametrize("key, value", [
+    ("flip", 1), ("scale", "1.0"), ("rotation_deg", None),
+    ("crop_offset", ["x", 0]), ("crop_offset", [0.5, 0.5, 0.5]),
+])
 def test_ill_typed_draw_value_names_its_key(key, value):
     buf = io.StringIO()
     write_plan_jsonl(build_plan(default_registry(), seed=1, n_batches=1, batch_size=2), buf)
