@@ -87,7 +87,8 @@ class DecodeStats:
 def _parabola_offsets(vl: np.ndarray, vc: np.ndarray, vr: np.ndarray, ok: np.ndarray) -> np.ndarray:
     """Vertex of the 1D quadratic fit through the 3-neighborhood, clamped to
     +-0.5. Fit in log space where all three values are positive (exact for
-    Gaussian bumps), otherwise on the raw values."""
+    Gaussian bumps), otherwise on the raw values; a -inf neighbour (a NaN
+    cell) gives no fit and no offset."""
     pos = ok & (vl > 0.0) & (vc > 0.0) & (vr > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         al = np.log(np.where(pos, vl, 1.0))
@@ -96,7 +97,8 @@ def _parabola_offsets(vl: np.ndarray, vc: np.ndarray, vr: np.ndarray, ok: np.nda
         den_log = al + ar - 2.0 * ac
         d_log = np.where(np.abs(den_log) > 1e-12, (al - ar) / (2.0 * den_log), 0.0)
         den_lin = vl + vr - 2.0 * vc
-        d_lin = np.where(np.abs(den_lin) > 1e-12, (vl - vr) / (2.0 * den_lin), 0.0)
+        fit = np.isfinite(den_lin) & (np.abs(den_lin) > 1e-12)
+        d_lin = np.where(fit, (vl - vr) / (2.0 * den_lin), 0.0)
     delta = np.where(pos, d_log, np.where(ok, d_lin, 0.0))
     return np.clip(delta, -0.5, 0.5)
 
@@ -104,8 +106,10 @@ def _parabola_offsets(vl: np.ndarray, vc: np.ndarray, vr: np.ndarray, ok: np.nda
 def _nms_arrays(conf: np.ndarray, topo: SkeletonTopology, params: DecoderParams):
     """Flat candidate arrays (part_ids, xs, ys, scores), part-major and
     ordered by (-score, y, x) within each part; candidate id == row index."""
-    n_parts = topo.n_parts
-    parts_maps = np.asarray(conf, dtype=np.float64)[:n_parts]
+    # A fresh float64 copy with NaN read as -inf, made in one pass: a NaN
+    # cell is never a peak and never blocks one, wherever it sits in the
+    # 3x3 ring.
+    parts_maps = np.fmax(conf[:topo.n_parts], -np.inf, dtype=np.float64)
     footprint = np.ones((1, 3, 3), dtype=bool)  # the 3x3 ring around a cell
     footprint[0, 1, 1] = False
     neighbor_max = maximum_filter(parts_maps, footprint=footprint, mode="constant", cval=-np.inf)
@@ -246,6 +250,17 @@ def _support_keep(paf, ch, sx, sy, dx, dy, params: DecoderParams) -> np.ndarray:
     return idx
 
 
+def _segment_keys(ids: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense int keys for (segment, id), with segments the runs that begin
+    at starts, and each key's multiplicity. Segment k maps its ids onto
+    its own span [min, max] of keys, the spans laid end to end, so keys
+    never collide across segments and no sort is needed."""
+    lo = np.minimum.reduceat(ids, starts)
+    span = np.maximum.reduceat(ids, starts) - lo + 1
+    keys = ids + np.repeat(np.cumsum(span) - span - lo, np.diff(starts, append=ids.size))
+    return keys, np.bincount(keys)[keys]
+
+
 def _match_all_limbs(
     limb_ids: np.ndarray,
     scores: np.ndarray,
@@ -259,27 +274,32 @@ def _match_all_limbs(
     keys as secondary keys reproduces the independent per-limb matchings
     exactly, concatenated in limb order; used-sets are keyed on (limb,
     candidate) because matching is per limb while candidate ids are global.
+    A pair whose (limb, src) and (limb, dst) keys no other valid pair holds
+    competes with nobody and is always taken, so only the contested pairs
+    run the greedy loop, in the same order.
     Returns accepted (src, dst, score) arrays."""
     vi = np.nonzero(valid)[0]
     if vi.size == 0:
         return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
     order = vi[np.lexsort((dst_ids[vi], src_ids[vi], -scores[vi], limb_ids[vi]))]
-    # Pack (limb, candidate) into one int so the greedy loop hashes plain
-    # ints; candidate ids are dense row indices, so any stride above their
-    # max keeps keys collision-free.
-    stride = int(max(src_ids.max(), dst_ids.max())) + 1
-    src_key = (limb_ids[order] * stride + src_ids[order]).tolist()
-    dst_key = (limb_ids[order] * stride + dst_ids[order]).tolist()
+    limbs = limb_ids[order]
+    starts = np.flatnonzero(np.diff(limbs, prepend=limbs[0] - 1))
+    src_key, src_n = _segment_keys(src_ids[order], starts)
+    dst_key, dst_n = _segment_keys(dst_ids[order], starts)
+    take = (src_n == 1) & (dst_n == 1)
+    contested = np.flatnonzero(~take)
     used_src: set[int] = set()
     used_dst: set[int] = set()
-    taken: list[int] = []
-    for j, (s, d) in enumerate(zip(src_key, dst_key)):
+    won: list[int] = []
+    for j, s, d in zip(contested.tolist(), src_key[contested].tolist(),
+                       dst_key[contested].tolist()):
         if s in used_src or d in used_dst:
             continue
         used_src.add(s)
         used_dst.add(d)
-        taken.append(j)
-    idx = order[np.asarray(taken, dtype=np.int64)]
+        won.append(j)
+    take[won] = True
+    idx = order[take]
     return src_ids[idx], dst_ids[idx], scores[idx]
 
 

@@ -6,6 +6,12 @@ angular jitter applied down the kinematic tree, packed by rejection sampling
 so person bounding boxes keep a minimum separation. Realism is irrelevant;
 the scenes exist to exercise the encoder and decoder end to end.
 
+Each rejection attempt draws every limb's jitter angle in one call and
+works on two flat coordinate lists in template order; the limb subtrees are
+resolved to list indices once per generate call, and only the accepted
+attempt builds a part-id dict. An attempt draws its offset only when the
+person fits inside the margins.
+
 All randomness derives from numpy Philox keyed by (seed, scene counters), so
 a recipe reproduces bit-identical scenes across runs and processes.
 """
@@ -82,59 +88,72 @@ def _limb_subtrees(topo: SkeletonTopology) -> list[tuple[int, list[int]]]:
     return [(limb.src, subtree(limb.dst)) for limb in topo.limbs]
 
 
-def _jittered_template(
-    topo: SkeletonTopology,
-    subtrees: list[tuple[int, list[int]]],
-    rng: np.random.Generator,
-    jitter_deg: float,
-) -> dict[int, tuple[float, float]]:
-    """Template coordinates after rotating each limb's subtree around its src
-    joint by an independent uniform angle (forward kinematics down the tree)."""
+@dataclass(frozen=True)
+class _FlatTemplate:
+    """The template pose as two coordinate lists in template order, with each
+    limb's (src, subtree) resolved to indices into them."""
+
+    part_ids: list[int]
+    xs: list[float]
+    ys: list[float]
+    limbs: list[tuple[int, list[int]]]
+
+
+def _flat_template(topo: SkeletonTopology) -> _FlatTemplate:
     template = topo.template_pose
     if template is None:
         raise ValueError("topology manifest carries no template_pose; cannot synthesize scenes")
-    pos = {pid: (float(x), float(y)) for pid, (x, y) in template.items()}
-    for src, subtree in subtrees:
-        theta = math.radians(rng.uniform(-jitter_deg, jitter_deg))
-        c, s = math.cos(theta), math.sin(theta)
-        ox, oy = pos[src]
-        for pid in subtree:
-            x, y = pos[pid]
-            rx, ry = x - ox, y - oy
-            pos[pid] = (ox + c * rx - s * ry, oy + s * rx + c * ry)
-    return pos
+    part_ids = list(template)
+    index = {pid: i for i, pid in enumerate(part_ids)}
+    return _FlatTemplate(
+        part_ids=part_ids,
+        xs=[float(x) for x, _ in template.values()],
+        ys=[float(y) for _, y in template.values()],
+        limbs=[(index[src], [index[pid] for pid in subtree])
+               for src, subtree in _limb_subtrees(topo)],
+    )
 
 
 def _place_person(
-    topo: SkeletonTopology,
-    subtrees: list[tuple[int, list[int]]],
+    template: _FlatTemplate,
     recipe: SceneRecipe,
     rng: np.random.Generator,
     placed_boxes: list[tuple[float, float, float, float]],
     attempts_left: int,
 ) -> tuple[dict[int, tuple[float, float]], tuple[float, float, float, float], int]:
+    """Rejection-sample one person: jitter the template (each limb's subtree
+    rotated around its src joint by an independent uniform angle, forward
+    kinematics down the tree), scale and rotate it, draw an offset that keeps
+    the image margin, and accept when its box clears every placed box."""
     w, h = recipe.image_size
     m = EDGE_MARGIN_PX
+    jitter = recipe.jitter_deg
+    limbs = template.limbs
     while attempts_left > 0:
         attempts_left -= 1
-        skel = _jittered_template(topo, subtrees, rng, recipe.jitter_deg)
+        xs, ys = template.xs.copy(), template.ys.copy()
+        for (src, subtree), angle in zip(limbs, rng.uniform(-jitter, jitter, len(limbs)).tolist()):
+            theta = math.radians(angle)
+            c, s = math.cos(theta), math.sin(theta)
+            ox, oy = xs[src], ys[src]
+            for i in subtree:
+                rx, ry = xs[i] - ox, ys[i] - oy
+                xs[i] = ox + c * rx - s * ry
+                ys[i] = oy + s * rx + c * ry
         scale = rng.uniform(*recipe.person_scale)
         theta = math.radians(rng.uniform(-recipe.rotation_deg, recipe.rotation_deg))
         c, s = math.cos(theta), math.sin(theta)
-        pts = {
-            pid: (scale * (c * x - s * y), scale * (s * x + c * y))
-            for pid, (x, y) in skel.items()
-        }
-        xs = [p[0] for p in pts.values()]
-        ys = [p[1] for p in pts.values()]
-        bw, bh = max(xs) - min(xs), max(ys) - min(ys)
-        if bw >= w - 2 * m or bh >= h - 2 * m:
+        px = [scale * (c * x - s * y) for x, y in zip(xs, ys)]
+        py = [scale * (s * x + c * y) for x, y in zip(xs, ys)]
+        x_lo, x_hi, y_lo, y_hi = min(px), max(px), min(py), max(py)
+        if x_hi - x_lo >= w - 2 * m or y_hi - y_lo >= h - 2 * m:
             continue
-        ox = rng.uniform(m - min(xs), w - m - max(xs))
-        oy = rng.uniform(m - min(ys), h - m - max(ys))
-        box = (min(xs) + ox, min(ys) + oy, max(xs) + ox, max(ys) + oy)
+        ox = rng.uniform(m - x_lo, w - m - x_hi)
+        oy = rng.uniform(m - y_lo, h - m - y_hi)
+        box = (x_lo + ox, y_lo + oy, x_hi + ox, y_hi + oy)
         if all(_box_gap(box, other) > recipe.min_separation for other in placed_boxes):
-            return ({pid: (x + ox, y + oy) for pid, (x, y) in pts.items()}, box, attempts_left)
+            pts = {pid: (x + ox, y + oy) for pid, x, y in zip(template.part_ids, px, py)}
+            return pts, box, attempts_left
     raise PackingError(
         f"could not place {len(placed_boxes) + 1} of {recipe.n_people} people "
         f"within {recipe.max_attempts} attempts"
@@ -155,12 +174,12 @@ def generate(recipe: SceneRecipe, topo: SkeletonTopology, scene_id: int = 0) -> 
             no_people=True, scene_id=scene_id,
         )
     rng = _rng(recipe.seed, scene_id)
-    subtrees = _limb_subtrees(topo)
+    template = _flat_template(topo)
     boxes: list[tuple[float, float, float, float]] = []
     people: list[Person] = []
     attempts = recipe.max_attempts
     for _ in range(recipe.n_people):
-        pts, box, attempts = _place_person(topo, subtrees, recipe, rng, boxes, attempts)
+        pts, box, attempts = _place_person(template, recipe, rng, boxes, attempts)
         boxes.append(box)
         parts: dict[int, tuple[float, float, Visibility]] = {}
         for part in topo.parts:

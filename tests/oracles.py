@@ -11,7 +11,10 @@ is the prefilter's rule as a scalar loop over pairs and all sample
 positions. loop_encode_confidence and
 loop_encode_paf are the encoders' scalar form, one full-grid or bounding-
 window pass per (part or limb, person) entry, and pin the windowed,
-vectorized encoders down to the bit.
+vectorized encoders down to the bit. oracle_generate is synth.generate
+with the dict-per-attempt person placement (oracle_place_person,
+oracle_jittered_template) that the flat-list placement must reproduce
+draw for draw and float for float.
 """
 
 import math
@@ -19,7 +22,16 @@ import math
 import numpy as np
 
 from wbpose.decoder import Pose, _nms_arrays
-from wbpose.encoder import Visibility
+from wbpose.encoder import AnnotatedScene, Person, Visibility
+from wbpose.skeleton import SkeletonTopology
+from wbpose.synth import (
+    EDGE_MARGIN_PX,
+    PackingError,
+    SceneRecipe,
+    _box_gap,
+    _limb_subtrees,
+    _rng,
+)
 
 
 def oracle_confidence(scene, topo, params):
@@ -175,14 +187,15 @@ def oracle_paf(scene, topo, params):
 
 
 def oracle_nms(channel, threshold, window):
-    """Exhaustive grid scan for strict local maxima above threshold."""
+    """Exhaustive grid scan for strict local maxima at or above threshold.
+    A NaN cell is never a peak, and never blocks one (NaN >= v is false)."""
     h, w = channel.shape
     r = window // 2
     peaks = []
     for i in range(h):
         for j in range(w):
             v = channel[i, j]
-            if v < threshold:
+            if not v >= threshold:
                 continue
             strict = True
             for di in range(-r, r + 1):
@@ -438,3 +451,95 @@ def oracle_ap_101(tp_flags, n_gt):
                 best = max(best, tp / (tp + fp))
         ap += best
     return ap / 101.0
+
+
+def oracle_jittered_template(
+    topo: SkeletonTopology,
+    subtrees: list[tuple[int, list[int]]],
+    rng: np.random.Generator,
+    jitter_deg: float,
+) -> dict[int, tuple[float, float]]:
+    """Template coordinates after rotating each limb's subtree around its src
+    joint by an independent uniform angle (forward kinematics down the tree)."""
+    template = topo.template_pose
+    if template is None:
+        raise ValueError("topology manifest carries no template_pose; cannot synthesize scenes")
+    pos = {pid: (float(x), float(y)) for pid, (x, y) in template.items()}
+    for src, subtree in subtrees:
+        theta = math.radians(rng.uniform(-jitter_deg, jitter_deg))
+        c, s = math.cos(theta), math.sin(theta)
+        ox, oy = pos[src]
+        for pid in subtree:
+            x, y = pos[pid]
+            rx, ry = x - ox, y - oy
+            pos[pid] = (ox + c * rx - s * ry, oy + s * rx + c * ry)
+    return pos
+
+
+def oracle_place_person(
+    topo: SkeletonTopology,
+    subtrees: list[tuple[int, list[int]]],
+    recipe: SceneRecipe,
+    rng: np.random.Generator,
+    placed_boxes: list[tuple[float, float, float, float]],
+    attempts_left: int,
+) -> tuple[dict[int, tuple[float, float]], tuple[float, float, float, float], int]:
+    w, h = recipe.image_size
+    m = EDGE_MARGIN_PX
+    while attempts_left > 0:
+        attempts_left -= 1
+        skel = oracle_jittered_template(topo, subtrees, rng, recipe.jitter_deg)
+        scale = rng.uniform(*recipe.person_scale)
+        theta = math.radians(rng.uniform(-recipe.rotation_deg, recipe.rotation_deg))
+        c, s = math.cos(theta), math.sin(theta)
+        pts = {
+            pid: (scale * (c * x - s * y), scale * (s * x + c * y))
+            for pid, (x, y) in skel.items()
+        }
+        xs = [p[0] for p in pts.values()]
+        ys = [p[1] for p in pts.values()]
+        bw, bh = max(xs) - min(xs), max(ys) - min(ys)
+        if bw >= w - 2 * m or bh >= h - 2 * m:
+            continue
+        ox = rng.uniform(m - min(xs), w - m - max(xs))
+        oy = rng.uniform(m - min(ys), h - m - max(ys))
+        box = (min(xs) + ox, min(ys) + oy, max(xs) + ox, max(ys) + oy)
+        if all(_box_gap(box, other) > recipe.min_separation for other in placed_boxes):
+            return ({pid: (x + ox, y + oy) for pid, (x, y) in pts.items()}, box, attempts_left)
+    raise PackingError(
+        f"could not place {len(placed_boxes) + 1} of {recipe.n_people} people "
+        f"within {recipe.max_attempts} attempts"
+    )
+
+
+def oracle_generate(recipe: SceneRecipe, topo: SkeletonTopology, scene_id: int = 0) -> AnnotatedScene:
+    """synth.generate with the dict-per-attempt placement above: every
+    attempt rebuilds the jittered template as a dict, one scalar angle draw
+    per limb."""
+    if recipe.n_people == 0:
+        return AnnotatedScene(
+            image_size=recipe.image_size, people=[], coverage=recipe.coverage,
+            no_people=True, scene_id=scene_id,
+        )
+    rng = _rng(recipe.seed, scene_id)
+    subtrees = _limb_subtrees(topo)
+    boxes: list[tuple[float, float, float, float]] = []
+    people: list[Person] = []
+    attempts = recipe.max_attempts
+    for _ in range(recipe.n_people):
+        pts, box, attempts = oracle_place_person(topo, subtrees, recipe, rng, boxes, attempts)
+        boxes.append(box)
+        parts: dict[int, tuple[float, float, Visibility]] = {}
+        for part in topo.parts:
+            if part.group not in recipe.coverage:
+                continue
+            p_missing = float(recipe.missing_prob.get(part.group, 0.0))
+            if p_missing > 0.0 and rng.random() < p_missing:
+                continue
+            x, y = pts[part.part_id]
+            parts[part.part_id] = (x, y, Visibility.LABELED)
+        people.append(Person(parts))
+    return AnnotatedScene(
+        image_size=recipe.image_size, people=people, coverage=recipe.coverage,
+        scene_id=scene_id,
+    )

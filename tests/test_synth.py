@@ -1,5 +1,6 @@
 """Scene generator and encode->decode round-trip checks."""
 
+import dataclasses
 import math
 
 import pytest
@@ -11,6 +12,8 @@ from wbpose.encoder import EncoderParams, PartGroup, Visibility, encode
 from wbpose.metrics import EvalPose, gt_poses_from_scene, oks_matrix
 from wbpose.skeleton import default_topology
 from wbpose.synth import EDGE_MARGIN_PX, PackingError, SceneRecipe, generate, roundtrip_report
+
+from oracles import oracle_generate
 
 
 def test_zero_people_scene_is_certified_empty(topo):
@@ -59,8 +62,65 @@ def test_all_keypoints_inside_margin(topo):
 
 
 def test_infeasible_packing_raises(topo):
-    with pytest.raises(PackingError):
-        generate(SceneRecipe(n_people=12, min_separation=200.0, seed=0), topo)
+    recipe = SceneRecipe(n_people=12, min_separation=200.0, seed=0)
+    message = "^could not place 3 of 12 people within 1000 attempts$"
+    with pytest.raises(PackingError, match=message):
+        generate(recipe, topo)
+    with pytest.raises(PackingError, match=message):
+        oracle_generate(recipe, topo)
+
+
+def generate_or_error(recipe, topo, scene_id, fn):
+    try:
+        return fn(recipe, topo, scene_id=scene_id)
+    except PackingError as exc:
+        return str(exc)
+
+
+def assert_same_scene(got, want):
+    """Field by field; people as (part id, (x, y, visibility)) item lists, so
+    coordinates compare with == and dict order counts."""
+    if isinstance(want, str):
+        assert got == want
+        return
+    for f in dataclasses.fields(want):
+        if f.name != "people":
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+    assert [list(p.parts.items()) for p in got.people] == [
+        list(p.parts.items()) for p in want.people
+    ]
+
+
+GROUPS = sorted(PartGroup, key=lambda g: g.value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_people=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+    scene_id=st.integers(0, 1000),
+    image_size=st.sampled_from([(480, 480), (320, 240)]),
+    min_separation=st.sampled_from([0.0, 30.0, 120.0]),
+    # (300, 470) is too big for a 480 px image on some draws and not on
+    # others, so the attempt that skips the offset draws is followed by
+    # one that takes them; (600, 700) never fits.
+    person_scale=st.sampled_from([(45.0, 65.0), (90.0, 130.0), (300.0, 470.0), (600.0, 700.0)]),
+    rotation_deg=st.sampled_from([0.0, 20.0, 180.0]),
+    jitter_deg=st.sampled_from([0.0, 7.5, 15.0]),
+    coverage=st.one_of(st.just(frozenset(PartGroup)), st.frozensets(st.sampled_from(GROUPS))),
+    missing_prob=st.dictionaries(st.sampled_from(GROUPS), st.sampled_from([0.0, 0.3, 1.0])),
+    max_attempts=st.sampled_from([1, 30, 300]),
+)
+def test_generate_equals_dict_placement_oracle(topo, n_people, seed, scene_id, image_size,
+                                               min_separation, person_scale, rotation_deg,
+                                               jitter_deg, coverage, missing_prob, max_attempts):
+    recipe = SceneRecipe(
+        n_people=n_people, image_size=image_size, min_separation=min_separation,
+        person_scale=person_scale, coverage=coverage, missing_prob=missing_prob,
+        rotation_deg=rotation_deg, jitter_deg=jitter_deg, seed=seed, max_attempts=max_attempts,
+    )
+    assert_same_scene(generate_or_error(recipe, topo, scene_id, generate),
+                      generate_or_error(recipe, topo, scene_id, oracle_generate))
 
 
 def test_jitter_cap_enforced():
