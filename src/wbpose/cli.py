@@ -17,6 +17,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import re
 import resource
 import sys
@@ -35,8 +36,6 @@ from .bench import run_bench
 from .decoder import DecodeStats, decode_with_stats
 from .encoder import EncoderParams, encode
 from .formats import (
-    CocoIngestError,
-    DocumentError,
     WbptError,
     from_targets,
     ingest_coco,
@@ -48,18 +47,17 @@ from .formats import (
     to_targets,
     write_wbpt,
 )
+from .jsondoc import DocumentError
 from .loss import multitask_loss
 from .metrics import evaluate
 from .scheduler import (
-    PlanError,
-    RegistryError,
     build_plan,
     default_registry,
     read_plan_jsonl,
     registry_from_json,
     write_plan_jsonl,
 )
-from .skeleton import ManifestError, PartGroup, default_topology, load_topology
+from .skeleton import PartGroup, default_topology, load_topology
 from .synth import PackingError, SceneRecipe, generate, roundtrip_report
 
 EXIT_OK = 0
@@ -115,6 +113,13 @@ def _int_range(text: str) -> list[int]:
     return _int_list(text)
 
 
+def _threshold(text: str) -> float:
+    value = float(text)  # argparse reports a ValueError as an invalid value
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _groups(text: str) -> frozenset[PartGroup]:
     try:
         return frozenset(PartGroup(g.strip()) for g in text.split(",") if g.strip())
@@ -158,8 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("groundtruth", type=Path, help="poses document JSON")
     ev.add_argument("--group", type=_groups, default=None, help="restrict to part groups, e.g. body,foot")
     ev.add_argument("--pr-csv", type=Path, help="write per-threshold precision/recall CSV")
-    ev.add_argument("--min-ap", type=float, default=None, help="gate: exit 1 when AP is below this")
-    ev.add_argument("--min-ar", type=float, default=None, help="gate: exit 1 when AR is below this")
+    ev.add_argument("--min-ap", type=_threshold, default=None, help="gate: exit 1 when AP is below this")
+    ev.add_argument("--min-ar", type=_threshold, default=None, help="gate: exit 1 when AR is below this")
 
     # Scene options shared by synth and roundtrip. An option left out never
     # reaches the namespace, so SceneRecipe's default applies (see _recipe).
@@ -180,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     rt = sub.add_parser("roundtrip", parents=[scene], help="decode(encode(scene)) fidelity gate")
     rt.add_argument("--n-scenes", type=_count, default=20)
     rt.add_argument("--n-people", type=_int_range, default=[1, 2, 3], metavar="LIST|A..B")
-    rt.add_argument("--tol-cells", type=float, default=0.5)
+    rt.add_argument("--tol-cells", type=_threshold, default=0.5)
 
     sp = sub.add_parser("sample-plan", help="deterministic training-batch plan as JSON lines")
     sp.add_argument("--batches", type=int, default=10)
@@ -470,8 +475,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return _HANDLERS[args.command](args)
-    except (WbptError, CocoIngestError, DocumentError, ManifestError, RegistryError,
-            PlanError, json.JSONDecodeError, OSError) as e:
+    except (WbptError, DocumentError, json.JSONDecodeError, OSError) as e:
         print(f"wbpose: {e}", file=sys.stderr)
         return EXIT_IO
     except (UsageError, PackingError, MalformedSpec, ValueError) as e:

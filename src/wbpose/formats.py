@@ -23,9 +23,8 @@ need the topology to slice the payload.
 from __future__ import annotations
 
 import json
-import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Mapping, Sequence
 
@@ -34,6 +33,7 @@ import numpy as np
 from . import __version__
 from .decoder import Pose
 from .encoder import AnnotatedScene, Person, TargetTensors, Visibility
+from .jsondoc import DocumentError, errors_as, id_keys, read
 from .metrics import EvalPose
 from .skeleton import PartGroup, SkeletonTopology
 
@@ -50,6 +50,9 @@ _HEADER = struct.Struct("<4sIBIIIIB")
 _DIR_ENTRY = struct.Struct("<BI")
 
 COCO_BODY_MAPPING_NAME = "coco_body_mapping.json"
+
+# An unlabeled region of a scene, (x0, y0, x1, y1) in pixels.
+_BOX = tuple[float, float, float, float]
 
 
 class WbptError(ValueError):
@@ -293,47 +296,26 @@ def scene_to_obj(scene: AnnotatedScene) -> dict:
     }
 
 
-class DocumentError(ValueError):
-    """A scenes or poses document holds a value no stage can use."""
-
-
-def _finite(value, *where) -> float:
-    """float(value), refusing the NaN and Infinity that json.loads accepts.
-    The words of where name the value in the error message."""
-    out = float(value)
-    if not math.isfinite(out):
-        raise DocumentError(f"{' '.join(map(str, where))}: {value!r} is not a finite number")
-    return out
-
-
 def scene_from_obj(obj: Mapping) -> AnnotatedScene:
     """The scene of one scenes-document entry. Raises DocumentError on a
-    non-finite coordinate."""
-    scene_id = int(obj.get("scene_id", 0))
-    people = [
-        Person(
-            parts={
-                int(pid): (
-                    _finite(x, "scene", scene_id, "part", pid),
-                    _finite(y, "scene", scene_id, "part", pid),
-                    Visibility(vis),
-                )
-                for pid, (x, y, vis) in p["parts"].items()
-            }
-        )
-        for p in obj.get("people", [])
-    ]
-    return AnnotatedScene(
-        image_size=(int(obj["image_size"][0]), int(obj["image_size"][1])),
-        people=people,
-        coverage=frozenset(PartGroup(g) for g in obj["coverage"]),
-        unlabeled_regions=[
-            tuple(_finite(v, "scene", scene_id, "unlabeled region") for v in box)
-            for box in obj.get("unlabeled_regions", [])
-        ],
-        no_people=bool(obj.get("no_people", False)),
-        scene_id=scene_id,
-    )
+    malformed node, a non-finite coordinate among them."""
+    scene_id = read(read(obj, dict, "scene").get("scene_id", 0), int, "scene_id")
+    where = f"scene {scene_id}"
+    people = []
+    for i, p in enumerate(read(obj.get("people", []), list[dict], where, "people")):
+        parts = id_keys(p.get("parts"), f"{where} person {i} parts")
+        people.append(Person(parts={
+            pid: read(xyv, tuple[float, float, Visibility], f"{where} part {pid}")
+            for pid, xyv in parts.items()
+        }))
+    image_size = read(obj.get("image_size"), tuple[int, int], where, "image_size")
+    coverage = read(obj.get("coverage"), frozenset[PartGroup], where, "coverage")
+    regions = read(obj.get("unlabeled_regions", []), list[_BOX], f"{where} unlabeled region")
+    no_people = read(obj.get("no_people", False), bool, where, "no_people")
+    try:
+        return AnnotatedScene(image_size, people, coverage, regions, no_people, scene_id)
+    except ValueError as exc:  # AnnotatedScene's own consistency check
+        raise DocumentError(f"{where}: {exc}") from None
 
 
 def scenes_document(
@@ -345,7 +327,8 @@ def scenes_document(
 
 
 def scenes_from_document(doc: Mapping) -> list[AnnotatedScene]:
-    return [scene_from_obj(obj) for obj in doc["scenes"]]
+    scenes = read(read(doc, dict, "scenes document").get("scenes"), list, "scenes")
+    return [scene_from_obj(obj) for obj in scenes]
 
 
 def pose_to_obj(pose: Pose, stride: int) -> dict:
@@ -375,22 +358,19 @@ def poses_document(
 
 def poses_from_document(doc: Mapping) -> dict[int, list[EvalPose]]:
     """Pixel-space poses keyed by scene id, ready for the evaluator. Raises
-    DocumentError on a non-finite coordinate or person score."""
+    DocumentError on a malformed node, a non-finite number among them."""
     out: dict[int, list[EvalPose]] = {}
-    for scene_id, poses in doc["poses"].items():
-        out[int(scene_id)] = [
-            EvalPose(
+    for scene_id, poses in id_keys(read(doc, dict, "poses document").get("poses"), "poses").items():
+        out[scene_id] = []
+        for i, p in enumerate(read(poses, list[dict], f"scene {scene_id} poses")):
+            where = f"scene {scene_id} pose {i}"
+            out[scene_id].append(EvalPose(
                 parts={
-                    int(pid): (
-                        _finite(x, "scene", scene_id, "pose", i, "part", pid),
-                        _finite(y, "scene", scene_id, "pose", i, "part", pid),
-                    )
-                    for pid, (x, y, _) in p["parts"].items()
+                    pid: read(xys, tuple[float, float, float], f"{where} part {pid}")[:2]
+                    for pid, xys in id_keys(p.get("parts"), where, "parts").items()
                 },
-                score=_finite(p["person_score"], "scene", scene_id, "pose", i, "person_score"),
-            )
-            for i, p in enumerate(poses)
-        ]
+                score=read(p.get("person_score"), float, where, "person_score"),
+            ))
     return out
 
 
@@ -398,7 +378,7 @@ def poses_from_document(doc: Mapping) -> dict[int, list[EvalPose]]:
 # COCO keypoint ingestion.
 
 
-class CocoIngestError(ValueError):
+class CocoIngestError(DocumentError):
     """A COCO keypoint document does not fit the mapping."""
 
 
@@ -410,6 +390,7 @@ def default_coco_mapping() -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+@errors_as(CocoIngestError)
 def ingest_coco(
     coco: Mapping,
     topo: SkeletonTopology,
@@ -423,73 +404,66 @@ def ingest_coco(
     missing/occluded/labeled.  Crowd annotations contribute their boxes as
     unlabeled regions instead of people; images without annotations become
     explicit no-people scenes.  Scene ids are the COCO image ids and output
-    order follows ascending image id.
+    order follows ascending image id.  CocoIngestError on a malformed node
+    of either document, or a mapping name the topology lacks.
     """
-    if mapping is None:
-        mapping = default_coco_mapping()
+    mapping = read(default_coco_mapping() if mapping is None else mapping, dict, "mapping")
+    category_name = read(mapping.get("category"), str, "mapping category")
+    coverage = read(mapping.get("groups"), frozenset[PartGroup], "mapping groups")
+    names = read(mapping.get("keypoints"), dict, "mapping keypoints")
+    part_id = {p.name: p.part_id for p in topo.parts}
+    for coco_name, ours in names.items():
+        if read(ours, str, "mapping keypoints", coco_name) not in part_id:
+            raise CocoIngestError(f"mapping names {ours!r} for {coco_name!r}, a part the topology lacks")
 
-    category_name = mapping["category"]
-    cat_ids = {c["id"] for c in coco.get("categories", []) if c.get("name") == category_name}
+    coco = read(coco, dict, "COCO document")
+    categories = read(coco.get("categories", []), list[dict], "COCO categories")
+    known_ids = {read(c.get("id"), int, "COCO category id") for c in categories}
+    cat_ids = {c["id"] for c in categories if c.get("name") == category_name}
     if not cat_ids:
         raise CocoIngestError(f"no category named {category_name!r} in the document")
-    known_ids = {c["id"] for c in coco.get("categories", [])}
-
-    name_order = None
-    for c in coco.get("categories", []):
+    name_order = list(names)
+    for c in categories:
         if c["id"] in cat_ids and "keypoints" in c:
-            name_order = list(c["keypoints"])
-    if name_order is None:
-        name_order = list(mapping["keypoints"].keys())
-    part_of_slot: list[int | None] = []
-    for coco_name in name_order:
-        ours = mapping["keypoints"].get(coco_name)
-        part_of_slot.append(topo.part_by_name(ours).part_id if ours is not None else None)
+            name_order = read(c["keypoints"], list[str], f"COCO category {c['id']} keypoints")
+    part_of_slot = [part_id.get(names.get(coco_name)) for coco_name in name_order]
 
-    coverage = frozenset(PartGroup(g) for g in mapping["groups"])
-
-    by_image: dict[int, list[Mapping]] = {img["id"]: [] for img in coco["images"]}
-    for ann in coco.get("annotations", []):
-        cid = ann.get("category_id")
+    by_id: dict[int, AnnotatedScene] = {}
+    for img in read(coco.get("images"), list[dict], "COCO images"):
+        img_id = read(img.get("id"), int, "COCO image id")
+        if img_id in by_id:
+            raise CocoIngestError(f"two images have id {img_id}")
+        size = read([img.get("width"), img.get("height")], tuple[int, int], f"image {img_id} size")
+        by_id[img_id] = AnnotatedScene(size, [], coverage, scene_id=img_id)
+    for ann in read(coco.get("annotations", []), list[dict], "COCO annotations"):
+        where = f"annotation {ann.get('id')}"
+        cid = read(ann.get("category_id"), int, where, "category_id")
         if cid not in known_ids:
-            raise CocoIngestError(f"annotation {ann.get('id')} has unknown category id {cid}")
+            raise CocoIngestError(f"{where} has unknown category id {cid}")
         if cid not in cat_ids:
             continue
-        if ann["image_id"] not in by_image:
-            raise CocoIngestError(f"annotation {ann.get('id')} references missing image {ann['image_id']}")
-        by_image[ann["image_id"]].append(ann)
-
-    scenes = []
-    for img in sorted(coco["images"], key=lambda im: im["id"]):
-        people: list[Person] = []
-        regions: list[tuple[float, float, float, float]] = []
-        for ann in by_image[img["id"]]:
-            if ann.get("iscrowd", 0):
-                x, y, w, h = ann["bbox"]
-                regions.append((float(x), float(y), float(x + w), float(y + h)))
-                continue
-            kp = ann["keypoints"]
-            if len(kp) != 3 * len(part_of_slot):
-                raise CocoIngestError(
-                    f"annotation {ann.get('id')} has {len(kp)} keypoint values, "
-                    f"expected {3 * len(part_of_slot)}"
-                )
-            parts: dict[int, tuple[float, float, Visibility]] = {}
-            for slot, pid in enumerate(part_of_slot):
-                if pid is None:
-                    continue
-                x, y, v = kp[3 * slot : 3 * slot + 3]
-                if int(v) not in _COCO_VIS:
-                    raise CocoIngestError(f"annotation {ann.get('id')} has visibility flag {v}")
-                parts[pid] = (float(x), float(y), _COCO_VIS[int(v)])
-            people.append(Person(parts=parts))
-        scenes.append(
-            AnnotatedScene(
-                image_size=(int(img["width"]), int(img["height"])),
-                people=people,
-                coverage=coverage,
-                unlabeled_regions=regions,
-                no_people=not people and not regions,
-                scene_id=int(img["id"]),
+        image_id = read(ann.get("image_id"), int, where, "image_id")
+        if image_id not in by_id:
+            raise CocoIngestError(f"{where} references missing image {image_id}")
+        if read(ann.get("iscrowd", 0), int, where, "iscrowd"):
+            x, y, w, h = read(ann.get("bbox"), _BOX, where, "bbox")
+            by_id[image_id].unlabeled_regions.append((x, y, x + w, y + h))
+            continue
+        kp = read(ann.get("keypoints"), list, where, "keypoints")
+        if len(kp) != 3 * len(part_of_slot):
+            raise CocoIngestError(
+                f"{where} has {len(kp)} keypoint values, expected {3 * len(part_of_slot)}"
             )
-        )
+        parts: dict[int, tuple[float, float, Visibility]] = {}
+        for slot, pid in enumerate(part_of_slot):
+            if pid is None:
+                continue
+            x, y, v = read(kp[3 * slot : 3 * slot + 3], tuple[float, float, float], where, "keypoints")
+            if v not in _COCO_VIS:
+                raise CocoIngestError(f"{where} has visibility flag {v:g}")
+            parts[pid] = (x, y, _COCO_VIS[v])
+        by_id[image_id].people.append(Person(parts=parts))
+    scenes = [
+        replace(s, no_people=not s.people and not s.unlabeled_regions) for _, s in sorted(by_id.items())
+    ]
     return scenes_document(scenes, topo.manifest_hash, seed)

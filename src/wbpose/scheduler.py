@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .jsondoc import DocumentError, errors_as, from_json, read
 from .skeleton import PartGroup
 
 RNG_ALGORITHM = "numpy-philox4x64/seedseq(seed,counter)"
@@ -28,11 +29,11 @@ RNG_ALGORITHM = "numpy-philox4x64/seedseq(seed,counter)"
 REGISTRY_VERSION = 1
 
 
-class RegistryError(ValueError):
-    pass
+class RegistryError(DocumentError):
+    """A dataset registry is not one this version can plan with."""
 
 
-class PlanError(ValueError):
+class PlanError(DocumentError):
     """A plan file is not a JSON-lines plan this version can replay."""
 
 
@@ -166,74 +167,16 @@ def registry_to_json(registry: Sequence[DatasetSpec]) -> dict:
     }
 
 
-# JSON types that a field annotated str, int, float or bool accepts (bool is
-# not a number). Annotations are strings here: the module is lazily annotated.
-_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
-
-
-def _json_value(annotation: str, value):
-    """value if it is of the JSON type annotation names, or any annotation
-    outside those; a tuple[...] of those types is read from a list (or
-    tuple) of that length. TypeError otherwise."""
-    if annotation.startswith("tuple["):
-        kinds = [k.strip() for k in annotation[len("tuple["):-1].split(",")]
-        if all(k in _JSON_TYPES for k in kinds):
-            if not isinstance(value, (list, tuple)) or len(value) != len(kinds):
-                raise TypeError(f"expected {annotation}, got {value!r}")
-            return tuple(_json_value(k, v) for k, v in zip(kinds, value))
-    if annotation in _JSON_TYPES and (
-        isinstance(value, bool) != (annotation == "bool")
-        or not isinstance(value, _JSON_TYPES[annotation])
-    ):
-        raise TypeError(f"expected {annotation}, got {value!r}")
-    return value
-
-
-def _from_json(cls, doc: Mapping, **convert):
-    """cls built by keyword from a JSON object, so cls declares the keys and
-    their defaults. convert[key] is applied to each key the object holds;
-    str, int, float and bool fields take only values of that JSON type, and
-    tuple[...] fields of those types only a list of that length and those
-    types. A missing, unknown or ill-typed key raises TypeError naming the
-    key."""
-    if not isinstance(doc, Mapping):
-        raise TypeError(f"{doc!r} is not a JSON object")
-    out = dict(doc)
-    for f in fields(cls):
-        if f.name not in out:
-            continue
-        try:
-            if f.name in convert:
-                out[f.name] = convert[f.name](out[f.name])
-            else:
-                out[f.name] = _json_value(f.type, out[f.name])
-        except (TypeError, ValueError) as exc:
-            raise TypeError(f"bad {f.name!r}: {exc}") from exc
-    return cls(**out)
-
-
+@errors_as(RegistryError)
 def registry_from_json(doc: Mapping) -> tuple[DatasetSpec, ...]:
-    if not isinstance(doc, Mapping):
-        raise RegistryError("registry is not a JSON object")
-    if doc.get("registry_version") != REGISTRY_VERSION:
-        raise RegistryError(
-            f"unsupported registry_version {doc.get('registry_version')!r}"
-        )
-    datasets = doc.get("datasets", [])
-    if not isinstance(datasets, list):
-        raise RegistryError("registry datasets is not a JSON list")
+    """The registry of a registry_to_json document; RegistryError on
+    anything else, naming the bad node."""
+    version = read(read(doc, dict, "registry").get("registry_version"), int, "registry_version")
+    if version != REGISTRY_VERSION:
+        raise RegistryError(f"unsupported registry_version {version!r}")
     specs = []
-    for entry in datasets:
-        if not isinstance(entry, Mapping):
-            raise RegistryError(f"dataset entry {entry!r} is not a JSON object")
-        try:
-            specs.append(_from_json(
-                DatasetSpec, entry, special=Special,
-                coverage=lambda groups: frozenset(PartGroup(g) for g in groups),
-                aug=lambda aug: _from_json(AugmentationRanges, aug),
-            ))
-        except (TypeError, ValueError) as exc:
-            raise RegistryError(f"bad dataset entry {entry.get('name', '?')!r}: {exc}") from exc
+    for entry in read(doc.get("datasets", []), list[dict], "registry datasets"):
+        specs.append(from_json(DatasetSpec, entry, f"bad dataset entry {entry.get('name', '?')!r}"))
     registry = tuple(specs)
     validate_registry(registry)
     return registry
@@ -333,35 +276,24 @@ def write_plan_jsonl(plan: SamplePlan, fp: IO[str]) -> None:
         fp.write(json.dumps(asdict(batch)) + "\n")
 
 
+@errors_as(PlanError)
 def read_plan_jsonl(lines: Iterable[str]) -> SamplePlan:
     """Parse a plan written by write_plan_jsonl; PlanError on anything else."""
     it = iter(lines)
     try:
-        header = json.loads(next(it))
+        header = read(json.loads(next(it)), dict, "plan header")
     except StopIteration:
         raise PlanError("empty plan file") from None
-    if not isinstance(header, dict):
-        raise PlanError("plan header is not a JSON object")
     if header.get("rng_algorithm") != RNG_ALGORITHM:
         raise PlanError(f"plan was written with {header.get('rng_algorithm')!r}")
-    for key, kind in (("seed", int), ("batch_size", int), ("registry_hash", str)):
-        if not isinstance(header.get(key), kind):
-            raise PlanError(f"plan header needs {kind.__name__} {key!r}, got {header.get(key)!r}")
-    batches = []
-    for line_no, line in enumerate(it, start=2):
-        if not line.strip():
-            continue
-        try:
-            batches.append(_from_json(BatchPlan, json.loads(line), draws=lambda draws: tuple(
-                _from_json(AugmentationDraw, d) for d in draws
-            )))
-        except TypeError as exc:
-            raise PlanError(
-                f"plan line {line_no}: missing, unknown or ill-typed key: {exc}"
-            ) from exc
-    return SamplePlan(
-        seed=header["seed"],
-        batch_size=header["batch_size"],
-        registry_hash=header["registry_hash"],
-        batches=tuple(batches),
+    seed = read(header.get("seed"), int, "plan header 'seed'")
+    batch_size = read(header.get("batch_size"), int, "plan header 'batch_size'")
+    registry_hash = read(header.get("registry_hash"), str, "plan header 'registry_hash'")
+    if seed < 0 or batch_size < 1:
+        raise PlanError(f"plan header needs seed >= 0 and batch_size >= 1, got {seed}, {batch_size}")
+    batches = tuple(
+        from_json(BatchPlan, json.loads(line), f"plan line {line_no}")
+        for line_no, line in enumerate(it, start=2)
+        if line.strip()
     )
+    return SamplePlan(seed, batch_size, registry_hash, batches)

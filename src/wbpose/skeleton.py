@@ -18,6 +18,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
+from .jsondoc import DocumentError, errors_as, id_keys, read
+
 MANIFEST_VERSION = 1
 
 DEFAULT_MANIFEST_NAME = "wholebody135.json"
@@ -36,7 +38,7 @@ class Side(str, Enum):
     CENTER = "center"
 
 
-class ManifestError(ValueError):
+class ManifestError(DocumentError):
     """A topology manifest failed validation."""
 
 
@@ -133,47 +135,41 @@ def _manifest_hash(manifest: Mapping) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
+@errors_as(ManifestError)
 def load_topology(source: str | Path | Mapping) -> SkeletonTopology:
     """Parse and validate a topology manifest (path or already-parsed dict).
 
-    Raises ManifestError on structural problems (including a limb that
-    closes a cycle: decoding assembles poses over a forest) and
-    DisconnectedGroupError when some part cannot be reached from any body
-    part or anchor.
+    Raises ManifestError on structural problems (including an ill-typed
+    node, and a limb that closes a cycle: decoding assembles poses over a
+    forest) and DisconnectedGroupError when some part cannot be reached
+    from any body part or anchor.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    else:
-        manifest = dict(source)
+            source = json.load(fh)
+    manifest = dict(read(source, dict, "manifest"))
 
-    version = manifest.get("manifest_version")
+    version = read(manifest.get("manifest_version"), int, "manifest_version")
     if version != MANIFEST_VERSION:
         raise ManifestError(f"unsupported manifest_version {version!r}, expected {MANIFEST_VERSION}")
-    for key in ("parts", "limbs", "anchors", "oks_kappa"):
-        if key not in manifest:
-            raise ManifestError(f"manifest missing required key {key!r}")
 
-    raw_parts = manifest["parts"]
+    raw_parts = read(manifest.get("parts"), list[dict], "manifest parts")
     if not raw_parts:
         raise ManifestError("manifest declares no parts")
     seen_ids: set[int] = set()
     seen_names: set[str] = set()
     parts: list[Part] = []
-    for entry in raw_parts:
-        pid = int(entry["id"])
+    for idx, entry in enumerate(raw_parts):
+        pid = read(entry.get("id"), int, f"part {idx} id")
         if pid in seen_ids:
             raise ManifestError(f"duplicate part id {pid}")
         seen_ids.add(pid)
-        name = str(entry["name"])
+        name = read(entry.get("name"), str, f"part {pid} name")
         if name in seen_names:
             raise ManifestError(f"duplicate part name {name!r}")
         seen_names.add(name)
-        try:
-            group = PartGroup(entry["group"])
-            side = Side(entry.get("side", "center"))
-        except ValueError as exc:
-            raise ManifestError(str(exc)) from None
+        group = read(entry.get("group"), PartGroup, f"part {pid} group")
+        side = read(entry.get("side", "center"), Side, f"part {pid} side")
         parts.append(Part(pid, name, group, side))
     n_parts = len(parts)
     if seen_ids != set(range(n_parts)):
@@ -190,11 +186,11 @@ def load_topology(source: str | Path | Mapping) -> SkeletonTopology:
             pid = tree_of[pid]
         return pid
 
-    for idx, entry in enumerate(manifest["limbs"]):
-        lid = int(entry.get("id", idx))
+    for idx, entry in enumerate(read(manifest.get("limbs"), list[dict], "manifest limbs")):
+        lid = read(entry.get("id", idx), int, f"limb {idx} id")
         if lid != idx:
             raise ManifestError(f"limb ids must be contiguous from 0 in order, got {lid} at index {idx}")
-        src, dst = int(entry["src"]), int(entry["dst"])
+        src, dst = (read(entry.get(end), int, f"limb {lid} {end}") for end in ("src", "dst"))
         for ref in (src, dst):
             if ref not in seen_ids:
                 raise ManifestError(f"limb {lid} references unknown part {ref}")
@@ -209,24 +205,22 @@ def load_topology(source: str | Path | Mapping) -> SkeletonTopology:
         limbs.append(Limb(lid, src, dst, group_of[dst]))
 
     anchors: list[Anchor] = []
-    for entry in manifest["anchors"]:
-        pid = int(entry["part"])
+    for idx, entry in enumerate(read(manifest.get("anchors"), list[dict], "manifest anchors")):
+        pid = read(entry.get("part"), int, f"anchor {idx} part")
         if pid not in seen_ids:
             raise ManifestError(f"anchor references unknown part {pid}")
-        ga, gb = (PartGroup(g) for g in entry["groups"])
+        ga, gb = read(entry.get("groups"), tuple[PartGroup, PartGroup], f"anchor part {pid} groups")
         if ga == gb:
             raise ManifestError(f"anchor part {pid} must bridge two distinct groups")
         if group_of[pid] not in (ga, gb):
             raise ManifestError(f"anchor part {pid} does not belong to either bridged group")
         anchors.append(Anchor(pid, ga, gb))
 
-    raw_kappa = manifest["oks_kappa"]
     kappa = [0.0] * n_parts
-    for key, val in raw_kappa.items():
-        pid = int(key)
+    for pid, val in id_keys(manifest.get("oks_kappa"), "manifest oks_kappa").items():
         if pid not in seen_ids:
             raise ManifestError(f"oks_kappa references unknown part {pid}")
-        kappa[pid] = float(val)
+        kappa[pid] = read(val, float, f"oks_kappa of part {pid}")
     for p in parts:
         if not kappa[p.part_id] > 0.0:
             raise ManifestError(f"non-positive oks_kappa for part {p.part_id} ({p.name})")
@@ -245,14 +239,14 @@ def load_topology(source: str | Path | Mapping) -> SkeletonTopology:
             f"groups {orphan_groups} have parts unreachable from any anchor or body part: {orphans[:8]}"
         )
 
+    background = read(manifest.get("background_channel", True), bool, "manifest background_channel")
     template: dict[int, tuple[float, float]] | None = None
-    if "template_pose" in manifest and manifest["template_pose"] is not None:
+    if manifest.get("template_pose") is not None:
         template = {}
-        for key, xy in manifest["template_pose"].items():
-            pid = int(key)
+        for pid, xy in id_keys(manifest["template_pose"], "manifest template_pose").items():
             if pid not in seen_ids:
                 raise ManifestError(f"template_pose references unknown part {pid}")
-            template[pid] = (float(xy[0]), float(xy[1]))
+            template[pid] = read(xy, tuple[float, float], f"template_pose of part {pid}")
         if set(template) != seen_ids:
             raise ManifestError("template_pose must cover every part or be omitted")
 
@@ -261,7 +255,7 @@ def load_topology(source: str | Path | Mapping) -> SkeletonTopology:
         limbs=tuple(limbs),
         anchors=tuple(anchors),
         oks_kappa=tuple(kappa),
-        background_channel=bool(manifest.get("background_channel", True)),
+        background_channel=background,
         template_pose=template,
         manifest_hash=_manifest_hash(manifest),
     )

@@ -1,6 +1,9 @@
 """End-to-end command-line tests: every subcommand, every exit-code class."""
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +13,12 @@ from wbpose import __version__
 from wbpose.archmodel import RuntimeModel, runtime_ratio
 from wbpose.bench import BenchRecord
 from wbpose.cli import DECODE_TOTALS, EXIT_IO, EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, main
-from wbpose.formats import read_wbpt, to_targets
+from wbpose.formats import default_coco_mapping, read_wbpt, to_targets
+
+from conftest import tiny_manifest
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -304,6 +310,64 @@ class TestExitCodes:
     def test_empty_integer_list_is_usage_error(self, capsys, argv):
         assert main(["--quiet"] + argv) == EXIT_USAGE
         assert "expected at least one integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("document, edit, node", [
+        # bool("false") is True, so a cast would load a background channel.
+        ("manifest", lambda m: m.update(background_channel="false"), "background_channel"),
+        ("manifest", lambda m: m["anchors"][0].update(groups=["body"]), "anchor part 2 groups"),
+        # Cast the same way, "false" would certify a scene with people as empty.
+        ("scenes", lambda d: d["scenes"][0].update(no_people="false"), "scene 10: no_people"),
+        # Iterating {} would read zero scenes and exit 0.
+        ("scenes", lambda d: d.update(scenes={}), "scenes: expected list"),
+        ("mapping", lambda m: m["keypoints"].update(nose="snout"), "'snout'"),
+    ], ids=["background-false", "anchor-one-group", "no-people-false", "scenes-object",
+            "unknown-mapped-name"])
+    def test_misread_value_is_format_error(self, capsys, tmp_path, document, edit, node):
+        doc = {
+            "manifest": tiny_manifest(),
+            "scenes": json.loads((DATA / "toy_coco_expected_scenes.json").read_text()),
+            "mapping": default_coco_mapping(),
+        }[document]
+        edit(doc)
+        path = tmp_path / f"{document}.json"
+        path.write_text(json.dumps(doc))
+        argv = {
+            "manifest": ["--manifest", str(path), "arch", "--ratio"],
+            "scenes": ["encode", "--scenes", str(path)],
+            "mapping": ["encode", "--coco", str(DATA / "toy_coco.json"), "--mapping", str(path)],
+        }[document]
+        assert main(["--quiet", *argv]) == EXIT_IO
+        assert node in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "d.json", "g.json", "--min-ap", "nan"],
+        ["eval", "d.json", "g.json", "--min-ar", "NaN"],
+        ["roundtrip", "--tol-cells", "nan"],
+        ["roundtrip", "--tol-cells", "inf"],
+    ])
+    def test_non_finite_gate_is_usage_error(self, capsys, argv):
+        # NaN compares false with everything: --min-ap nan would pass any AP,
+        # and --tol-cells nan would fail every scene.
+        assert main(["--quiet", *argv]) == EXIT_USAGE
+        assert "expected a finite number" in capsys.readouterr().err
+
+    def test_process_exits_3_without_traceback(self, tmp_path):
+        # The other tests call main() in-process; this checks the code the
+        # interpreter actually exits with.
+        doc = json.loads((DATA / "toy_coco_expected_scenes.json").read_text())
+        doc["scenes"][0]["people"] = None
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        )}
+        proc = subprocess.run(
+            [sys.executable, "-m", "wbpose.cli", "--quiet", "encode", "--scenes", str(bad)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == EXIT_IO
+        assert "Traceback" not in proc.stderr
+        assert "scene 10: people: expected list, got None" in proc.stderr
 
     def test_ill_typed_registry_is_format_error(self, capsys, tmp_path):
         from wbpose.scheduler import default_registry, registry_to_json

@@ -1,5 +1,6 @@
 """WBPT container, scenes/poses JSON documents, COCO ingestion."""
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -239,6 +240,36 @@ class TestJsonDocuments:
         assert ep.score == pytest.approx(3.1)
         assert ep.parts[0] == (16.0, 32.0)
         assert ep.parts[5] == (12.0, 2.0)
+
+    @pytest.mark.parametrize("key", ["01", " 1", "1_0", "+1", "-0"])
+    def test_non_canonical_part_key_rejected(self, key):
+        # int() reads each of these keys, "01" as a second part 1 that would
+        # silently replace the first.
+        doc = json.loads(json.dumps(scenes_document(self.scenes(), HASH64)))
+        doc["scenes"][0]["people"][0]["parts"][key] = [5.0, 5.0, "labeled"]
+        with pytest.raises(DocumentError, match=re.escape(f"scene 7 person 0 parts: key '{key}'")):
+            scenes_from_document(doc)
+
+    @pytest.mark.parametrize("edit, node", [
+        (lambda s: s.update(image_size=[True, 80]), "scene 7: image_size: expected int, got True"),
+        (lambda s: s.update(scene_id=False), "scene_id: expected int, got False"),
+        (lambda s: s["people"][0]["parts"]["0"].__setitem__(0, True),
+         "scene 7 part 0: expected float, got True"),
+    ], ids=["image-size", "scene-id", "coordinate"])
+    def test_bool_is_not_a_number(self, edit, node):
+        # JSON true is not 1: Python's bool is an int, so an isinstance test
+        # alone would take it for one.
+        doc = json.loads(json.dumps(scenes_document(self.scenes(), HASH64)))
+        edit(doc["scenes"][0])
+        with pytest.raises(DocumentError, match=re.escape(node)):
+            scenes_from_document(doc)
+
+    @pytest.mark.parametrize("key", ["03", " 3 ", "0_3"])
+    def test_non_canonical_scene_key_rejected(self, key):
+        pose = {"person_score": 1.0, "parts": {"0": [1.0, 2.0, 0.9]}}
+        doc = {"poses": {"3": [pose], key: [pose, pose]}}
+        with pytest.raises(DocumentError, match=re.escape(f"poses: key '{key}' is not a canonical")):
+            poses_from_document(doc)
 
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_values_rejected(self, bad):

@@ -108,6 +108,28 @@ def test_nonpositive_kappa_rejected():
         load_topology(m)
 
 
+@pytest.mark.parametrize("table", ["oks_kappa", "template_pose"])
+def test_non_canonical_part_key_rejected(table):
+    # int("00") is 0, so this key would silently override part 0's entry.
+    m = tiny_manifest()
+    m[table]["00"] = m[table]["0"]
+    with pytest.raises(ManifestError, match=f"manifest {table}: key '00' is not a canonical"):
+        load_topology(m)
+
+
+@pytest.mark.parametrize("key, value, node", [
+    ("background_channel", "false", "manifest background_channel"),  # bool("false") is True
+    ("anchors", [{"part": 2, "groups": ["body"]}], "anchor part 2 groups"),
+    ("limbs", [{}], "limb 0 src"),
+    ("oks_kappa", {"0": None}, "oks_kappa of part 0"),
+])
+def test_ill_typed_manifest_node_is_named(key, value, node):
+    m = tiny_manifest()
+    m[key] = value
+    with pytest.raises(ManifestError, match=node):
+        load_topology(m)
+
+
 def test_disconnected_group_rejected():
     # Foot parts chained to each other but never attached to the body and
     # with no anchor declared: nothing can reach them.
