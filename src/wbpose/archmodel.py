@@ -43,14 +43,6 @@ class ArchSpec:
     n_blocks: int
     widths: tuple[int, ...]  # one per stage
 
-    @property
-    def text(self) -> str:
-        if len(set(self.widths)) == 1:
-            w = f"{self.widths[0]}w"
-        else:
-            w = f"{self.widths[0]}-{self.widths[-1]}w"
-        return f"{self.n_stages}s, {self.n_blocks}b, {w}"
-
 
 def parse_config(text: str) -> ArchSpec:
     """Parse "3s, 8b, 96-256w" style strings.
@@ -85,8 +77,8 @@ class Layer:
             raise ValueError(f"unknown layer kind {self.kind!r}")
 
 
-def conv(kernel: int, in_ch: int, out_ch: int, stride: int = 1) -> Layer:
-    return Layer("conv", kernel, stride, in_ch, out_ch)
+def conv(kernel: int, in_ch: int, out_ch: int) -> Layer:
+    return Layer("conv", kernel, 1, in_ch, out_ch)
 
 
 def pool(kernel: int = 2, stride: int = 2) -> Layer:
@@ -246,8 +238,8 @@ class CostEstimate:
 def cost_estimate(graph: StageGraph) -> CostEstimate:
     """Parameters and multiply-accumulates at the graph's input resolution.
 
-    Convs cost k^2 * c_in * c_out per output pixel (plus bias parameters);
-    pools are free but halve the operating resolution.
+    Convs (all stride 1) cost k^2 * c_in * c_out per output pixel (plus bias
+    parameters); pools are free but halve the operating resolution.
     """
     h = w = graph.input_resolution
     per_segment: dict[str, SegmentCost] = {}
@@ -261,9 +253,6 @@ def cost_estimate(graph: StageGraph) -> CostEstimate:
                 h = -(-h // layer.stride)
                 w = -(-w // layer.stride)
                 continue
-            if layer.stride != 1:
-                h = -(-h // layer.stride)
-                w = -(-w // layer.stride)
             seg_params += layer.kernel**2 * layer.in_channels * layer.out_channels
             seg_params += layer.out_channels
             seg_macs += conv_macs(layer.kernel, layer.in_channels, layer.out_channels, h, w)

@@ -9,7 +9,8 @@ are attributable and replayable, and the process's peak_rss_mb. Tables
 (bench records, arch --ratio rows) are lists inside that document.
 
 Exit codes: 0 success, 1 a tolerance gate failed (roundtrip/eval/sample-plan
---check), 2 usage error, 3 I/O or format error.
+--check), 2 usage error, 3 I/O or format error (a file made against another
+topology among them).
 """
 from __future__ import annotations
 
@@ -248,6 +249,31 @@ def _check_hash(topo, file_hash: str, path: Path) -> None:
         )
 
 
+def _check_part_ids(topo, parts, where: str) -> None:
+    """The library readers take no topology, and the encoder and evaluator
+    skip ids outside it, so the commands refuse them here."""
+    for pid in parts:
+        if not 0 <= pid < topo.n_parts:
+            raise DocumentError(f"{where} part {pid}: the topology has part ids 0..{topo.n_parts - 1}")
+
+
+def _read_poses(topo, path: Path) -> dict:
+    """The poses document at path, refused when it names another manifest
+    or a part id outside the active topology."""
+    doc = _read_json(path)
+    poses = poses_from_document(doc)
+    file_hash = doc.get("manifest_hash", topo.manifest_hash)
+    if file_hash != topo.manifest_hash:
+        raise DocumentError(
+            f"{path} was decoded against manifest {str(file_hash)[:12]}..., "
+            f"the active topology is {topo.manifest_hash[:12]}..."
+        )
+    for scene_id, scene_poses in poses.items():
+        for i, pose in enumerate(scene_poses):
+            _check_part_ids(topo, pose.parts, f"{path}: scene {scene_id} pose {i}")
+    return poses
+
+
 def cmd_encode(args) -> int:
     topo = _topology(args)
     if args.coco is not None:
@@ -256,6 +282,10 @@ def cmd_encode(args) -> int:
     else:
         doc = _read_json(args.scenes)
     scenes = scenes_from_document(doc)
+    source = args.scenes or args.coco
+    for scene in scenes:
+        for i, person in enumerate(scene.people):
+            _check_part_ids(topo, person.parts, f"{source}: scene {scene.scene_id} person {i}")
     if args.scenes_out:
         _write_json(args.scenes_out, scenes_document(scenes, topo.manifest_hash, args.seed))
     params = EncoderParams(stride=args.stride)
@@ -323,8 +353,8 @@ def cmd_loss(args) -> int:
 
 def cmd_eval(args) -> int:
     topo = _topology(args)
-    det_doc = poses_from_document(_read_json(args.detections))
-    gt_doc = poses_from_document(_read_json(args.groundtruth))
+    det_doc = _read_poses(topo, args.detections)
+    gt_doc = _read_poses(topo, args.groundtruth)
     scene_ids = sorted(set(det_doc) | set(gt_doc))
     dets = [det_doc.get(sid, []) for sid in scene_ids]
     # The evaluator ignores the score of a ground-truth pose.

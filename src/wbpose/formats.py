@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .decoder import Pose
 from .encoder import AnnotatedScene, Person, TargetTensors, Visibility
-from .jsondoc import DocumentError, errors_as, id_keys, read
+from .jsondoc import DocumentError, errors_as, id_keys, read, read_at_least
 from .metrics import EvalPose
 from .skeleton import PartGroup, SkeletonTopology
 
@@ -298,8 +298,9 @@ def scene_to_obj(scene: AnnotatedScene) -> dict:
 
 def scene_from_obj(obj: Mapping) -> AnnotatedScene:
     """The scene of one scenes-document entry. Raises DocumentError on a
-    malformed node, a non-finite coordinate among them."""
-    scene_id = read(read(obj, dict, "scene").get("scene_id", 0), int, "scene_id")
+    malformed node: a non-finite coordinate, a negative scene_id or an
+    image_size side below 1 px among them."""
+    scene_id = read_at_least(read(obj, dict, "scene").get("scene_id", 0), int, 0, "scene_id")
     where = f"scene {scene_id}"
     people = []
     for i, p in enumerate(read(obj.get("people", []), list[dict], where, "people")):
@@ -308,7 +309,7 @@ def scene_from_obj(obj: Mapping) -> AnnotatedScene:
             pid: read(xyv, tuple[float, float, Visibility], f"{where} part {pid}")
             for pid, xyv in parts.items()
         }))
-    image_size = read(obj.get("image_size"), tuple[int, int], where, "image_size")
+    image_size = read_at_least(obj.get("image_size"), tuple[int, int], 1, where, "image_size")
     coverage = read(obj.get("coverage"), frozenset[PartGroup], where, "coverage")
     regions = read(obj.get("unlabeled_regions", []), list[_BOX], f"{where} unlabeled region")
     no_people = read(obj.get("no_people", False), bool, where, "no_people")
@@ -405,7 +406,8 @@ def ingest_coco(
     unlabeled regions instead of people; images without annotations become
     explicit no-people scenes.  Scene ids are the COCO image ids and output
     order follows ascending image id.  CocoIngestError on a malformed node
-    of either document, or a mapping name the topology lacks.
+    of either document (a negative image id, or a width or height below
+    1 px, among them), or a mapping name the topology lacks.
     """
     mapping = read(default_coco_mapping() if mapping is None else mapping, dict, "mapping")
     category_name = read(mapping.get("category"), str, "mapping category")
@@ -430,10 +432,12 @@ def ingest_coco(
 
     by_id: dict[int, AnnotatedScene] = {}
     for img in read(coco.get("images"), list[dict], "COCO images"):
-        img_id = read(img.get("id"), int, "COCO image id")
+        img_id = read_at_least(img.get("id"), int, 0, "COCO image id")
         if img_id in by_id:
             raise CocoIngestError(f"two images have id {img_id}")
-        size = read([img.get("width"), img.get("height")], tuple[int, int], f"image {img_id} size")
+        size = read_at_least(
+            [img.get("width"), img.get("height")], tuple[int, int], 1, f"image {img_id} size"
+        )
         by_id[img_id] = AnnotatedScene(size, [], coverage, scene_id=img_id)
     for ann in read(coco.get("annotations", []), list[dict], "COCO annotations"):
         where = f"annotation {ann.get('id')}"

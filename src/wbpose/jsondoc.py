@@ -60,6 +60,15 @@ def read(value, kind, *where):
     raise _error(where, f"expected {expected}, got {value!r}")
 
 
+def read_at_least(value, kind, low, *where):
+    """read(value, kind, *where), where kind is int or a tuple of ints, each
+    of which must be at least low."""
+    out = read(value, kind, *where)
+    if min(out if isinstance(out, tuple) else (out,)) < low:
+        raise _error(where, f"expected at least {low}, got {value!r}")
+    return out
+
+
 def id_keys(obj, *where) -> dict:
     """obj, a JSON object keyed by integer ids, as {id: value}. Each key
     must be the canonical decimal of its id ("7", not "07", " 7" or "7_0"),

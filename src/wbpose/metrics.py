@@ -1,6 +1,7 @@
 """Keypoint evaluation in the COCO style: OKS similarity, greedy matching of
-detections to ground truth per scene, AP / AR over the canonical threshold
-grid, restrictable to any part-group subset (body, foot, face, hand).
+detections to ground truth per scene (match_scene, which the round-trip
+check shares), AP / AR over the canonical threshold grid, restrictable to
+any part-group subset (body, foot, face, hand).
 
 Keypoint similarity is exp(-d^2 / (2 * s^2 * kappa^2)) averaged over the
 labeled parts of the ground-truth pose, with s the square root of the
@@ -103,12 +104,6 @@ def _bbox_areas(xy: np.ndarray, has: np.ndarray) -> np.ndarray:
     return np.maximum(span[0] * span[1], 1.0)
 
 
-def pose_bbox_area(parts: Mapping[int, tuple[float, float]]) -> float:
-    """Bounding-box area of the given points, floored at 1 px^2."""
-    xy = np.array(list(parts.values()), dtype=np.float64).reshape(-1, 2).T[:, :, None]
-    return float(_bbox_areas(xy, np.ones(xy.shape[1:], dtype=bool))[0])
-
-
 # exp() of any argument below this is 0.0 in float64.
 _EXP_UNDERFLOW = -746.0
 
@@ -143,51 +138,6 @@ def _oks_columns(
     return mat
 
 
-def _require_parts(gt_has: np.ndarray) -> None:
-    if not gt_has.any(axis=0).all():
-        raise ValueError("ground-truth pose has no labeled parts in the requested subset")
-
-
-def oks(
-    det: Mapping[int, tuple[float, float]],
-    gt: Mapping[int, tuple[float, float]],
-    gt_area: float,
-    topo: SkeletonTopology,
-    group: Iterable[PartGroup] | None = None,
-) -> float:
-    """Object keypoint similarity of a detection against one ground truth.
-
-    gt must contain only labeled parts; parts outside the group subset are
-    ignored. A part missing from det contributes 0 to the sum. Raises
-    ValueError when the subset leaves no labeled ground-truth parts.
-    """
-    if gt_area <= 0.0:
-        raise ValueError("gt_area must be positive")
-    subset = _subset_mask(topo, group)
-    gt_xy, gt_has = _pose_arrays([gt], subset)
-    _require_parts(gt_has)
-    det_xy, _ = _pose_arrays([det], subset)
-    kappa = np.asarray(topo.oks_kappa, dtype=np.float64)
-    return float(_oks_columns(det_xy, gt_xy, gt_has, np.array([gt_area]), kappa)[0, 0])
-
-
-def oks_matrix(
-    dets: Sequence[EvalPose],
-    gts: Sequence[EvalPose],
-    topo: SkeletonTopology,
-    group: Iterable[PartGroup] | None = None,
-) -> np.ndarray:
-    """OKS of every detection (rows) against every ground truth (columns),
-    each ground truth scaled by the bounding-box area of its parts in the
-    subset. Raises ValueError when a ground truth has no part in the subset."""
-    subset = _subset_mask(topo, group)
-    gt_xy, gt_has = _pose_arrays([g.parts for g in gts], subset)
-    _require_parts(gt_has)
-    det_xy, _ = _pose_arrays([d.parts for d in dets], subset)
-    kappa = np.asarray(topo.oks_kappa, dtype=np.float64)
-    return _oks_columns(det_xy, gt_xy, gt_has, _bbox_areas(gt_xy, gt_has), kappa)
-
-
 def gt_poses_from_scene(scene: AnnotatedScene) -> list[EvalPose]:
     """Ground-truth poses (labeled and occluded parts, pixel coordinates)."""
     return [EvalPose(parts=person.annotated()) for person in scene.people]
@@ -220,6 +170,35 @@ def greedy_match(oks: np.ndarray, thresholds: Sequence[float]) -> np.ndarray:
     return matched
 
 
+def match_scene(
+    dets: Sequence[EvalPose],
+    gts: Sequence[EvalPose],
+    topo: SkeletonTopology,
+    thresholds: Sequence[float],
+    group: Iterable[PartGroup] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """OKS matching of one scene's detections to its ground truths, the one
+    matcher behind evaluate and the round-trip check. Returns
+    (order, kept, oks, matched):
+
+    - order: the detection indices by descending score (stable);
+    - kept: the indices of the ground truths with a part in the subset,
+      the only ones matched;
+    - oks: (len(order), len(kept)) OKS, rows in rank order, each ground
+      truth scaled by the bounding-box area of its parts in the subset;
+    - matched: greedy_match of oks at each threshold, columns of oks.
+    """
+    subset = _subset_mask(topo, group)
+    gt_xy, gt_has = _pose_arrays([g.parts for g in gts], subset)
+    kept = np.flatnonzero(gt_has.any(axis=0))
+    gt_xy, gt_has = gt_xy[:, :, kept], gt_has[:, kept]
+    order = np.argsort(-np.array([d.score for d in dets], dtype=np.float64), kind="stable")
+    det_xy, _ = _pose_arrays([dets[i].parts for i in order], subset)
+    kappa = np.asarray(topo.oks_kappa, dtype=np.float64)
+    oks = _oks_columns(det_xy, gt_xy, gt_has, _bbox_areas(gt_xy, gt_has), kappa)
+    return order, kept, oks, greedy_match(oks, thresholds)
+
+
 def evaluate(
     dets: Sequence[Sequence[EvalPose]],
     gts: Sequence[Sequence[EvalPose]],
@@ -238,25 +217,14 @@ def evaluate(
     if len(dets) != len(gts):
         raise ValueError(f"scene count mismatch: {len(dets)} det scenes vs {len(gts)} gt scenes")
     groups = frozenset(group) if group is not None else frozenset(PartGroup)
-    subset = _subset_mask(topo, groups)
-    kappa = np.asarray(topo.oks_kappa, dtype=np.float64)
-
-    # Per scene: detections by descending score (stable), the OKS matrix
-    # against the ground truths with parts in the subset, and its matches.
     scene_scores = [np.zeros(0)]
     scene_matches = [np.zeros((len(OKS_THRESHOLDS), 0), dtype=np.intp)]
     n_gt_total = 0
     for scene_dets, scene_gts in zip(dets, gts):
-        gt_xy, gt_has = _pose_arrays([g.parts for g in scene_gts], subset)
-        kept = gt_has.any(axis=0)
-        gt_xy, gt_has = gt_xy[:, :, kept], gt_has[:, kept]
-        n_gt_total += int(kept.sum())
-        scores = np.array([d.score for d in scene_dets], dtype=np.float64)
-        order = np.argsort(-scores, kind="stable")
-        det_xy, _ = _pose_arrays([scene_dets[i].parts for i in order], subset)
-        mat = _oks_columns(det_xy, gt_xy, gt_has, _bbox_areas(gt_xy, gt_has), kappa)
-        scene_matches.append(greedy_match(mat, OKS_THRESHOLDS))
-        scene_scores.append(scores[order])
+        order, kept, _, matched = match_scene(scene_dets, scene_gts, topo, OKS_THRESHOLDS, groups)
+        n_gt_total += len(kept)
+        scene_matches.append(matched)
+        scene_scores.append(np.array([d.score for d in scene_dets], dtype=np.float64)[order])
 
     # All detections by descending score; ties keep scene, then rank, order.
     scores = np.concatenate(scene_scores)

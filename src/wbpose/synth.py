@@ -26,7 +26,7 @@ import numpy as np
 
 from .decoder import DecodeStats, decode_with_stats
 from .encoder import AnnotatedScene, EncoderParams, Person, Visibility, encode
-from .metrics import EvalPose, greedy_match, gt_poses_from_scene, oks_matrix
+from .metrics import EvalPose, gt_poses_from_scene, match_scene
 from .skeleton import PartGroup, SkeletonTopology
 
 
@@ -231,24 +231,21 @@ def roundtrip_report(
     # The evaluator's matching: poses by descending score, each to the
     # unmatched person with the highest OKS above _FOUND_OKS.
     stride = enc_params.stride
-    order = sorted(range(len(poses)), key=lambda i: (-poses[i].person_score, i))
     dets = [
-        EvalPose({pid: (x * stride, y * stride) for pid, (x, y, _) in poses[i].parts.items()})
-        for i in order
+        EvalPose({pid: (x * stride, y * stride) for pid, (x, y, _) in p.parts.items()}, p.person_score)
+        for p in poses
     ]
     truths = gt_poses_from_scene(scene)
-    labeled = [gi for gi, t in enumerate(truths) if t.parts]
-    oks = oks_matrix(dets, [truths[gi] for gi in labeled], topo)
-    matched = greedy_match(oks, (_FOUND_OKS,))[0].tolist()
+    order, kept, _, matched = match_scene(dets, truths, topo, (_FOUND_OKS,))
 
     errors: list[float] = []
     part_count_ok = True
     n_found = 0
-    for di, col in enumerate(matched):
+    for di, col in zip(order.tolist(), matched[0].tolist()):
         if col < 0:
             continue
         n_found += 1
-        got, truth = poses[order[di]].parts, truths[labeled[col]].parts
+        got, truth = poses[di].parts, truths[kept[col]].parts
         if set(got) != set(truth):
             part_count_ok = False
         for pid, (tx, ty) in truth.items():

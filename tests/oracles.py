@@ -408,6 +408,15 @@ def oracle_oks(det_parts, gt_parts, gt_area, kappa, part_ids):
     return total / count
 
 
+def oracle_bbox_area(parts):
+    """Bounding-box area of the given points, floored at 1 px^2."""
+    if not parts:
+        return 1.0
+    xs = [x for x, _ in parts.values()]
+    ys = [y for _, y in parts.values()]
+    return max((max(xs) - min(xs)) * (max(ys) - min(ys)), 1.0)
+
+
 def oracle_greedy_oks_assign(det_list, gt_list, oks_fn, threshold):
     """Greedy matching by descending score, explicit loops.
 

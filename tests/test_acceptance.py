@@ -16,6 +16,7 @@ from scipy import stats
 
 from oracles import (
     oracle_ap_101,
+    oracle_bbox_area,
     oracle_greedy_oks_match,
     oracle_oks,
     oracle_receptive_field,
@@ -42,7 +43,7 @@ from wbpose.formats import (
     to_bytes,
 )
 from wbpose.loss import loss_gradient, masked_l2, multitask_loss
-from wbpose.metrics import OKS_THRESHOLDS, EvalPose, evaluate, pose_bbox_area
+from wbpose.metrics import OKS_THRESHOLDS, EvalPose, evaluate
 from wbpose.scheduler import (
     RngState,
     build_plan,
@@ -233,7 +234,7 @@ def test_criterion_5_metric_oracle(tiny_topo):
     kappa = {p.part_id: tiny_topo.oks_kappa[p.part_id] for p in tiny_topo.parts}
 
     def oks_fn(det_parts, gt_parts):
-        return oracle_oks(det_parts, gt_parts, pose_bbox_area(gt_parts), kappa,
+        return oracle_oks(det_parts, gt_parts, oracle_bbox_area(gt_parts), kappa,
                           part_ids=sorted(gt_parts))
 
     def random_pose(labelled_ids):

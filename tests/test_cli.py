@@ -261,6 +261,37 @@ class TestExitCodes:
         write_wbpt(path, f)
         assert main(["--quiet", "decode", str(path)]) == EXIT_IO
 
+    def test_eval_of_poses_from_another_topology_is_format_error(self, capsys, tmp_path, tiny_topo):
+        from wbpose.encoder import AnnotatedScene, Person, Visibility, encode
+        from wbpose.formats import from_targets, write_wbpt
+        from wbpose.skeleton import PartGroup
+
+        scene = AnnotatedScene(
+            image_size=(64, 64),
+            people=[Person(parts={0: (30.0, 20.0, Visibility.LABELED)})],
+            coverage=frozenset({PartGroup.BODY, PartGroup.FOOT}),
+        )
+        tensors, poses, manifest = (tmp_path / n for n in ("scene_000000.wbpt", "p.json", "tiny.json"))
+        write_wbpt(tensors, from_targets(encode(scene, tiny_topo), tiny_topo.manifest_hash))
+        manifest.write_text(json.dumps(tiny_manifest()))
+        tiny = ["--quiet", "--manifest", str(manifest)]
+        assert main(tiny + ["decode", str(tensors), "--out", str(poses)]) == EXIT_OK
+        assert main(tiny + ["eval", str(poses), str(poses)]) == EXIT_OK
+        assert main(["--quiet", "eval", str(poses), str(poses)]) == EXIT_IO
+        assert f"{poses} was decoded against manifest {tiny_topo.manifest_hash[:12]}" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("side", ["detections", "groundtruth"])
+    def test_eval_of_unknown_part_id_is_format_error(self, pipeline, capsys, tmp_path, side):
+        good = pipeline / "poses.json"
+        doc = json.loads(good.read_text())
+        doc["poses"]["1"][0]["parts"]["999"] = [5.0, 5.0, 1.0]
+        bad = tmp_path / "alien_part.json"
+        bad.write_text(json.dumps(doc))
+        files = [bad, good] if side == "detections" else [good, bad]
+        assert main(["--quiet", "eval", *map(str, files)]) == EXIT_IO
+        assert f"{bad}: scene 1 pose 0 part 999" in capsys.readouterr().err
+
     def test_cyclic_manifest_is_format_error(self, capsys, tmp_path):
         manifest = {
             "manifest_version": 1,
@@ -320,13 +351,26 @@ class TestExitCodes:
         # Iterating {} would read zero scenes and exit 0.
         ("scenes", lambda d: d.update(scenes={}), "scenes: expected list"),
         ("mapping", lambda m: m["keypoints"].update(nose="snout"), "'snout'"),
+        # scene_-00005.wbpt would decode back as scene 5.
+        ("scenes", lambda d: d["scenes"][0].update(scene_id=-5), "scene_id: expected at least 0"),
+        ("coco", lambda c: [c["images"][0].update(id=-5), c["annotations"][0].update(image_id=-5)],
+         "COCO image id: expected at least 0"),
+        # Each would encode to empty maps.
+        ("scenes", lambda d: d["scenes"][0].update(image_size=[0, 0]), "scene 10: image_size"),
+        ("scenes", lambda d: d["scenes"][0].update(image_size=[-1, 150]), "scene 10: image_size"),
+        ("coco", lambda c: c["images"][0].update(width=0), "image 10 size: expected at least 1"),
+        # The encoder would skip a part the topology lacks.
+        ("scenes", lambda d: d["scenes"][0]["people"][0]["parts"].update({"999": [5.0, 5.0, "labeled"]}),
+         "scene 10 person 0 part 999"),
     ], ids=["background-false", "anchor-one-group", "no-people-false", "scenes-object",
-            "unknown-mapped-name"])
+            "unknown-mapped-name", "negative-scene-id", "negative-image-id", "zero-image-size",
+            "negative-image-width", "zero-coco-width", "unknown-scene-part"])
     def test_misread_value_is_format_error(self, capsys, tmp_path, document, edit, node):
         doc = {
             "manifest": tiny_manifest(),
             "scenes": json.loads((DATA / "toy_coco_expected_scenes.json").read_text()),
             "mapping": default_coco_mapping(),
+            "coco": json.loads((DATA / "toy_coco.json").read_text()),
         }[document]
         edit(doc)
         path = tmp_path / f"{document}.json"
@@ -335,6 +379,7 @@ class TestExitCodes:
             "manifest": ["--manifest", str(path), "arch", "--ratio"],
             "scenes": ["encode", "--scenes", str(path)],
             "mapping": ["encode", "--coco", str(DATA / "toy_coco.json"), "--mapping", str(path)],
+            "coco": ["encode", "--coco", str(path)],
         }[document]
         assert main(["--quiet", *argv]) == EXIT_IO
         assert node in capsys.readouterr().err

@@ -7,53 +7,79 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_ap_101, oracle_greedy_oks_assign, oracle_greedy_oks_match, oracle_oks
-from wbpose.metrics import (
-    OKS_THRESHOLDS,
-    EvalPose,
-    evaluate,
-    greedy_match,
-    oks,
-    oks_matrix,
-    pose_bbox_area,
+from oracles import (
+    oracle_ap_101,
+    oracle_bbox_area,
+    oracle_greedy_oks_assign,
+    oracle_greedy_oks_match,
+    oracle_oks,
 )
+from wbpose.metrics import OKS_THRESHOLDS, EvalPose, evaluate, match_scene
 from wbpose.skeleton import PartGroup, default_topology
+
+
+def _oks(det, gt, topo, group=None):
+    """OKS of one detection against one ground truth, read from
+    match_scene's matrix."""
+    _, _, mat, _ = match_scene([EvalPose(det, 1.0)], [EvalPose(gt)], topo, OKS_THRESHOLDS, group)
+    return float(mat[0, 0])
 
 
 def test_oks_identical_poses_is_one(tiny_topo):
     pose = {0: (10.0, 20.0), 1: (30.0, 40.0), 2: (50.0, 60.0)}
-    assert oks(pose, pose, 100.0, tiny_topo) == 1.0
+    assert _oks(pose, pose, tiny_topo) == 1.0
 
 
 def test_oks_distant_detection_vanishes(tiny_topo):
     gt = {0: (10.0, 20.0)}
     det = {0: (1e6, 1e6)}
-    assert oks(det, gt, 100.0, tiny_topo) < 1e-300
+    assert _oks(det, gt, tiny_topo) < 1e-300
 
 
 def test_oks_three_part_case_matches_summation_oracle(tiny_topo):
     # Hand-set distances; value frozen against the per-term scalar oracle.
     gt = {0: (100.0, 100.0), 1: (150.0, 100.0), 2: (100.0, 180.0)}
     det = {0: (103.0, 104.0), 1: (150.0, 100.0), 2: (90.0, 180.0)}
-    area = 4000.0
+    area = 4000.0  # the 50 x 80 px bounding box of gt
+    assert oracle_bbox_area(gt) == area
     kappa = {p.part_id: tiny_topo.oks_kappa[p.part_id] for p in tiny_topo.parts}
     expected = oracle_oks(det, gt, area, kappa, part_ids=[0, 1, 2])
-    got = oks(det, gt, area, tiny_topo)
+    got = _oks(det, gt, tiny_topo)
     assert got == pytest.approx(expected, abs=1e-12)
 
 
 def test_oks_missing_detected_part_contributes_zero(tiny_topo):
     gt = {0: (10.0, 10.0), 1: (20.0, 20.0)}
     det = {0: (10.0, 10.0)}
-    assert oks(det, gt, 50.0, tiny_topo) == pytest.approx(0.5)
+    assert _oks(det, gt, tiny_topo) == pytest.approx(0.5)
 
 
-def test_oks_requires_labeled_parts_in_subset(tiny_topo):
-    gt = {0: (10.0, 10.0)}  # part 0 is body; ask for foot only
-    with pytest.raises(ValueError):
-        oks(gt, gt, 50.0, tiny_topo, group={PartGroup.FOOT})
-    with pytest.raises(ValueError):
-        oks(gt, gt, 0.0, tiny_topo)
+def test_gt_without_parts_in_subset_is_not_matched(tiny_topo):
+    body_gt = EvalPose({0: (10.0, 10.0)})  # part 0 is body
+    foot_gt = EvalPose({3: (10.0, 30.0)})  # part 3 is foot
+    det = EvalPose({0: (10.0, 10.0), 3: (10.0, 30.0)}, 1.0)
+    order, kept, mat, matched = match_scene(
+        [det], [body_gt, foot_gt], tiny_topo, OKS_THRESHOLDS, {PartGroup.FOOT}
+    )
+    assert order.tolist() == [0] and kept.tolist() == [1]
+    assert mat.tolist() == [[1.0]]
+    assert (matched == 0).all()  # column 0 of mat is gt 1
+    order, kept, mat, matched = match_scene([det], [body_gt], tiny_topo, OKS_THRESHOLDS, {PartGroup.FOOT})
+    assert kept.tolist() == [] and mat.shape == (1, 0) and (matched == -1).all()
+
+
+def test_oks_area_has_a_floor_of_one_px2(tiny_topo):
+    # A detection part kappa * sqrt(area) px off scores exp(-1/2), which
+    # pins the area the matrix used.
+    k0 = tiny_topo.oks_kappa[0]
+    for gt in ({0: (5.0, 5.0)}, {0: (5.0, 5.0), 1: (15.0, 5.0)}):  # a point, a flat pose
+        assert oracle_bbox_area(gt) == 1.0
+        det = {**gt, 0: (5.0 + k0, 5.0)}
+        assert _oks(det, gt, tiny_topo) == pytest.approx((math.exp(-0.5) + len(gt) - 1) / len(gt))
+    gt = {0: (0.0, 0.0), 1: (10.0, 20.0)}
+    assert oracle_bbox_area(gt) == 200.0
+    det = {0: (k0 * math.sqrt(200.0), 0.0), 1: (10.0, 20.0)}
+    assert _oks(det, gt, tiny_topo) == pytest.approx((math.exp(-0.5) + 1.0) / 2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -65,19 +91,13 @@ def test_oks_translation_invariance(tiny_topo_module, dx, dy):
     topo = tiny_topo_module
     gt = {0: (100.0, 100.0), 1: (140.0, 120.0)}
     det = {0: (104.0, 98.0), 1: (141.0, 125.0)}
-    base = oks(det, gt, 900.0, topo)
-    moved = oks(
+    base = _oks(det, gt, topo)
+    moved = _oks(
         {k: (x + dx, y + dy) for k, (x, y) in det.items()},
         {k: (x + dx, y + dy) for k, (x, y) in gt.items()},
-        900.0,
         topo,
     )
     assert math.isclose(base, moved, rel_tol=1e-9)
-
-
-def test_pose_bbox_area_floor():
-    assert pose_bbox_area({0: (5.0, 5.0)}) == 1.0
-    assert pose_bbox_area({0: (0.0, 0.0), 1: (10.0, 20.0)}) == 200.0
 
 
 def _pose(score, **parts):
@@ -126,7 +146,7 @@ def test_mixed_detections_match_brute_force_pr(tiny_topo):
     kappa = {p.part_id: tiny_topo.oks_kappa[p.part_id] for p in tiny_topo.parts}
 
     def oks_fn(det_parts, gt_parts):
-        area = pose_bbox_area(gt_parts)
+        area = oracle_bbox_area(gt_parts)
         return oracle_oks(det_parts, gt_parts, area, kappa, part_ids=sorted(gt_parts))
 
     for t in OKS_THRESHOLDS:
@@ -232,12 +252,6 @@ FULL_KAPPA = {p.part_id: FULL.oks_kappa[p.part_id] for p in FULL.parts}
 BAD_IDS = (-1, -2, -FULL.n_parts, FULL.n_parts, FULL.n_parts + 7)
 
 
-def _loop_bbox_area(parts):
-    xs = [x for x, _ in parts.values()]
-    ys = [y for _, y in parts.values()]
-    return max((max(xs) - min(xs)) * (max(ys) - min(ys)), 1.0) if parts else 1.0
-
-
 @st.composite
 def _eval_scenes(draw):
     """Scenes of ground truths and detections on the full topology: sparse
@@ -316,27 +330,23 @@ def test_kernels_equal_loop_oracles(group, scenes):
     subset_set = set(subset)
 
     def oks_fn(det_parts, gt_parts):
-        area = _loop_bbox_area({k: v for k, v in gt_parts.items() if k in subset_set})
+        area = oracle_bbox_area({k: v for k, v in gt_parts.items() if k in subset_set})
         return oracle_oks(det_parts, gt_parts, area, FULL_KAPPA, part_ids=subset)
 
     per_t_flags = {t: [] for t in OKS_THRESHOLDS}
     n_gt = n_det = 0
     for dets, gts in scenes:
-        kept = [g for g in gts if subset_set & set(g.parts)]
+        order, kept_ids, mat, assigned = match_scene(dets, gts, FULL, OKS_THRESHOLDS, group)
+        assert kept_ids.tolist() == [i for i, g in enumerate(gts) if subset_set & set(g.parts)]
+        assert order.tolist() == sorted(range(len(dets)), key=lambda i: -dets[i].score)
+        kept = [gts[i] for i in kept_ids]
+        ranked = [dets[i] for i in order]
         n_gt += len(kept)
         n_det += len(dets)
-        order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
-        ranked = [dets[i] for i in order]
-        mat = oks_matrix(ranked, kept, FULL, group)
         assert mat.shape == (len(dets), len(kept))
         for di, d in enumerate(ranked):
             for gi, g in enumerate(kept):
                 assert mat[di, gi] == pytest.approx(oks_fn(d.parts, g.parts), rel=0, abs=1e-12)
-        if ranked and kept:
-            area = _loop_bbox_area({k: v for k, v in kept[0].parts.items() if k in subset_set})
-            assert oks(ranked[0].parts, kept[0].parts, area, FULL, group) == pytest.approx(
-                oks_fn(ranked[0].parts, kept[0].parts), rel=0, abs=1e-12)
-        assigned = greedy_match(mat, OKS_THRESHOLDS)
         det_list = [(d.score, d.parts) for d in dets]
         gt_list = [g.parts for g in kept]
         scores = [d.score for d in ranked]

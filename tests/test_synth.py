@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from wbpose.decoder import DecoderParams, decode
 from wbpose.encoder import EncoderParams, PartGroup, Visibility, encode
-from wbpose.metrics import EvalPose, gt_poses_from_scene, oks_matrix
+from wbpose.metrics import OKS_THRESHOLDS, EvalPose, gt_poses_from_scene, match_scene
 from wbpose.skeleton import default_topology
 from wbpose.synth import EDGE_MARGIN_PX, PackingError, SceneRecipe, generate, roundtrip_report
 
@@ -190,7 +190,8 @@ def test_fragment_at_exactly_a_tenth_oks_finds_nobody(topo):
     poses = decode(encode(scene, topo, EncoderParams()), topo, DecoderParams())
     s = EncoderParams().stride
     dets = [EvalPose({pid: (x * s, y * s) for pid, (x, y, _) in p.parts.items()}) for p in poses]
-    assert oks_matrix(dets, gt_poses_from_scene(scene), topo).max() == 0.1
+    _, _, oks, _ = match_scene(dets, gt_poses_from_scene(scene), topo, OKS_THRESHOLDS)
+    assert oks.max() == 0.1
     report = roundtrip_report(recipe, topo)
     assert (report.poses_decoded, report.people_found) == (10, 0)
 
