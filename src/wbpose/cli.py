@@ -346,6 +346,12 @@ def cmd_loss(args) -> int:
         _check_hash(topo, f.manifest_hash, path)
     pred_t = to_targets(pred)
     gt_t = to_targets(gt)
+    shapes = [(t.s_star.shape, t.l_star.shape) for t in (pred_t, gt_t)]
+    if shapes[0] != shapes[1]:
+        raise WbptError(
+            f"{args.pred} holds confidence and PAF tensors of shapes {shapes[0]}, "
+            f"but {args.gt} holds {shapes[1]}"
+        )
     breakdown = multitask_loss([pred_t.l_star], [pred_t.s_star], gt_t, topo)
     _emit(args, topo, {"loss": dataclasses.asdict(breakdown)})
     return EXIT_OK

@@ -23,9 +23,11 @@ over the full grid (tests/oracles.py keeps that loop as the reference):
     the cast, which equals the loop's cast of the max because rounding is
     monotone;
   * a PAF band is tested on its segment's bounding window grown by the
-    band width, the loop's window, with the loop's float64 arithmetic. Sums
-    accumulate in float64 in limb-major, person-minor order, so each cell
-    adds the same terms in the same order.
+    band width, the loop's window, with the loop's float64 arithmetic. The
+    covered cells get compact ids (np.unique) and their sums accumulate in
+    float64 with np.bincount, from 0.0 in limb-major, person-minor order,
+    so each cell adds the same terms in the same order. No full-map
+    accumulator is allocated.
 Windows are processed in blocks of at most _BLOCK_CELLS cells, so scratch
 memory does not grow with the crowd or the person scale.
 """
@@ -231,11 +233,9 @@ def encode_paf(
 
     Each (limb, person) band is tested on the cells of its bounding window,
     padded to the largest window of its block and masked. Sums accumulate
-    with np.add.at in limb-major, person-minor order."""
+    per covered cell with np.bincount in limb-major, person-minor order."""
     map_h, map_w = map_shape(scene.image_size, params.stride)
     out = np.zeros((2 * topo.n_limbs, map_h, map_w), dtype=np.float32)
-    counts = np.zeros((topo.n_limbs, map_h, map_w), dtype=np.int32)
-    acc = np.zeros((2 * topo.n_limbs, map_h, map_w), dtype=np.float64)
     stride = params.stride
     plane = map_h * map_w
     group_of = {p.part_id: p.group for p in topo.parts}
@@ -263,8 +263,8 @@ def encode_paf(
     ux, uy = (dx - sx) / length, (dy - sy) / length
     nx, ny = x1 - x0 + 1, y1 - y0 + 1
 
-    flat_acc, flat_counts = acc.reshape(-1), counts.reshape(-1)
-    covered = []  # flat indices into counts, one per band cell (with repeats)
+    covered = []  # flat indices into a (limbs, H, W) grid, one per band cell
+    weights_x, weights_y = [], []  # the unit vector each band cell adds
     wx, wy = int(nx.max(initial=1)), int(ny.max(initial=1))
     for b in _blocks(len(limb), wx * wy):
         bx, by = int(nx[b].max()), int(ny[b].max())
@@ -279,25 +279,22 @@ def encode_paf(
         band &= (np.arange(bx) < nx[b, None])[:, None, :]
         band &= (np.arange(by) < ny[b, None])[:, :, None]
         e, i, j = np.nonzero(band)
-        cell = rows[e, i] * map_w + cols[e, j]
-        lb = limb[b][e]
-        covered.append(lb * plane + cell)
-        np.add.at(flat_counts, covered[-1], 1)
-        xcell = 2 * lb * plane + cell
-        np.add.at(flat_acc, xcell, ux[b][e])
-        np.add.at(flat_acc, xcell + plane, uy[b][e])
+        covered.append(limb[b][e] * plane + rows[e, i] * map_w + cols[e, j])
+        weights_x.append(ux[b][e])
+        weights_y.append(uy[b][e])
 
-    # Divide the covered cells only, found from the indices the blocks
-    # scattered rather than by scanning counts; a cell covered twice is
-    # written twice with the same value. A full-array divide writes every
-    # page of acc plus full-size temporaries, which raised peak RSS by
-    # about 2%.
-    idx = np.concatenate(covered) if covered else np.zeros(0, dtype=np.intp)
-    c = flat_counts[idx]
-    xcell = idx + (idx // plane) * plane  # channel 2 * limb of the same cell
+    # Sum per covered cell over compact ids: bincount adds each cell's terms
+    # in input order from 0.0, the blocks' limb-major, person-minor order.
+    # Only covered cells are written; a full-map float64 accumulator would
+    # touch every page of a 2 * limbs * H * W array on each call.
+    if not covered:
+        return out
+    cell, inv = np.unique(np.concatenate(covered), return_inverse=True)
+    counts = np.bincount(inv)
+    xcell = cell + (cell // plane) * plane  # channel 2 * limb of the same cell
     flat_out = out.reshape(-1)
-    flat_out[xcell] = flat_acc[xcell] / c
-    flat_out[xcell + plane] = flat_acc[xcell + plane] / c
+    flat_out[xcell] = np.bincount(inv, weights=np.concatenate(weights_x)) / counts
+    flat_out[xcell + plane] = np.bincount(inv, weights=np.concatenate(weights_y)) / counts
     return out
 
 

@@ -159,6 +159,13 @@ def to_bytes(f: WbptFile) -> bytes:
         for k, n in f.sections:
             parts.append(_DIR_ENTRY.pack(k, n))
     payload = np.ascontiguousarray(f.payload, dtype="<f4")
+    # The tobytes() staging copy is kept on purpose. Joining the payload's
+    # buffer directly gives the same bytes about 2 ms faster per 11.6 MB
+    # frame, but the large temporary it no longer frees appears to keep
+    # glibc's dynamic mmap threshold low, so from_bytes' per-call payload
+    # copy then takes fresh pages: in the perfbench decode workloads (2-core
+    # machine) each decode op then took thousands of minor page faults
+    # instead of none and ran 20-30% slower.
     parts.append(payload.tobytes())
     return b"".join(parts)
 

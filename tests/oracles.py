@@ -14,7 +14,9 @@ window pass per (part or limb, person) entry, and pin the windowed,
 vectorized encoders down to the bit. oracle_generate is synth.generate
 with the dict-per-attempt person placement (oracle_place_person,
 oracle_jittered_template) that the flat-list placement must reproduce
-draw for draw and float for float.
+draw for draw and float for float. oracle_per_channel_masked is the loss's
+per-channel masked sum over whole arrays, which the channel-blocked form
+must match bit for bit.
 """
 
 import math
@@ -380,6 +382,13 @@ def oracle_decode(conf, paf, topo, params):
         ))
     poses.sort(key=lambda p: (-p.person_score, min(p.candidate_ids.values())))
     return poses
+
+
+def oracle_per_channel_masked(pred, gt, mask):
+    """sum(W * (pred - gt)^2) per channel, with whole-array float64
+    temporaries: the form the blocked per-channel loss must reproduce."""
+    diff = pred.astype(np.float64) - gt.astype(np.float64)
+    return np.sum(mask.astype(np.float64) * diff * diff, axis=(1, 2))
 
 
 def oracle_receptive_field(layers):

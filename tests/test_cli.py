@@ -13,7 +13,7 @@ from wbpose import __version__
 from wbpose.archmodel import RuntimeModel, runtime_ratio
 from wbpose.bench import BenchRecord
 from wbpose.cli import DECODE_TOTALS, EXIT_IO, EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, main
-from wbpose.formats import default_coco_mapping, read_wbpt, to_targets
+from wbpose.formats import default_coco_mapping, read_wbpt, to_targets, write_wbpt
 
 from conftest import tiny_manifest
 
@@ -223,6 +223,24 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["--quiet", "encode", "--scenes", str(bad)]) == EXIT_IO
+
+    @pytest.mark.parametrize("cut", ["one_paf_channel", "wider_map"])
+    def test_loss_of_mismatched_shapes_is_format_error(self, pipeline, capsys, tmp_path, cut):
+        gt_path = pipeline / "tensors" / "scene_000000.wbpt"
+        gt = read_wbpt(gt_path)
+        (s_kind, n_s), (l_kind, n_l), mask_section = gt.sections
+        if cut == "one_paf_channel":  # would broadcast over all PAF channels
+            payload = np.concatenate([gt.payload[: n_s + 1], gt.payload[n_s + n_l :]])
+            sections = ((s_kind, n_s), (l_kind, 1), mask_section)
+        else:
+            payload = np.pad(gt.payload, ((0, 0), (0, 0), (0, 2)))
+            sections = gt.sections
+        pred_path = tmp_path / "pred.wbpt"
+        write_wbpt(pred_path, dataclasses.replace(gt, payload=payload, sections=sections))
+        code = main(["--quiet", "loss", "--pred", str(pred_path), "--gt", str(gt_path)])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert str(pred_path) in err and str(gt_path) in err
 
     def test_nan_scene_coordinate_is_format_error(self, pipeline, capsys, tmp_path):
         doc = json.loads((pipeline / "scenes.json").read_text())
