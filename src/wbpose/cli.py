@@ -24,6 +24,8 @@ import resource
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .archmodel import (
     MalformedSpec,
@@ -344,6 +346,10 @@ def cmd_loss(args) -> int:
     gt = read_wbpt(args.gt)
     for path, f in ((args.pred, pred), (args.gt, gt)):
         _check_hash(topo, f.manifest_hash, path)
+        # The reader already holds masks to {0, 1}; a non-finite map cell
+        # would make the loss non-finite and the summary invalid JSON.
+        if not np.isfinite(f.payload).all():
+            raise WbptError(f"{path} holds a non-finite confidence or PAF value")
     pred_t = to_targets(pred)
     gt_t = to_targets(gt)
     shapes = [(t.s_star.shape, t.l_star.shape) for t in (pred_t, gt_t)]
@@ -358,6 +364,8 @@ def cmd_loss(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.group is not None and not args.group:
+        raise UsageError("--group needs at least one part group")
     topo = _topology(args)
     det_doc = _read_poses(topo, args.detections)
     gt_doc = _read_poses(topo, args.groundtruth)

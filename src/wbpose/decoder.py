@@ -88,7 +88,7 @@ def _parabola_offsets(vl: np.ndarray, vc: np.ndarray, vr: np.ndarray, ok: np.nda
     """Vertex of the 1D quadratic fit through the 3-neighborhood, clamped to
     +-0.5. Fit in log space where all three values are positive (exact for
     Gaussian bumps), otherwise on the raw values; a -inf neighbour (a NaN
-    cell) gives no fit and no offset."""
+    or +inf cell) gives no fit and no offset."""
     pos = ok & (vl > 0.0) & (vc > 0.0) & (vr > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         al = np.log(np.where(pos, vl, 1.0))
@@ -106,10 +106,11 @@ def _parabola_offsets(vl: np.ndarray, vc: np.ndarray, vr: np.ndarray, ok: np.nda
 def _nms_arrays(conf: np.ndarray, topo: SkeletonTopology, params: DecoderParams):
     """Flat candidate arrays (part_ids, xs, ys, scores), part-major and
     ordered by (-score, y, x) within each part; candidate id == row index."""
-    # A fresh float64 copy with NaN read as -inf, made in one pass: a NaN
-    # cell is never a peak and never blocks one, wherever it sits in the
-    # 3x3 ring.
+    # A fresh float64 copy with NaN and +inf read as -inf: such a cell is
+    # never a peak and never blocks one, wherever it sits in the 3x3 ring,
+    # so no candidate score is non-finite.
     parts_maps = np.fmax(conf[:topo.n_parts], -np.inf, dtype=np.float64)
+    parts_maps[parts_maps == np.inf] = -np.inf
     footprint = np.ones((1, 3, 3), dtype=bool)  # the 3x3 ring around a cell
     footprint[0, 1, 1] = False
     neighbor_max = maximum_filter(parts_maps, footprint=footprint, mode="constant", cval=-np.inf)

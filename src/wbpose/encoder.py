@@ -140,13 +140,6 @@ def map_shape(image_size: tuple[int, int], stride: int) -> tuple[int, int]:
     return math.ceil(h / stride), math.ceil(w / stride)
 
 
-def _grid_axes(image_size: tuple[int, int], stride: int) -> tuple[np.ndarray, np.ndarray]:
-    map_h, map_w = map_shape(image_size, stride)
-    ys = np.arange(map_h, dtype=np.float64) * stride
-    xs = np.arange(map_w, dtype=np.float64) * stride
-    return ys, xs
-
-
 def _annotated_table(
     scene: AnnotatedScene, n_parts: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -298,16 +291,6 @@ def encode_paf(
     return out
 
 
-def _cells_outside_image(image_size: tuple[int, int], stride: int) -> np.ndarray:
-    """Boolean (H, W) mask of cells whose stride x stride footprint is not
-    fully inside the image (only possible when dims are not divisible)."""
-    map_h, map_w = map_shape(image_size, stride)
-    w, h = image_size
-    col_bad = (np.arange(map_w) + 1) * stride > w
-    row_bad = (np.arange(map_h) + 1) * stride > h
-    return row_bad[:, None] | col_bad[None, :]
-
-
 def _box_cells(
     boxes: Sequence[tuple[float, float, float, float]],
     image_size: tuple[int, int],
@@ -316,29 +299,12 @@ def _box_cells(
     """Boolean (H, W) mask of cells whose image point lies inside any of the
     closed (x0, y0, x1, y1) pixel boxes."""
     map_h, map_w = map_shape(image_size, stride)
-    ys, xs = _grid_axes(image_size, stride)
+    ys = np.arange(map_h, dtype=np.float64) * stride
+    xs = np.arange(map_w, dtype=np.float64) * stride
     inside = np.zeros((map_h, map_w), dtype=bool)
     for x0, y0, x1, y1 in boxes:
         inside |= ((xs >= x0) & (xs <= x1))[None, :] & ((ys >= y0) & (ys <= y1))[:, None]
     return inside
-
-
-def person_regions_mask(scene: AnnotatedScene, params: EncoderParams) -> np.ndarray:
-    """Boolean (H, W) map of cells inside any person region: per-person
-    keypoint bounding boxes dilated by twice the body sigma, plus unlabeled
-    regions."""
-    pad = 2.0 * params.sigma_for(PartGroup.BODY)
-
-    boxes: list[tuple[float, float, float, float]] = []
-    for person in scene.people:
-        pts = person.annotated()
-        if not pts:
-            continue
-        px = [p[0] for p in pts.values()]
-        py = [p[1] for p in pts.values()]
-        boxes.append((min(px) - pad, min(py) - pad, max(px) + pad, max(py) + pad))
-    boxes.extend(scene.unlabeled_regions)
-    return _box_cells(boxes, scene.image_size, params.stride)
 
 
 def encode_masks(
@@ -346,48 +312,45 @@ def encode_masks(
 ) -> np.ndarray:
     """Binary loss masks, one channel per confidence and per PAF channel.
 
-    Covered groups are enabled except inside unlabeled regions. Uncovered
-    foot/face/hand channels are re-enabled outside all person regions (the
-    image certifies their absence there); uncovered body channels stay off.
-    A certified no-people scene enables everything. Cells whose footprint
-    leaves the image are always masked out.
+    Every channel is a copy of one of three planes, picked by its group:
+      * covered groups and the background: enabled except inside unlabeled
+        regions;
+      * uncovered foot/face/hand: re-enabled outside every person region and
+        unlabeled region (the image certifies their absence there), and off
+        in a scene without people;
+      * uncovered body: off.
+    A person region is the bounding box of the parts the map encoders read
+    (_annotated_table), dilated by twice the body sigma. A certified
+    no-people scene enables everything. Cells whose footprint leaves the
+    image are always masked out.
     """
     map_h, map_w = map_shape(scene.image_size, params.stride)
-    n_channels = topo.confidence_channels + topo.paf_channels
-    conf_groups = topo.confidence_channel_groups()
-    paf_groups = topo.paf_channel_groups()
-
     if scene.no_people:
-        mask = np.ones((n_channels, map_h, map_w), dtype=np.float32)
+        planes = np.ones((3, map_h, map_w), dtype=np.float32)
     else:
         carve = _box_cells(scene.unlabeled_regions, scene.image_size, params.stride)
-        covered_plane = np.ones((map_h, map_w), dtype=np.float32)
-        covered_plane[carve] = 0.0
-
-        # Outside person regions the absence of face/hand/foot is certain,
-        # so those channels may contribute negatives; requires visible people.
+        planes = np.zeros((3, map_h, map_w), dtype=np.float32)
+        planes[0] = ~carve
         if scene.people:
-            outside = ~(person_regions_mask(scene, params) | carve)
-            reenabled_plane = outside.astype(np.float32)
-        else:
-            reenabled_plane = np.zeros((map_h, map_w), dtype=np.float32)
-        off_plane = np.zeros((map_h, map_w), dtype=np.float32)
+            xy, ok = _annotated_table(scene, topo.n_parts)
+            pad = 2.0 * params.sigma_for(PartGroup.BODY)
+            # A person without annotated parts gets the empty box (inf, -inf).
+            where = ok[:, :, None]
+            boxes = np.concatenate([
+                xy.min(axis=1, initial=np.inf, where=where) - pad,
+                xy.max(axis=1, initial=-np.inf, where=where) + pad,
+            ], axis=1)
+            planes[1] = ~(carve | _box_cells(boxes, scene.image_size, params.stride))
 
-        mask = np.empty((n_channels, map_h, map_w), dtype=np.float32)
-        for c, group in enumerate(conf_groups + paf_groups):
-            if group is None:  # background channel carries no mask semantics
-                mask[c] = covered_plane
-            elif group in scene.coverage:
-                mask[c] = covered_plane
-            elif group != PartGroup.BODY:
-                mask[c] = reenabled_plane
-            else:
-                mask[c] = off_plane
-
-    outside_image = _cells_outside_image(scene.image_size, params.stride)
-    if outside_image.any():
-        mask[:, outside_image] = 0.0
-    return mask
+    w, h = scene.image_size
+    planes[:, (np.arange(map_h) + 1) * params.stride > h] = 0.0
+    planes[:, :, (np.arange(map_w) + 1) * params.stride > w] = 0.0
+    # Plane per channel: 0 covered, 1 re-enabled, 2 off.
+    kind = [
+        0 if group is None or group in scene.coverage else 2 if group == PartGroup.BODY else 1
+        for group in topo.confidence_channel_groups() + topo.paf_channel_groups()
+    ]
+    return planes[kind]
 
 
 def encode(

@@ -63,6 +63,8 @@ class SceneRecipe:
             raise ValueError("per-limb jitter is capped at 15 degrees")
         if self.n_people < 0:
             raise ValueError("n_people must be >= 0")
+        if min(self.image_size) < 1:
+            raise ValueError(f"image sides must be at least 1 px, got {self.image_size}")
         lo, hi = self.person_scale
         if not 0.0 < lo <= hi:
             raise ValueError(f"person_scale needs 0 < LO <= HI, got {lo}:{hi}")

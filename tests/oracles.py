@@ -11,7 +11,9 @@ is the prefilter's rule as a scalar loop over pairs and all sample
 positions. loop_encode_confidence and
 loop_encode_paf are the encoders' scalar form, one full-grid or bounding-
 window pass per (part or limb, person) entry, and pin the windowed,
-vectorized encoders down to the bit. oracle_generate is synth.generate
+vectorized encoders down to the bit; loop_encode_masks fills the masks one
+channel at a time from person regions read through Person.annotated().
+oracle_generate is synth.generate
 with the dict-per-attempt person placement (oracle_place_person,
 oracle_jittered_template) that the flat-list placement must reproduce
 draw for draw and float for float. oracle_per_channel_masked is the loss's
@@ -25,7 +27,7 @@ import numpy as np
 
 from wbpose.decoder import Pose, _nms_arrays
 from wbpose.encoder import AnnotatedScene, Person, Visibility
-from wbpose.skeleton import SkeletonTopology
+from wbpose.skeleton import PartGroup, SkeletonTopology
 from wbpose.synth import (
     EDGE_MARGIN_PX,
     PackingError,
@@ -146,6 +148,66 @@ def loop_encode_paf(scene, topo, params):
     return out
 
 
+def loop_box_cells(boxes, image_size, stride):
+    """Boolean (H, W) mask of cells whose image point lies inside any of the
+    closed (x0, y0, x1, y1) pixel boxes."""
+    ys = np.arange(math.ceil(image_size[1] / stride), dtype=np.float64) * stride
+    xs = np.arange(math.ceil(image_size[0] / stride), dtype=np.float64) * stride
+    inside = np.zeros((len(ys), len(xs)), dtype=bool)
+    for x0, y0, x1, y1 in boxes:
+        inside |= ((xs >= x0) & (xs <= x1))[None, :] & ((ys >= y0) & (ys <= y1))[:, None]
+    return inside
+
+
+def loop_encode_masks(scene, topo, params):
+    """One mask channel at a time, by a four-way branch on its group: the
+    background and covered groups enabled outside unlabeled regions,
+    uncovered foot/face/hand outside every person region (keypoint boxes of
+    Person.annotated() dilated by twice the body sigma) and unlabeled region,
+    none without people, uncovered body off, everything on in a certified
+    no-people scene; cells whose footprint leaves the image are zeroed last."""
+    w, h = scene.image_size
+    map_h = math.ceil(h / params.stride)
+    map_w = math.ceil(w / params.stride)
+    groups = topo.confidence_channel_groups() + topo.paf_channel_groups()
+    if scene.no_people:
+        mask = np.ones((len(groups), map_h, map_w), dtype=np.float32)
+    else:
+        carve = loop_box_cells(scene.unlabeled_regions, scene.image_size, params.stride)
+        covered_plane = np.ones((map_h, map_w), dtype=np.float32)
+        covered_plane[carve] = 0.0
+        reenabled_plane = np.zeros((map_h, map_w), dtype=np.float32)
+        if scene.people:
+            pad = 2.0 * params.sigma_for(PartGroup.BODY)
+            boxes = []
+            for person in scene.people:
+                pts = person.annotated()
+                if not pts:
+                    continue
+                px = [p[0] for p in pts.values()]
+                py = [p[1] for p in pts.values()]
+                boxes.append((min(px) - pad, min(py) - pad, max(px) + pad, max(py) + pad))
+            boxes.extend(scene.unlabeled_regions)
+            regions = loop_box_cells(boxes, scene.image_size, params.stride)
+            reenabled_plane = (~(regions | carve)).astype(np.float32)
+        off_plane = np.zeros((map_h, map_w), dtype=np.float32)
+        mask = np.empty((len(groups), map_h, map_w), dtype=np.float32)
+        for c, group in enumerate(groups):
+            if group is None:
+                mask[c] = covered_plane
+            elif group in scene.coverage:
+                mask[c] = covered_plane
+            elif group != PartGroup.BODY:
+                mask[c] = reenabled_plane
+            else:
+                mask[c] = off_plane
+    for i in range(map_h):
+        for j in range(map_w):
+            if (i + 1) * params.stride > h or (j + 1) * params.stride > w:
+                mask[:, i, j] = 0.0
+    return mask
+
+
 def point_segment_distance(px, py, ax, ay, bx, by):
     dx, dy = bx - ax, by - ay
     seg2 = dx * dx + dy * dy
@@ -190,14 +252,15 @@ def oracle_paf(scene, topo, params):
 
 def oracle_nms(channel, threshold, window):
     """Exhaustive grid scan for strict local maxima at or above threshold.
-    A NaN cell is never a peak, and never blocks one (NaN >= v is false)."""
+    A NaN or +inf cell is never a peak, and never blocks one (NaN >= v is
+    false, and +inf is skipped)."""
     h, w = channel.shape
     r = window // 2
     peaks = []
     for i in range(h):
         for j in range(w):
             v = channel[i, j]
-            if not v >= threshold:
+            if not v >= threshold or v == math.inf:
                 continue
             strict = True
             for di in range(-r, r + 1):
@@ -205,7 +268,8 @@ def oracle_nms(channel, threshold, window):
                     if di == 0 and dj == 0:
                         continue
                     ni, nj = i + di, j + dj
-                    if 0 <= ni < h and 0 <= nj < w and channel[ni, nj] >= v:
+                    if (0 <= ni < h and 0 <= nj < w and channel[ni, nj] >= v
+                            and channel[ni, nj] != math.inf):
                         strict = False
                         break
                 if not strict:

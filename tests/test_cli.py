@@ -21,10 +21,28 @@ DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def strict_json(text):
+    """json.loads that refuses the NaN and Infinity tokens, which are not JSON."""
+    def reject(token):
+        raise ValueError(f"{token} is not a JSON number")
+    return json.loads(text, parse_constant=reject)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
-    return code, json.loads(out) if out.strip() else None
+    return code, strict_json(out) if out.strip() else None
+
+
+def inf_frame(pipeline, tmp_path):
+    """Scene 0's tensor file with +inf on the peak of its first confidence
+    channel."""
+    f = read_wbpt(pipeline / "tensors" / "scene_000000.wbpt")
+    payload = f.payload.copy()
+    payload[0].flat[np.argmax(payload[0])] = np.inf
+    path = tmp_path / "scene_000000.wbpt"
+    write_wbpt(path, dataclasses.replace(f, payload=payload))
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -241,6 +259,41 @@ class TestExitCodes:
         assert code == EXIT_IO
         err = capsys.readouterr().err
         assert str(pred_path) in err and str(gt_path) in err
+
+    @pytest.mark.parametrize("side", ["pred", "gt"])
+    def test_loss_of_non_finite_map_is_format_error(self, pipeline, capsys, tmp_path, side):
+        # Any such cell makes the loss non-finite, which JSON cannot carry.
+        files = {"pred": pipeline / "tensors" / "scene_000000.wbpt"}
+        files["gt"] = files["pred"]
+        files[side] = inf_frame(pipeline, tmp_path)
+        code = main(["--quiet", "loss", "--pred", str(files["pred"]), "--gt", str(files["gt"])])
+        assert code == EXIT_IO
+        assert str(files[side]) in capsys.readouterr().err
+
+    def test_decode_of_inf_cell_writes_strict_json(self, pipeline, capsys, tmp_path):
+        # The +inf cell reads as -inf, so no score is non-finite and eval
+        # reads the poses document back.
+        poses = tmp_path / "p.json"
+        code, _ = run(capsys, "decode", str(inf_frame(pipeline, tmp_path)), "--out", str(poses))
+        assert code == EXIT_OK
+        strict_json(poses.read_text())
+        assert main(["--quiet", "eval", str(poses), str(poses)]) == EXIT_OK
+
+    def test_empty_eval_group_is_usage_error(self, pipeline, capsys):
+        poses = str(pipeline / "poses.json")
+        assert main(["--quiet", "eval", poses, poses, "--group", ","]) == EXIT_USAGE
+        assert "--group needs at least one part group" in capsys.readouterr().err
+        # An empty coverage stays a valid scene recipe.
+        assert main(["--quiet", "synth", "--coverage", ",", "--image-size", "64x64",
+                     "--n-people", "0"]) == EXIT_OK
+
+    @pytest.mark.parametrize("command", [
+        ["synth", "--n-people", "0", "--image-size", "0x0"],
+        ["roundtrip", "--n-people", "0", "--n-scenes", "1", "--image-size", "0x0"],
+    ], ids=["synth", "roundtrip"])
+    def test_image_side_below_one_is_usage_error(self, capsys, command):
+        assert main(["--quiet"] + command) == EXIT_USAGE
+        assert "image sides must be at least 1 px" in capsys.readouterr().err
 
     def test_nan_scene_coordinate_is_format_error(self, pipeline, capsys, tmp_path):
         doc = json.loads((pipeline / "scenes.json").read_text())
@@ -607,7 +660,7 @@ def test_stdout_is_one_json_document(case, capsys, tmp_path, monkeypatch):
         assert main(["--quiet"] + cmd) == EXIT_OK
     capsys.readouterr()
     assert main(argv) == EXIT_OK
-    doc = json.loads(capsys.readouterr().out)
+    doc = strict_json(capsys.readouterr().out)
     assert doc["command"] == argv[0]
     assert len(doc["manifest_hash"]) == 64
     assert doc["peak_rss_mb"] > 0

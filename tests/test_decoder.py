@@ -391,11 +391,14 @@ def test_decode_equals_oracle_on_noisy_maps(topo_name, seed, map_w, map_h, n_peo
                                             min_parts, dtype):
     # A negative sample_threshold turns the support prefilter off, so both
     # sides of that switch are compared against the unfiltered oracle.
-    # NaN on about 1% of confidence cells, next to peaks and in them.
+    # NaN and +inf each on about 1% of confidence cells, next to peaks and
+    # in them.
     topo = DIFF_TOPOLOGIES[topo_name]
     rng = np.random.default_rng(seed)
     conf, paf = noisy_maps(topo, rng, map_w, map_h, n_people, sigma)
-    conf[rng.random(conf.shape) < 0.01] = np.nan
+    bad = rng.random(conf.shape)
+    conf[bad < 0.01] = np.nan
+    conf[(bad >= 0.01) & (bad < 0.02)] = np.inf
     conf, paf = conf.astype(dtype), paf.astype(dtype)
     params = DecoderParams(sample_threshold=sample_threshold, n_samples=n_samples,
                            valid_fraction=valid_fraction, min_parts=min_parts)

@@ -18,11 +18,17 @@ from wbpose.encoder import (
     encode_paf,
     map_shape,
 )
-from wbpose.skeleton import PartGroup, load_topology
+from wbpose.skeleton import PartGroup, default_topology, load_topology
 from wbpose.synth import SceneRecipe, generate
 
 from conftest import tiny_manifest
-from oracles import loop_encode_confidence, loop_encode_paf, oracle_confidence, oracle_paf
+from oracles import (
+    loop_encode_confidence,
+    loop_encode_masks,
+    loop_encode_paf,
+    oracle_confidence,
+    oracle_paf,
+)
 
 L = Visibility.LABELED
 
@@ -240,6 +246,76 @@ def test_cells_beyond_image_masked(tiny_topo):
     assert w[:, :7, :8].all()
 
 
+# The whole-body topology has a background channel, the tiny one has none.
+MASK_TOPOLOGIES = {"default": default_topology(), "tiny": load_topology(tiny_manifest())}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_plane_masks_equal_loop_masks(data):
+    """Bit-identical to the per-channel loop on scenes with finite parts in
+    the topology: any coverage subset, missing parts, people with no
+    annotated part, unlabeled regions, certified no-people scenes, map sizes
+    that leave partial cells, and region edges exactly on cell points."""
+    topo = MASK_TOPOLOGIES[data.draw(st.sampled_from(sorted(MASK_TOPOLOGIES)), label="topology")]
+    stride = data.draw(st.sampled_from([1, 3, 4, 8, 16]), label="stride")
+    size = (data.draw(st.integers(1, 120), label="w"), data.draw(st.integers(1, 120), label="h"))
+    params = EncoderParams(stride=stride)
+    pad = 2.0 * params.sigma_for(PartGroup.BODY)
+    coverage = data.draw(st.frozensets(st.sampled_from(list(PartGroup))), label="coverage")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+
+    def coordinates(extent, spread):
+        # A cluster near the image, some coordinates moved so that a dilated
+        # box edge falls exactly on a cell point.
+        xs = rng.uniform(-20.0, extent + 20.0) + rng.uniform(-spread, spread, topo.n_parts)
+        side = rng.choice([-pad, pad], topo.n_parts)
+        snapped = np.round((xs + side) / stride) * stride - side
+        return np.where(rng.random(topo.n_parts) < 0.5, xs, snapped).tolist()
+
+    vis_of = [L, Visibility.OCCLUDED, Visibility.MISSING]
+    people = []
+    for _ in range(data.draw(st.integers(0, 5), label="people")):
+        p_missing = data.draw(st.sampled_from([0.0, 0.3, 1.0]), label="missing probability")
+        present = rng.random(topo.n_parts) < data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+        vis = np.where(rng.random(topo.n_parts) < p_missing, 2, rng.integers(0, 2, topo.n_parts))
+        spread = data.draw(st.sampled_from([0.0, 5.0, 20.0, 80.0]), label="spread")
+        xs, ys = coordinates(size[0], spread), coordinates(size[1], spread)
+        people.append(Person({
+            pid: (xs[pid], ys[pid], vis_of[vis[pid]])
+            for pid in range(topo.n_parts) if present[pid]
+        }))
+    regions = []
+    for _ in range(data.draw(st.integers(0, 2), label="unlabeled regions")):
+        x0, y0 = (data.draw(st.floats(-20.0, 120.0)) for _ in range(2))
+        regions.append((x0, y0, x0 + data.draw(st.floats(0.0, 80.0)),
+                        y0 + data.draw(st.floats(0.0, 80.0))))
+    no_people = not people and not regions and data.draw(st.booleans(), label="certified")
+    sc = scene(people, size=size, coverage=coverage, unlabeled_regions=regions,
+               no_people=no_people)
+
+    got = encode_masks(sc, topo, params)
+    want = loop_encode_masks(sc, topo, params)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_masks_ignore_part_ids_outside_topology(tiny_topo):
+    # Masks read the parts the map encoders read: an id the topology lacks
+    # widens no person region, so foot channels stay re-enabled around it.
+    params = EncoderParams(stride=8)
+    base = {0: (40.0, 40.0, L), 1: (40.0, 56.0, L)}
+    plain = scene([Person(base)], size=(160, 160), coverage=frozenset({PartGroup.BODY}))
+    extra = scene([Person({**base, 999: (140.0, 140.0, L)})], size=(160, 160),
+                  coverage=frozenset({PartGroup.BODY}))
+    assert encode_confidence(extra, tiny_topo, params).tobytes() == \
+        encode_confidence(plain, tiny_topo, params).tobytes()
+    assert encode_masks(extra, tiny_topo, params).tobytes() == \
+        encode_masks(plain, tiny_topo, params).tobytes()
+    foot = tiny_topo.confidence_channel_groups().index(PartGroup.FOOT)
+    assert encode_masks(extra, tiny_topo, params)[foot, 17, 17] == 1.0
+
+
 def test_no_people_flag_rejects_people():
     with pytest.raises(ValueError):
         AnnotatedScene(image_size=(8, 8), people=[Person({})], coverage=frozenset(), no_people=True)
@@ -385,10 +461,12 @@ def test_sigma_must_cover_every_group_and_be_positive(sigma_px, match):
 def test_non_finite_part_coordinates_are_rejected(bad):
     topo = two_part_topo()
     sc = scene([Person({0: (bad, 16.0, L), 1: (40.0, 16.0, L)})])
-    for encoder in (encode_confidence, encode_paf):
+    for encoder in (encode_confidence, encode_paf, encode_masks):
         with pytest.raises(ValueError, match="finite"):
             encoder(sc, topo, EncoderParams())
     # A missing part's coordinates are never read.
     ok = scene([Person({0: (bad, 16.0, Visibility.MISSING), 1: (40.0, 16.0, L)})])
     assert encode_confidence(ok, topo, EncoderParams()).tobytes() == \
         loop_encode_confidence(ok, topo, EncoderParams()).tobytes()
+    assert encode_masks(ok, topo, EncoderParams()).tobytes() == \
+        loop_encode_masks(ok, topo, EncoderParams()).tobytes()
