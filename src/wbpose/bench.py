@@ -86,7 +86,8 @@ def run_bench(
                 max_attempts=20_000,
             )
             scene = generate(recipe, topo)
-            prepared.append((n_people, encode(scene, topo, enc_params)))
+            t = encode(scene, topo, enc_params)
+            prepared.append((n_people, (t.s_star, t.l_star)))
 
         timings: dict[int, list[int]] = {n: [] for n, _ in prepared}
         stats_of: dict[int, list[DecodeStats]] = {n: [] for n, _ in prepared}
@@ -98,9 +99,9 @@ def run_bench(
         gc.disable()
         try:
             for rep in range(warmup + repetitions):
-                for n_people, tensors in prepared:
+                for n_people, maps in prepared:
                     t0 = time.perf_counter_ns()
-                    _, stats = decode_with_stats(tensors, topo)
+                    _, stats = decode_with_stats(maps, topo)
                     elapsed = time.perf_counter_ns() - t0
                     if rep >= warmup:
                         timings[n_people].append(elapsed)
@@ -109,18 +110,17 @@ def run_bench(
             if gc_was_enabled:
                 gc.enable()
 
-        for n_people, tensors in prepared:
+        for n_people, (conf, _) in prepared:
             ns_sorted = sorted(timings[n_people])
             phase = {
                 f.name: int(statistics.median(getattr(st, f.name) for st in stats_of[n_people]))
                 for f in fields(DecodeStats) if f.name.endswith("_ns")
             }
-            map_w, map_h, _ = tensors.grid
             records.append(
                 BenchRecord(
                     n_people=n_people,
-                    map_w=map_w,
-                    map_h=map_h,
+                    map_w=conf.shape[2],
+                    map_h=conf.shape[1],
                     median_ns=int(statistics.median(ns_sorted)),
                     p90_ns=_percentile(ns_sorted, 0.9),
                     repetitions=repetitions,

@@ -326,7 +326,8 @@ def cmd_decode(args) -> int:
                 "decode files with distinct scene numbers per run"
             )
         path_of[scene_id] = path
-        poses_by_scene[scene_id], stats = decode_with_stats(to_targets(f), topo)
+        t = to_targets(f)
+        poses_by_scene[scene_id], stats = decode_with_stats((t.s_star, t.l_star), topo)
         for key in totals:
             totals[key] += getattr(stats, key)
     doc = poses_document(poses_by_scene, stride, topo.manifest_hash, args.seed)

@@ -19,7 +19,8 @@ min_valid_samples, and scores exactly the pairs that are left.
 All positions are subpixel map-cell coordinates (x, y); multiply by the grid
 stride to get pixels. The decode is deterministic: candidates are ordered by
 descending score with (row, col) tie-breaks, connections by descending score
-with candidate-id tie-breaks.
+with candidate-id tie-breaks, poses by descending score with their lowest
+candidate row as the tie-break.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from scipy.ndimage import maximum_filter
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .encoder import TargetTensors
 from .skeleton import SkeletonTopology
 
 
@@ -66,7 +66,6 @@ class DecoderParams:
 class Pose:
     # part_id -> (x, y, score), map coords
     parts: dict[int, tuple[float, float, float]]
-    candidate_ids: dict[int, int]
     person_score: float
 
 
@@ -138,14 +137,17 @@ def _nms_arrays(conf: np.ndarray, topo: SkeletonTopology, params: DecoderParams)
 
 
 def _flat_pair_scores(flat, base, shape, sx, sy, dx, dy, params: DecoderParams):
-    """Line-integral scores for flat pair-endpoint arrays.
+    """(rows, scores) of the valid pairs among flat pair-endpoint arrays:
+    their indices, ascending, and their line-integral scores.
 
     flat is the raveled, interleaved (x, y, x, y, ...) PAF stack and base
     is each pair's offset 2 * limb_id * H * W into it; y is read through
     the view flat[H*W:], one plane later. The first bilinear corner's
     linear index is built once and the other three derived by integer
     adds; everything after the gather is elementwise, so a pair's score
-    does not depend on which other pairs share the call.
+    does not depend on which other pairs share the call. A non-finite
+    sample (a NaN or infinite corner cell) fails and adds 0 to the mean,
+    so every score is finite.
     """
     H, W = shape
     flat_x, flat_y = flat, flat[H * W:]
@@ -174,17 +176,18 @@ def _flat_pair_scores(flat, base, shape, sx, sy, dx, dy, params: DecoderParams):
     lin10 = lin00 + stepx
     lin01 = lin00 + stepy
     lin11 = lin01 + stepx
-    vx = (flat_x.take(lin00) * w00 + flat_x.take(lin10) * w10
-          + flat_x.take(lin01) * w01 + flat_x.take(lin11) * w11)
-    vy = (flat_y.take(lin00) * w00 + flat_y.take(lin10) * w10
-          + flat_y.take(lin01) * w01 + flat_y.take(lin11) * w11)
-    dots = vx * ux[:, None] + vy * uy[:, None]  # (P, S)
+    with np.errstate(invalid="ignore", over="ignore"):
+        vx = (flat_x.take(lin00) * w00 + flat_x.take(lin10) * w10
+              + flat_x.take(lin01) * w01 + flat_x.take(lin11) * w11)
+        vy = (flat_y.take(lin00) * w00 + flat_y.take(lin10) * w10
+              + flat_y.take(lin01) * w01 + flat_y.take(lin11) * w11)
+        dots = vx * ux[:, None] + vy * uy[:, None]  # (P, S)
+    finite = np.isfinite(dots)
+    dots[~finite] = 0.0
 
-    scores = dots.mean(axis=1)
-    valid_counts = (dots > params.sample_threshold).sum(axis=1)
-    valid = nonzero & (valid_counts >= params.min_valid_samples)
-    scores = np.where(nonzero, scores, 0.0)
-    return scores, valid
+    valid_counts = (finite & (dots > params.sample_threshold)).sum(axis=1)
+    rows = np.flatnonzero(nonzero & (valid_counts >= params.min_valid_samples))
+    return rows, dots.mean(axis=1)[rows]
 
 
 def _corner_support(paf: np.ndarray, threshold: float) -> np.ndarray:
@@ -265,24 +268,22 @@ def _segment_keys(ids: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.n
 def _match_all_limbs(
     limb_ids: np.ndarray,
     scores: np.ndarray,
-    valid: np.ndarray,
     src_ids: np.ndarray,
     dst_ids: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Greedy bipartite matching of every limb in one pass: within a limb,
-    valid pairs are taken by descending score (ties on src id, then dst id)
-    and each candidate is used at most once. Sorting limb-major with those
+    """Greedy bipartite matching of every limb in one pass over the valid
+    pairs: within a limb, pairs are taken by descending score (ties on src
+    id, then dst id) and each candidate is used at most once. Sorting limb-major with those
     keys as secondary keys reproduces the independent per-limb matchings
     exactly, concatenated in limb order; used-sets are keyed on (limb,
     candidate) because matching is per limb while candidate ids are global.
-    A pair whose (limb, src) and (limb, dst) keys no other valid pair holds
+    A pair whose (limb, src) and (limb, dst) keys no other pair holds
     competes with nobody and is always taken, so only the contested pairs
     run the greedy loop, in the same order.
     Returns accepted (src, dst, score) arrays."""
-    vi = np.nonzero(valid)[0]
-    if vi.size == 0:
+    if limb_ids.size == 0:
         return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
-    order = vi[np.lexsort((dst_ids[vi], src_ids[vi], -scores[vi], limb_ids[vi]))]
+    order = np.lexsort((dst_ids, src_ids, -scores, limb_ids))
     limbs = limb_ids[order]
     starts = np.flatnonzero(np.diff(limbs, prepend=limbs[0] - 1))
     src_key, src_n = _segment_keys(src_ids[order], starts)
@@ -315,26 +316,20 @@ def _assemble_forest(
     params: DecoderParams,
     stats: DecodeStats,
 ) -> list[Pose]:
-    """Poses as connected components of the accepted connections. person_score
-    is the sum of member candidate scores and internal connection scores;
-    components with fewer than min_parts parts or a lower score are dropped
-    and counted in stats.
+    """Poses as connected components of the accepted connections, ordered by
+    descending person_score, then by lowest candidate row. person_score is
+    the sum of member candidate scores (in row order) and internal
+    connection scores; components with fewer than min_parts parts or a
+    lower score are dropped and counted in stats.
 
     The limb graph is a forest and each limb contributed a bipartite
     matching, so a component never holds two candidates of one part: a path
     between them would have to double back along some limb at one
     candidate, which would then hold two matches on that limb."""
     n = cand_part.shape[0]
-    if acc_src.size:
-        graph = coo_matrix(
-            (np.ones(acc_src.size, dtype=np.int8), (acc_src, acc_dst)),
-            shape=(n, n),
-        )
-        n_comp, labels = connected_components(graph, directed=False)
-        extra = np.bincount(labels[acc_src], weights=acc_score, minlength=n_comp)
-    else:
-        n_comp, labels = n, np.arange(n, dtype=np.int64)
-        extra = np.zeros(n)
+    graph = coo_matrix((np.ones(acc_src.size, dtype=np.int8), (acc_src, acc_dst)), shape=(n, n))
+    n_comp, labels = connected_components(graph, directed=False)
+    extra = np.bincount(labels[acc_src], weights=acc_score, minlength=n_comp)
 
     # Components too small to make a pose (on noisy maps, mostly lone
     # candidates) are dropped before the split, not one group at a time.
@@ -344,38 +339,50 @@ def _assemble_forest(
     members = np.flatnonzero(big[labels])
     if not members.size:
         return []
+    # Rows ascend within each component, so its first row is its lowest.
     order = members[np.argsort(labels[members], kind="stable")]
     cuts = np.flatnonzero(np.diff(labels[order])) + 1
+    groups = np.split(order, cuts)
+    first = order[np.r_[0, cuts]]
+    score = np.array([cand_score[rows].sum() for rows in groups]) + extra[labels[first]]
+    kept = np.flatnonzero(score >= params.resolved_min_score)
+    stats.poses_dropped_min_score = len(groups) - kept.size
     poses: list[Pose] = []
-    for rows in np.split(order, cuts):
-        score = float(cand_score[rows].sum()) + float(extra[labels[rows[0]]])
-        if score < params.resolved_min_score:
-            stats.poses_dropped_min_score += 1
-            continue
-        pids = cand_part[rows].tolist()
-        poses.append(
-            Pose(
-                parts=dict(zip(pids, zip(
-                    cand_x[rows].tolist(), cand_y[rows].tolist(), cand_score[rows].tolist()
-                ))),
-                candidate_ids=dict(zip(pids, rows.tolist())),
-                person_score=score,
-            )
-        )
-    poses.sort(key=lambda p: (-p.person_score, min(p.candidate_ids.values(), default=0)))
+    for k in kept[np.lexsort((first[kept], -score[kept]))].tolist():
+        rows = groups[k]
+        poses.append(Pose(
+            parts=dict(zip(cand_part[rows].tolist(), zip(
+                cand_x[rows].tolist(), cand_y[rows].tolist(), cand_score[rows].tolist()
+            ))),
+            person_score=float(score[k]),
+        ))
     return poses
 
 
 def decode_with_stats(
-    tensors: TargetTensors | tuple[np.ndarray, np.ndarray],
+    maps: tuple[np.ndarray, np.ndarray],
     topo: SkeletonTopology,
     params: DecoderParams | None = None,
 ) -> tuple[list[Pose], DecodeStats]:
+    """Poses of one frame's maps, and the decode's counters.
+
+    maps is (conf, paf), float32 or float64 (other dtypes are read as
+    float64): conf is (topo.n_parts or topo.confidence_channels, H, W), a
+    background channel ignored, and paf is (topo.paf_channels, H, W);
+    other channel counts raise ValueError. A NaN or infinite confidence
+    cell is never a peak, and a non-finite PAF sample fails and adds 0 to
+    its pair's mean, so every decoded score is finite. Positions are map
+    coordinates. Candidate rows are part-major, then by (-score, y, x);
+    poses are ordered by -person_score, then by lowest candidate row.
+
+    DecodeStats counts candidates (NMS peaks); limb pairs enumerated
+    (connections_scored), kept by the prefilter and scored (_kept), valid
+    (_valid) and taken by matching (_accepted); components of two or more
+    candidates below min_parts, and components that pass min_parts but
+    not min_score. nms_ns, scoring_ns (support map, prefilter, scorer,
+    matching) and assembly_ns are wall times."""
     params = params or DecoderParams()
-    if isinstance(tensors, TargetTensors):
-        conf, paf = tensors.s_star, tensors.l_star
-    else:
-        conf, paf = tensors
+    conf, paf = maps
     if conf.shape[0] not in (topo.n_parts, topo.confidence_channels):
         raise ValueError(f"confidence tensor has {conf.shape[0]} channels, topology wants "
                          f"{topo.confidence_channels}")
@@ -420,7 +427,6 @@ def decode_with_stats(
         totals = ns * nd
         starts = np.zeros(totals.size, dtype=np.int64)
         np.cumsum(totals[:-1], out=starts[1:])
-        limb_of = np.repeat(np.arange(totals.size), totals)
         within = np.arange(int(totals.sum())) - np.repeat(starts, totals)
         nd_rep = np.repeat(nd, totals)
         ij = within // nd_rep
@@ -428,6 +434,7 @@ def decode_with_stats(
         did = np.repeat(b0, totals) + (within - ij * nd_rep)
         sx, sy = cand_x[sid], cand_y[sid]
         dx, dy = cand_x[did], cand_y[did]
+        # Limb ids rise with the live limbs, so matching keys on ch.
         ch = np.repeat(np.array([l.limb_id for l in live_limbs], dtype=np.int64), totals)
         stats.connections_scored = int(sx.size)
 
@@ -440,15 +447,15 @@ def decode_with_stats(
         stats.connections_kept = int(keep.size)
 
         if keep.size:
-            base_k = ch[keep] * (2 * H * W)
-            scores_k, valid_k = _flat_pair_scores(
-                flat, base_k, (H, W),
+            rows, scores = _flat_pair_scores(
+                flat, ch[keep] * (2 * H * W), (H, W),
                 sx[keep], sy[keep], dx[keep], dy[keep], params,
             )
-            stats.connections_valid = int(valid_k.sum())
+            valid = keep[rows]
+            stats.connections_valid = int(valid.size)
 
             acc_src, acc_dst, acc_score = _match_all_limbs(
-                limb_of[keep], scores_k, valid_k, sid[keep], did[keep]
+                ch[valid], scores, sid[valid], did[valid]
             )
             stats.connections_accepted = int(acc_src.size)
     stats.scoring_ns = time.perf_counter_ns() - t0
@@ -460,11 +467,3 @@ def decode_with_stats(
     )
     stats.assembly_ns = time.perf_counter_ns() - t0
     return poses, stats
-
-
-def decode(
-    tensors: TargetTensors | tuple[np.ndarray, np.ndarray],
-    topo: SkeletonTopology,
-    params: DecoderParams | None = None,
-) -> list[Pose]:
-    return decode_with_stats(tensors, topo, params)[0]

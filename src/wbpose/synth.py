@@ -228,7 +228,7 @@ def roundtrip_report(
     enc_params = enc_params or EncoderParams()
     scene = generate(recipe, topo, scene_id=scene_id)
     tensors = encode(scene, topo, enc_params)
-    poses, stats = decode_with_stats(tensors, topo)
+    poses, stats = decode_with_stats((tensors.s_star, tensors.l_star), topo)
 
     # The evaluator's matching: poses by descending score, each to the
     # unmatched person with the highest OKS above _FOUND_OKS.

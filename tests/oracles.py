@@ -305,9 +305,10 @@ def oracle_limb_scores(paf, limb, src_xy, dst_xy, params):
     (floored corner clipped to the map, far corner clamped at the border,
     fractions clipped to [0, 1], the four weighted corners summed in the
     order (x0, y0), (x1, y0), (x0, y1), (x1, y1)) and dotted with the unit
-    limb direction. The score is the mean of the pair's dots (np.mean, one
-    row per pair); a pair is valid when it has nonzero length and at least
-    min_valid_samples dots clear sample_threshold."""
+    limb direction. A non-finite dot fails and counts as 0. The score is
+    the mean of the pair's dots (np.mean, one row per pair); a pair is
+    valid when it has nonzero length and at least min_valid_samples dots
+    clear sample_threshold."""
     src_xy = np.asarray(src_xy, dtype=np.float64).reshape(-1, 2).tolist()
     dst_xy = np.asarray(dst_xy, dtype=np.float64).reshape(-1, 2).tolist()
     H, W = paf.shape[1:]
@@ -342,9 +343,12 @@ def oracle_limb_scores(paf, limb, src_xy, dst_xy, params):
                 vy = ay0[x0] * w00 + ay0[x1] * w10 + ay1[x0] * w01 + ay1[x1] * w11
                 dots.append(vx * ux + vy * uy)
     dots = np.array(dots).reshape(len(nonzero), len(t))
+    finite = np.isfinite(dots)
+    dots = np.where(finite, dots, 0.0)
     nonzero = np.array(nonzero, dtype=bool)
     scores = np.where(nonzero, np.mean(dots, axis=1), 0.0)
-    valid = nonzero & ((dots > params.sample_threshold).sum(axis=1) >= params.min_valid_samples)
+    passed = finite & (dots > params.sample_threshold)
+    valid = nonzero & (passed.sum(axis=1) >= params.min_valid_samples)
     return scores, valid
 
 
@@ -399,7 +403,8 @@ def oracle_decode(conf, paf, topo, params):
     accepted pairs. Asserts that no cluster holds two candidates of one
     part. Member scores are summed with np.sum in row order and connection
     scores one by one in acceptance order, the summation order the decoder
-    uses, so person scores compare exactly."""
+    uses, so person scores compare exactly. Poses are sorted by descending
+    score, then by lowest candidate row."""
     part, xs, ys, score = _nms_arrays(conf, topo, params)
     accepted = []  # (src row, dst row, paf score), limb by limb
     for limb in topo.limbs:
@@ -439,13 +444,11 @@ def oracle_decode(conf, paf, topo, params):
         total = float(score[rows].sum()) + link_score.get(root, 0.0)
         if len(rows) < params.min_parts or total < params.resolved_min_score:
             continue
-        poses.append(Pose(
+        poses.append((-total, min(rows), Pose(
             parts={p: (float(xs[r]), float(ys[r]), float(score[r])) for p, r in zip(pids, rows)},
-            candidate_ids=dict(zip(pids, rows)),
             person_score=total,
-        ))
-    poses.sort(key=lambda p: (-p.person_score, min(p.candidate_ids.values())))
-    return poses
+        )))
+    return [pose for _, _, pose in sorted(poses, key=lambda e: e[:2])]
 
 
 def oracle_per_channel_masked(pred, gt, mask):

@@ -352,7 +352,7 @@ def test_criterion_6_anchor_assembly():
     stayed = (
         len(split) == 2
         and sorted((set(p.parts) for p in split), key=len) == [{0, 1}, {1, 2, 3}]
-        and split[0].candidate_ids.get(1) != split[1].candidate_ids.get(1)
+        and split[0].parts[1][:2] != split[1].parts[1][:2]
     )
     report(
         "criterion 6 anchor assembly",

@@ -45,6 +45,19 @@ def inf_frame(pipeline, tmp_path):
     return path
 
 
+def nonfinite_paf_frame(pipeline, tmp_path, value):
+    """Scene 0's tensor file with value on 1% of its nonzero PAF cells."""
+    f = read_wbpt(pipeline / "tensors" / "scene_000000.wbpt")
+    payload = f.payload.copy()
+    n_s, n_l = f.sections[0][1], f.sections[1][1]
+    paf = payload[n_s:n_s + n_l]
+    cells = np.flatnonzero(paf)
+    paf.flat[np.random.default_rng(0).choice(cells, cells.size // 100, replace=False)] = value
+    path = tmp_path / "scene_000000.wbpt"
+    write_wbpt(path, dataclasses.replace(f, payload=payload))
+    return path
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """synth -> encode -> decode artifacts shared by the read-only tests."""
@@ -277,6 +290,19 @@ class TestExitCodes:
         code, _ = run(capsys, "decode", str(inf_frame(pipeline, tmp_path)), "--out", str(poses))
         assert code == EXIT_OK
         strict_json(poses.read_text())
+        assert main(["--quiet", "eval", str(poses), str(poses)]) == EXIT_OK
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_decode_of_nonfinite_paf_cells_writes_strict_json(self, pipeline, capsys, tmp_path,
+                                                              value):
+        # A non-finite PAF sample fails and adds 0 to its pair's mean, so
+        # every person score is finite and eval reads the document back.
+        poses = tmp_path / "p.json"
+        frame = nonfinite_paf_frame(pipeline, tmp_path, value)
+        code, _ = run(capsys, "decode", str(frame), "--out", str(poses))
+        assert code == EXIT_OK
+        doc = strict_json(poses.read_text())
+        assert doc["poses"]["0"]
         assert main(["--quiet", "eval", str(poses), str(poses)]) == EXIT_OK
 
     def test_empty_eval_group_is_usage_error(self, pipeline, capsys):

@@ -1,5 +1,5 @@
-"""Decoder: NMS, connection scoring, matching and assembly, and decode()
-against the reference decode in oracles.py."""
+"""Decoder: NMS, connection scoring, matching and assembly, and
+decode_with_stats against the reference decode in oracles.py."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from wbpose.decoder import (
     _match_all_limbs,
     _nms_arrays,
     _support_keep,
-    decode,
     decode_with_stats,
 )
 from wbpose.encoder import AnnotatedScene, EncoderParams, Person, Visibility, encode
@@ -139,9 +138,11 @@ def test_nms_threshold_monotonicity(seed, thr):
     assert len(high) <= len(low)
 
 
-def scene_tensors(topo, people, size=(96, 96)):
+def scene_maps(topo, people, size=(96, 96)):
+    """(conf, paf) encoder targets of one scene at stride 8."""
     sc = AnnotatedScene(image_size=size, people=people, coverage=frozenset(PartGroup))
-    return encode(sc, topo, EncoderParams(stride=8))
+    t = encode(sc, topo, EncoderParams(stride=8))
+    return t.s_star, t.l_star
 
 
 def part_xy(conf, topo, params, part_id):
@@ -151,27 +152,27 @@ def part_xy(conf, topo, params, part_id):
 
 def test_connection_true_pair_scores_high_and_valid():
     topo = two_part_topo()
-    t = scene_tensors(topo, [Person({0: (16.0, 40.0, L), 1: (72.0, 40.0, L)})])
+    conf, paf = scene_maps(topo, [Person({0: (16.0, 40.0, L), 1: (72.0, 40.0, L)})])
     params = DecoderParams()
-    src, dst = part_xy(t.s_star, topo, params, 0), part_xy(t.s_star, topo, params, 1)
+    src, dst = part_xy(conf, topo, params, 0), part_xy(conf, topo, params, 1)
     assert len(src) == len(dst) == 1
-    (score,), (valid,) = oracle_limb_scores(t.l_star, topo.limbs[0], src, dst, params)
+    (score,), (valid,) = oracle_limb_scores(paf, topo.limbs[0], src, dst, params)
     assert valid
     assert score > 0.9
 
 
 def test_connection_zero_length_invalid():
     topo = two_part_topo()
-    t = scene_tensors(topo, [Person({0: (16.0, 40.0, L), 1: (72.0, 40.0, L)})])
+    conf, paf = scene_maps(topo, [Person({0: (16.0, 40.0, L), 1: (72.0, 40.0, L)})])
     (score,), (valid,) = oracle_limb_scores(
-        t.l_star, topo.limbs[0], [(2.0, 5.0)], [(2.0, 5.0)], DecoderParams()
+        paf, topo.limbs[0], [(2.0, 5.0)], [(2.0, 5.0)], DecoderParams()
     )
     assert score == 0.0 and not valid
 
 
 def test_true_pairs_outrank_cross_pairs_two_people():
     topo = two_part_topo()
-    t = scene_tensors(
+    conf, paf = scene_maps(
         topo,
         [
             Person({0: (16.0, 24.0, L), 1: (72.0, 24.0, L)}),
@@ -179,9 +180,9 @@ def test_true_pairs_outrank_cross_pairs_two_people():
         ],
     )
     params = DecoderParams()
-    src, dst = part_xy(t.s_star, topo, params, 0), part_xy(t.s_star, topo, params, 1)
+    src, dst = part_xy(conf, topo, params, 0), part_xy(conf, topo, params, 1)
     assert len(src) == len(dst) == 2
-    scores, valid = oracle_limb_scores(t.l_star, topo.limbs[0], src, dst, params)
+    scores, valid = oracle_limb_scores(paf, topo.limbs[0], src, dst, params)
     is_true = np.abs(src[:, None, 1] - dst[None, :, 1]).ravel() < 1.0
     assert is_true.sum() == 2
     assert scores[is_true].min() > scores[~is_true].max()
@@ -190,14 +191,16 @@ def test_true_pairs_outrank_cross_pairs_two_people():
 
 
 def match_and_oracle(rows):
-    """_match_all_limbs on rows of (limb, score, valid, src, dst) next to
-    oracle_greedy_match run on each limb's valid rows separately."""
-    limb_ids, scores, valid, src_ids, dst_ids = (np.array(c) for c in zip(*rows))
-    acc_src, acc_dst, acc_score = _match_all_limbs(limb_ids, scores, valid, src_ids, dst_ids)
+    """_match_all_limbs on the valid rows of (limb, score, valid, src, dst)
+    next to oracle_greedy_match run on each limb's valid rows separately."""
+    ok = [r for r in rows if r[2]]
+    limb_ids, src_ids, dst_ids = (np.array([r[k] for r in ok], dtype=np.int64) for k in (0, 3, 4))
+    scores = np.array([r[1] for r in ok], dtype=np.float64)
+    acc_src, acc_dst, acc_score = _match_all_limbs(limb_ids, scores, src_ids, dst_ids)
     got = list(zip(acc_src.tolist(), acc_dst.tolist(), acc_score.tolist()))
     per_limb = [
-        oracle_greedy_match([(v, s, d) for l, v, ok, s, d in rows if l == limb and ok])
-        for limb in sorted(set(limb_ids.tolist()))
+        oracle_greedy_match([(v, s, d) for l, v, _, s, d in ok if l == limb])
+        for limb in sorted({r[0] for r in rows})
     ]
     return got, per_limb
 
@@ -254,7 +257,8 @@ def wrist_fixture(topo):
     thumb = topo.part_by_name("hand_l_thumb_1").part_id
     assert any(l.src == elbow and l.dst == wrist for l in topo.limbs)
     assert any(l.src == wrist and l.dst == thumb for l in topo.limbs)
-    # rows: 0 elbow, 1 wrist, 2 thumb, 3 a second wrist candidate
+    # rows: 0 elbow, 1 wrist, 2 thumb, 3 a second wrist candidate; no two
+    # rows share a coordinate, so a pose's coordinates name its rows
     part = np.array([elbow, wrist, thumb, wrist])
     xy = np.array([1.0, 2.0, 3.0, 9.0])
     score = np.array([0.9, 0.9, 0.9, 0.8])
@@ -273,7 +277,7 @@ def test_assembly_merges_groups_through_shared_anchor_candidate(topo):
     poses = assemble_rows(cands, [(0, 1, 0.9), (1, 2, 0.8)], DecoderParams(min_parts=2, min_score=0.0))
     merged = [p for p in poses if len(p.parts) == 3]
     assert len(merged) == 1
-    assert set(merged[0].candidate_ids.values()) == {0, 1, 2}
+    assert sorted(x for x, _, _ in merged[0].parts.values()) == [1.0, 2.0, 3.0]
 
 
 def test_assembly_keeps_distinct_wrist_candidates_apart(topo):
@@ -281,8 +285,25 @@ def test_assembly_keeps_distinct_wrist_candidates_apart(topo):
     # the hand hangs off the second wrist candidate
     poses = assemble_rows(cands, [(0, 1, 0.9), (3, 2, 0.8)], DecoderParams(min_parts=2, min_score=0.0))
     assert len(poses) == 2
-    sets = sorted((set(p.candidate_ids.values()) for p in poses), key=min)
-    assert sets == [{0, 1}, {2, 3}]
+    sets = sorted((set(x for x, _, _ in p.parts.values()) for p in poses), key=min)
+    assert sets == [{1.0, 2.0}, {3.0, 9.0}]
+
+
+def test_pose_order_breaks_score_ties_on_lowest_candidate_row():
+    # Rows 0 and 1 are part 0, rows 2 and 3 part 1, each at x = 10 * row.
+    # With equal connection scores both components score 0.5 + 0.5 + 0.25
+    # exactly, and {0, 3} comes first for its lowest row, although its
+    # other row is the highest and its connection is listed last. A
+    # higher score still comes first.
+    cands = (np.array([0, 0, 1, 1]), 10.0 * np.arange(4), np.zeros(4), np.full(4, 0.5))
+    params = DecoderParams(min_parts=2, min_score=0.0)
+
+    def order(conn_scores):
+        poses = assemble_rows(cands, [(1, 2, conn_scores[0]), (0, 3, conn_scores[1])], params)
+        return [(sorted(x for x, _, _ in p.parts.values()), p.person_score) for p in poses]
+
+    assert order([0.25, 0.25]) == [([0.0, 30.0], 1.25), ([10.0, 20.0], 1.25)]
+    assert order([0.5, 0.25]) == [([10.0, 20.0], 1.5), ([0.0, 30.0], 1.25)]
 
 
 def test_decode_single_person_recovers_all_parts(topo):
@@ -292,7 +313,7 @@ def test_decode_single_person_recovers_all_parts(topo):
     ]
     sc = AnnotatedScene(image_size=(480, 480), people=people, coverage=frozenset(PartGroup))
     t = encode(sc, topo, EncoderParams(stride=8))
-    poses = decode(t, topo, DecoderParams())
+    poses, _ = decode_with_stats((t.s_star, t.l_star), topo)
     assert len(poses) == 1
     assert set(poses[0].parts) == set(range(topo.n_parts))
     for pid, (x, y, _) in poses[0].parts.items():
@@ -308,29 +329,30 @@ def test_decode_deterministic(topo):
     ]
     sc = AnnotatedScene(image_size=(480, 480), people=people, coverage=frozenset(PartGroup))
     t = encode(sc, topo, EncoderParams(stride=8))
-    a = decode(t, topo, DecoderParams())
-    b = decode(t, topo, DecoderParams())
+    a, _ = decode_with_stats((t.s_star, t.l_star), topo)
+    b, _ = decode_with_stats((t.s_star, t.l_star), topo)
     assert len(a) == len(b) == 2
     assert a == b
     # No state leaks between calls: a different scene in between leaves the
     # next decode of the first scene bit-identical.
     other = AnnotatedScene(image_size=(480, 480), people=people[:1], coverage=frozenset(PartGroup))
-    assert len(decode(encode(other, topo, EncoderParams(stride=8)), topo, DecoderParams())) == 1
-    assert decode(t, topo, DecoderParams()) == a
+    o = encode(other, topo, EncoderParams(stride=8))
+    assert len(decode_with_stats((o.s_star, o.l_star), topo)[0]) == 1
+    assert decode_with_stats((t.s_star, t.l_star), topo)[0] == a
 
 
 def test_min_parts_and_min_score_filter():
     topo = two_part_topo()
-    t = scene_tensors(topo, [Person({0: (16.0, 40.0, L), 1: (72.0, 40.0, L)})])
+    conf, paf = scene_maps(topo, [Person({0: (16.0, 40.0, L), 1: (72.0, 40.0, L)})])
     # Default min_parts=4 drops the 2-part pose entirely.
-    assert decode(t, topo, DecoderParams()) == []
-    kept = decode(t, topo, DecoderParams(min_parts=2, min_score=0.5))
+    assert decode_with_stats((conf, paf), topo)[0] == []
+    kept, _ = decode_with_stats((conf, paf), topo, DecoderParams(min_parts=2, min_score=0.5))
     assert len(kept) == 1 and set(kept[0].parts) == {0, 1}
-    dropped = decode(t, topo, DecoderParams(min_parts=2, min_score=1e9))
+    dropped, _ = decode_with_stats((conf, paf), topo, DecoderParams(min_parts=2, min_score=1e9))
     assert dropped == []
     # No candidates at all, with a filter that every component passes.
-    empty = (np.zeros_like(t.s_star), np.zeros_like(t.l_star))
-    assert decode(empty, topo, DecoderParams(min_parts=0)) == []
+    empty = (np.zeros_like(conf), np.zeros_like(paf))
+    assert decode_with_stats(empty, topo, DecoderParams(min_parts=0))[0] == []
 
 
 @pytest.mark.parametrize("params, by_parts, by_score, n_poses", [
@@ -343,9 +365,9 @@ def test_dropped_poses_are_counted(params, by_parts, by_score, n_poses):
     # One connected pair and one lone part-0 candidate. A lone candidate
     # has no accepted connection, so min_parts does not count it as a pose.
     topo = two_part_topo()
-    t = scene_tensors(topo, [Person({0: (16.0, 40.0, L), 1: (72.0, 40.0, L)}),
+    conf, paf = scene_maps(topo, [Person({0: (16.0, 40.0, L), 1: (72.0, 40.0, L)}),
                              Person({0: (16.0, 80.0, L)})])
-    poses, stats = decode_with_stats(t, topo, params)
+    poses, stats = decode_with_stats((conf, paf), topo, params)
     assert (stats.candidates, stats.connections_accepted) == (3, 1)
     assert (stats.poses_dropped_min_parts, stats.poses_dropped_min_score) == (by_parts, by_score)
     assert len(poses) == n_poses
@@ -367,9 +389,8 @@ def noisy_maps(topo, rng, map_w, map_h, n_people, sigma):
         offset = rng.uniform(0, 1, 2) * (np.array([w, h]) - scale * template.max(0))
         xy = offset + scale * template + rng.normal(0.0, 1.5, template.shape)
         people.append(Person({p: (float(x), float(y), L) for p, (x, y) in enumerate(xy)}))
-    t = scene_tensors(topo, people, size=(w, h))
-    return (t.s_star + rng.normal(0.0, sigma, t.s_star.shape),
-            t.l_star + rng.normal(0.0, sigma, t.l_star.shape))
+    conf, paf = scene_maps(topo, people, size=(w, h))
+    return conf + rng.normal(0.0, sigma, conf.shape), paf + rng.normal(0.0, sigma, paf.shape)
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.005, 0.01, 0.02, 0.05])
@@ -411,7 +432,7 @@ def test_decode_equals_oracle_on_noisy_maps(topo_name, seed, map_w, map_h, n_peo
         assert np.all(np.abs(xs[pids == p] - [j for _, j, _ in want]) <= 0.5)
         assert np.all(np.abs(ys[pids == p] - [i for i, _, _ in want]) <= 0.5)
 
-    assert decode((conf, paf), topo, params) == oracle_decode(conf, paf, topo, params)
+    assert decode_with_stats((conf, paf), topo, params)[0] == oracle_decode(conf, paf, topo, params)
 
 
 def horizontal_limb_maps(paf_x):
@@ -459,12 +480,13 @@ def test_prefilter_keeps_cells_whose_square_underflows():
     dtype=st.sampled_from([np.float32, np.float64]),
     sample_threshold=st.sampled_from([-0.01, 0.0, 0.05, 0.2]),
     n_samples=st.sampled_from([3, 5, 10]),
+    valid_fraction=st.sampled_from([0.5, 0.8, 1.0]),
 )
-def test_decode_equals_oracle_with_nonfinite_paf_cells(topo_name, seed, dtype,
-                                                       sample_threshold, n_samples):
-    # NaN, +inf and -inf each on 0.5% of PAF cells. With valid_fraction=1
-    # every sample of a valid pair clears the threshold, so no accepted
-    # score is NaN and the poses compare with ==.
+def test_decode_equals_oracle_with_nonfinite_paf_cells(topo_name, seed, dtype, sample_threshold,
+                                                       n_samples, valid_fraction):
+    # NaN, +inf and -inf each on 0.5% of PAF cells. A non-finite sample
+    # fails and adds 0 to its pair's mean, so every score is finite and
+    # the poses compare with ==; the decode raises no RuntimeWarning.
     topo = DIFF_TOPOLOGIES[topo_name]
     rng = np.random.default_rng(seed)
     conf, paf = noisy_maps(topo, rng, 24, 24, 3, 0.01)
@@ -474,9 +496,10 @@ def test_decode_equals_oracle_with_nonfinite_paf_cells(topo_name, seed, dtype,
     paf[(bad >= 0.01) & (bad < 0.015)] = -np.inf
     conf, paf = conf.astype(dtype), paf.astype(dtype)
     params = DecoderParams(sample_threshold=sample_threshold, n_samples=n_samples,
-                           valid_fraction=1.0, min_parts=2)
-    with np.errstate(invalid="ignore"):
-        assert decode((conf, paf), topo, params) == oracle_decode(conf, paf, topo, params)
+                           valid_fraction=valid_fraction, min_parts=2)
+    poses, _ = decode_with_stats((conf, paf), topo, params)
+    assert poses == oracle_decode(conf, paf, topo, params)
+    assert all(np.isfinite(p.person_score) for p in poses)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -228,8 +228,7 @@ class TestJsonDocuments:
 
     def test_poses_document_pixel_space(self):
         poses = {
-            3: [Pose(parts={0: (2.0, 4.0, 0.9), 5: (1.5, 0.25, 0.7)},
-                     candidate_ids={0: 0, 5: 1}, person_score=3.1)],
+            3: [Pose(parts={0: (2.0, 4.0, 0.9), 5: (1.5, 0.25, 0.7)}, person_score=3.1)],
             1: [],
         }
         doc = poses_document(poses, stride=8, manifest_hash=HASH64, seed=5)

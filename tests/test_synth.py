@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wbpose.decoder import DecoderParams, decode
+from wbpose.decoder import decode_with_stats
 from wbpose.encoder import EncoderParams, PartGroup, Visibility, encode
 from wbpose.metrics import OKS_THRESHOLDS, EvalPose, gt_poses_from_scene, match_scene
 from wbpose.skeleton import default_topology
@@ -148,7 +148,7 @@ def test_roundtrip_body_foot_coverage_yields_no_face_hand_parts(topo):
     )
     scene = generate(recipe, topo)
     tensors = encode(scene, topo, EncoderParams())
-    poses = decode(tensors, topo, DecoderParams())
+    poses, _ = decode_with_stats((tensors.s_star, tensors.l_star), topo)
     allowed = {
         p.part_id for p in topo.parts if p.group in (PartGroup.BODY, PartGroup.FOOT)
     }
@@ -165,7 +165,7 @@ def test_missing_hands_recovered_as_body_only(topo):
     report = roundtrip_report(recipe, topo)
     assert report.success
     tensors = encode(scene, topo, EncoderParams())
-    poses = decode(tensors, topo, DecoderParams())
+    poses, _ = decode_with_stats((tensors.s_star, tensors.l_star), topo)
     for pose in poses:
         assert not (set(pose.parts) & hand_ids)
 
@@ -187,7 +187,8 @@ def test_fragment_at_exactly_a_tenth_oks_finds_nobody(topo):
     # parts, all exact, so its OKS is exactly 0.1. Finding needs OKS > 0.1.
     recipe = SceneRecipe(n_people=2, seed=3, missing_prob={g: 0.5 for g in PartGroup})
     scene = generate(recipe, topo)
-    poses = decode(encode(scene, topo, EncoderParams()), topo, DecoderParams())
+    tensors = encode(scene, topo, EncoderParams())
+    poses, _ = decode_with_stats((tensors.s_star, tensors.l_star), topo)
     s = EncoderParams().stride
     dets = [EvalPose({pid: (x * s, y * s) for pid, (x, y, _) in p.parts.items()}) for p in poses]
     _, _, oks, _ = match_scene(dets, gt_poses_from_scene(scene), topo, OKS_THRESHOLDS)
