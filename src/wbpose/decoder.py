@@ -1,13 +1,14 @@
 """Map-to-skeleton decoding: peaks, limb scoring, matching and assembly.
 
-Pipeline: strict-local-max NMS per part channel with subpixel refinement,
-line-integral scoring of candidate pairs along each limb's PAF, greedy
-bipartite matching per limb, then assembly of accepted connections into
-poses as connected components over the limb forest (the loader rejects
-cyclic limb graphs). Anchor parts
-(wrists, ankles, eyes) carry a single candidate shared by the body and the
-non-body group, so connections meeting at the same anchor candidate join
-one component by identity.
+Pipeline: NMS per part channel (strict 8-neighbour maxima on a
+-inf-padded float64 copy) with subpixel refinement, line-integral scoring
+of candidate pairs along each limb's PAF, greedy bipartite matching per
+limb, then assembly of accepted connections into poses as connected
+components over the limb forest (the loader rejects cyclic limb graphs),
+found by min-label propagation. Everything is numpy. Anchor parts (wrists,
+ankles, eyes) carry a single candidate shared by the body and the non-body
+group, so connections meeting at the same anchor candidate join one
+component by identity.
 
 An exact prefilter runs before the scorer. A sample can only clear the
 sample threshold if a cell of its bilinear corner block holds a PAF vector
@@ -30,9 +31,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import maximum_filter
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .skeleton import SkeletonTopology
 
@@ -83,12 +81,13 @@ class DecodeStats:
     assembly_ns: int = 0
 
 
-def _parabola_offsets(vl: np.ndarray, vc: np.ndarray, vr: np.ndarray, ok: np.ndarray) -> np.ndarray:
+def _parabola_offsets(vl: np.ndarray, vc: np.ndarray, vr: np.ndarray) -> np.ndarray:
     """Vertex of the 1D quadratic fit through the 3-neighborhood, clamped to
     +-0.5. Fit in log space where all three values are positive (exact for
     Gaussian bumps), otherwise on the raw values; a -inf neighbour (a NaN
-    or +inf cell) gives no fit and no offset."""
-    pos = ok & (vl > 0.0) & (vc > 0.0) & (vr > 0.0)
+    or +inf cell, or the padding beyond the map border) gives no fit and no
+    offset."""
+    pos = (vl > 0.0) & (vc > 0.0) & (vr > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         al = np.log(np.where(pos, vl, 1.0))
         ac = np.log(np.where(pos, vc, 1.0))
@@ -98,40 +97,40 @@ def _parabola_offsets(vl: np.ndarray, vc: np.ndarray, vr: np.ndarray, ok: np.nda
         den_lin = vl + vr - 2.0 * vc
         fit = np.isfinite(den_lin) & (np.abs(den_lin) > 1e-12)
         d_lin = np.where(fit, (vl - vr) / (2.0 * den_lin), 0.0)
-    delta = np.where(pos, d_log, np.where(ok, d_lin, 0.0))
-    return np.clip(delta, -0.5, 0.5)
+    return np.clip(np.where(pos, d_log, d_lin), -0.5, 0.5)
 
 
 def _nms_arrays(conf: np.ndarray, topo: SkeletonTopology, params: DecoderParams):
     """Flat candidate arrays (part_ids, xs, ys, scores), part-major and
-    ordered by (-score, y, x) within each part; candidate id == row index."""
-    # A fresh float64 copy with NaN and +inf read as -inf: such a cell is
-    # never a peak and never blocks one, wherever it sits in the 3x3 ring,
-    # so no candidate score is non-finite.
-    parts_maps = np.fmax(conf[:topo.n_parts], -np.inf, dtype=np.float64)
-    parts_maps[parts_maps == np.inf] = -np.inf
-    footprint = np.ones((1, 3, 3), dtype=bool)  # the 3x3 ring around a cell
-    footprint[0, 1, 1] = False
-    neighbor_max = maximum_filter(parts_maps, footprint=footprint, mode="constant", cval=-np.inf)
-    peak_mask = (parts_maps > neighbor_max) & (parts_maps >= params.nms_threshold)
+    ordered by (-score, y, x) within each part; candidate id == row index.
 
-    H, W = parts_maps.shape[1:]
-    pids, ys, xs = np.nonzero(peak_mask)
-    vc = parts_maps[pids, ys, xs]
-    ok_x = (xs > 0) & (xs < W - 1)
-    dx = _parabola_offsets(
-        parts_maps[pids, ys, np.clip(xs - 1, 0, W - 1)],
-        vc,
-        parts_maps[pids, ys, np.clip(xs + 1, 0, W - 1)],
-        ok_x,
-    )
-    ok_y = (ys > 0) & (ys < H - 1)
-    dy = _parabola_offsets(
-        parts_maps[pids, np.clip(ys - 1, 0, H - 1), xs],
-        vc,
-        parts_maps[pids, np.clip(ys + 1, 0, H - 1), xs],
-        ok_y,
-    )
+    The part channels are copied into a float64 stack padded by one -inf
+    cell on each side, with NaN and +inf read as -inf: such a cell is never
+    a peak and never blocks one, wherever it sits in the 3x3 ring, so no
+    candidate score is non-finite. A peak is a cell at or above
+    nms_threshold and strictly greater than each of its 8 neighbours, read
+    as shifted views of the padded stack. Its parabola neighbours come
+    from the same stack, so a peak on the map border has a -inf neighbour
+    across it and no offset along that axis."""
+    H, W = conf.shape[1:]
+    padded = np.full((topo.n_parts, H + 2, W + 2), -np.inf)
+    maps = padded[:, 1:-1, 1:-1]
+    np.fmax(conf[:topo.n_parts], -np.inf, out=maps)
+    maps[maps == np.inf] = -np.inf
+    peak = maps >= params.nms_threshold
+    for dy in range(3):
+        for dx in range(3):
+            if dy != 1 or dx != 1:
+                peak &= maps > padded[:, dy:dy + H, dx:dx + W]
+
+    pids, rest = np.divmod(np.flatnonzero(peak), H * W)
+    ys, xs = np.divmod(rest, W)
+    row = W + 2
+    at = (pids * (H + 2) + ys + 1) * row + xs + 1  # the peaks' padded flat indices
+    flat = padded.reshape(-1)
+    vc = flat.take(at)
+    dx = _parabola_offsets(flat.take(at - 1), vc, flat.take(at + 1))
+    dy = _parabola_offsets(flat.take(at - row), vc, flat.take(at + row))
     order = np.lexsort((xs, ys, -vc, pids))
     return pids[order], (xs + dx)[order], (ys + dy)[order], vc[order]
 
@@ -305,6 +304,28 @@ def _match_all_limbs(
     return src_ids[idx], dst_ids[idx], scores[idx]
 
 
+def _forest_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Component label of each of n nodes under the undirected edges
+    (src, dst): the lowest node of its component.
+
+    Min-label propagation with pointer jumping. Each round lowers both ends
+    of every edge to the smaller of their labels, then replaces each label
+    by its own label. A label is always a node of the same component and
+    never above its node, so when both ends of every edge agree, each
+    component holds one label, and its lowest node, whose label cannot be
+    lower, names it. A round carries the minimum at least one edge further,
+    so the rounds are bounded by the diameter of the largest component."""
+    labels = np.arange(n)
+    while True:
+        ls, ld = labels[src], labels[dst]
+        if np.array_equal(ls, ld):
+            return labels
+        low = np.minimum(ls, ld)
+        np.minimum.at(labels, src, low)
+        np.minimum.at(labels, dst, low)
+        labels = labels[labels]
+
+
 def _assemble_forest(
     cand_part: np.ndarray,
     cand_x: np.ndarray,
@@ -325,26 +346,29 @@ def _assemble_forest(
     The limb graph is a forest and each limb contributed a bipartite
     matching, so a component never holds two candidates of one part: a path
     between them would have to double back along some limb at one
-    candidate, which would then hold two matches on that limb."""
+    candidate, which would then hold two matches on that limb. A component
+    thus maps one to one onto a subtree of the limb forest, and
+    _forest_labels labels it by its lowest row in at most the forest's
+    diameter of rounds."""
     n = cand_part.shape[0]
-    graph = coo_matrix((np.ones(acc_src.size, dtype=np.int8), (acc_src, acc_dst)), shape=(n, n))
-    n_comp, labels = connected_components(graph, directed=False)
-    extra = np.bincount(labels[acc_src], weights=acc_score, minlength=n_comp)
+    labels = _forest_labels(n, acc_src, acc_dst)
+    extra = np.bincount(labels[acc_src], weights=acc_score, minlength=n)
 
     # Components too small to make a pose (on noisy maps, mostly lone
     # candidates) are dropped before the split, not one group at a time.
-    sizes = np.bincount(labels, minlength=n_comp)
+    sizes = np.bincount(labels, minlength=n)
     big = sizes >= params.min_parts
     stats.poses_dropped_min_parts = int(np.count_nonzero(~big & (sizes > 1)))
     members = np.flatnonzero(big[labels])
     if not members.size:
         return []
-    # Rows ascend within each component, so its first row is its lowest.
+    # Rows ascend within each component, so its first row is its lowest,
+    # which is also its label.
     order = members[np.argsort(labels[members], kind="stable")]
     cuts = np.flatnonzero(np.diff(labels[order])) + 1
     groups = np.split(order, cuts)
     first = order[np.r_[0, cuts]]
-    score = np.array([cand_score[rows].sum() for rows in groups]) + extra[labels[first]]
+    score = np.array([cand_score[rows].sum() for rows in groups]) + extra[first]
     kept = np.flatnonzero(score >= params.resolved_min_score)
     stats.poses_dropped_min_score = len(groups) - kept.size
     poses: list[Pose] = []
@@ -369,9 +393,10 @@ def decode_with_stats(
     maps is (conf, paf), float32 or float64 (other dtypes are read as
     float64): conf is (topo.n_parts or topo.confidence_channels, H, W), a
     background channel ignored, and paf is (topo.paf_channels, H, W);
-    other channel counts raise ValueError. A NaN or infinite confidence
-    cell is never a peak, and a non-finite PAF sample fails and adds 0 to
-    its pair's mean, so every decoded score is finite. Positions are map
+    arrays that are not 3-D, differ in (H, W) or have other channel counts
+    raise ValueError. A NaN or infinite confidence cell is never a peak,
+    and a non-finite PAF sample fails and adds 0 to its pair's mean, so
+    every decoded score is finite. Positions are map
     coordinates. Candidate rows are part-major, then by (-score, y, x);
     poses are ordered by -person_score, then by lowest candidate row.
 
@@ -383,6 +408,9 @@ def decode_with_stats(
     matching) and assembly_ns are wall times."""
     params = params or DecoderParams()
     conf, paf = maps
+    if conf.ndim != 3 or paf.ndim != 3 or conf.shape[1:] != paf.shape[1:]:
+        raise ValueError(f"confidence {conf.shape} and paf {paf.shape} tensors must both be "
+                         "(channels, H, W) with the same H and W")
     if conf.shape[0] not in (topo.n_parts, topo.confidence_channels):
         raise ValueError(f"confidence tensor has {conf.shape[0]} channels, topology wants "
                          f"{topo.confidence_channels}")

@@ -21,6 +21,24 @@ DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH, for
+    a fresh interpreter."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )}
+
+
+def test_cli_import_loads_no_scipy():
+    # A fresh interpreter, so no other test's imports can load scipy first.
+    code = ("import sys, wbpose.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def strict_json(text):
     """json.loads that refuses the NaN and Infinity tokens, which are not JSON."""
     def reject(token):
@@ -500,12 +518,9 @@ class TestExitCodes:
         doc["scenes"][0]["people"] = None
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-        )}
         proc = subprocess.run(
             [sys.executable, "-m", "wbpose.cli", "--quiet", "encode", "--scenes", str(bad)],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=src_env(), timeout=120,
         )
         assert proc.returncode == EXIT_IO
         assert "Traceback" not in proc.stderr

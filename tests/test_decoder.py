@@ -3,13 +3,16 @@ decode_with_stats against the reference decode in oracles.py."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from wbpose.decoder import (
     DecoderParams,
     DecodeStats,
     _assemble_forest,
+    _forest_labels,
     _match_all_limbs,
     _nms_arrays,
     _support_keep,
@@ -136,6 +139,39 @@ def test_nms_threshold_monotonicity(seed, thr):
     low = peaks_of(ch, DecoderParams(nms_threshold=thr))
     high = peaks_of(ch, DecoderParams(nms_threshold=min(thr * 2, 0.95)))
     assert len(high) <= len(low)
+
+
+TINY_CELLS = [0.0, 0.04, 0.05, 0.5, 0.9, 1.0, -1.0, np.nan, np.inf, -np.inf]
+
+
+@st.composite
+def tiny_maps(draw):
+    """1x1, 1xN, Nx1 and 2x2 maps whose cells repeat a few values, so
+    peaks, plateaus, ties and NaN/+-inf cells all land on the border."""
+    n = draw(st.integers(2, 6))
+    h, w = draw(st.sampled_from([(1, 1), (1, n), (n, 1), (2, 2)]))
+    cells = draw(st.lists(st.sampled_from(TINY_CELLS) | st.floats(0.0, 1.0),
+                          min_size=h * w, max_size=h * w))
+    return np.array(cells).reshape(h, w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ch=tiny_maps(), dtype=st.sampled_from([np.float32, np.float64]),
+       thr=st.sampled_from([0.05, 0.0]))
+def test_nms_tiny_maps_equal_grid_scan_oracle(ch, dtype, thr):
+    # Every cell of these maps is on the border, so every peak has a -inf
+    # padding neighbour across it on at least one axis and no offset there.
+    ch = ch.astype(dtype)
+    h, w = ch.shape
+    cands = peaks_of(ch, DecoderParams(nms_threshold=thr))
+    want = sorted(oracle_nms(ch, thr, 3), key=lambda c: (-c[2], c[0], c[1]))
+    assert [score for _, _, score in cands] == [float(v) for _, _, v in want]
+    for (x, y, _), (i, j, _) in zip(cands, want):
+        assert abs(x - j) <= 0.5 and abs(y - i) <= 0.5
+        if j in (0, w - 1):
+            assert x == j
+        if i in (0, h - 1):
+            assert y == i
 
 
 def scene_maps(topo, people, size=(96, 96)):
@@ -304,6 +340,76 @@ def test_pose_order_breaks_score_ties_on_lowest_candidate_row():
 
     assert order([0.25, 0.25]) == [([0.0, 30.0], 1.25), ([10.0, 20.0], 1.25)]
     assert order([0.5, 0.25]) == [([10.0, 20.0], 1.5), ([0.0, 30.0], 1.25)]
+
+
+@st.composite
+def forests(draw):
+    """(n, src, dst): forest edges over n nodes, in shuffled order and each
+    in a random direction. Shapes: random forests (isolated nodes
+    included), no edges, stars, and chains longer than the default
+    topology's limb forest is wide (diameter 26)."""
+    n = draw(st.integers(1, 80))
+    order = draw(st.permutations(range(n)))
+    shape = draw(st.sampled_from(["random", "empty", "star", "chain"]))
+    if shape == "random":
+        parents = [draw(st.none() | st.integers(0, j - 1)) for j in range(1, n)]
+        pairs = [(order[p], order[j]) for j, p in enumerate(parents, 1) if p is not None]
+    elif shape == "star":
+        pairs = [(order[0], v) for v in order[1:]]
+    elif shape == "chain":
+        pairs = list(zip(order, order[1:]))
+    else:
+        pairs = []
+    flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    pairs = draw(st.permutations([(b, a) if f else (a, b) for (a, b), f in zip(pairs, flips)]))
+    src = np.array([a for a, _ in pairs], dtype=np.int64)
+    dst = np.array([b for _, b in pairs], dtype=np.int64)
+    return n, src, dst
+
+
+@settings(max_examples=300, deadline=None)
+@given(forest=forests())
+@example(forest=(5, np.array([0, 1, 3]), np.array([2, 2, 1])))  # node 2 has two parent edges
+def test_forest_labels_equal_scipy_components(forest):
+    n, src, dst = forest
+    labels = _forest_labels(n, src, dst)
+    graph = coo_matrix((np.ones(src.size, dtype=np.int8), (src, dst)), shape=(n, n))
+    n_comp, ref = connected_components(graph, directed=False)
+    # Same partition: the label pairs match one to one.
+    assert len(set(zip(labels.tolist(), ref.tolist()))) == n_comp == np.unique(labels).size
+    # Each component is labelled by its lowest node.
+    lowest = np.full(n_comp, n)
+    np.minimum.at(lowest, ref, np.arange(n))
+    np.testing.assert_array_equal(labels, lowest[ref])
+
+
+def frame_maps(topo):
+    """(conf, paf) of a 2-person 480x480 frame: 60x60 maps."""
+    template = topo.template_pose
+    people = [
+        Person({pid: (x0 + 199.7 * x, y0 + 199.7 * y, L) for pid, (x, y) in template.items()})
+        for x0, y0 in ((120.3, 30.6), (330.1, 240.4))
+    ]
+    sc = AnnotatedScene(image_size=(480, 480), people=people, coverage=frozenset(PartGroup))
+    t = encode(sc, topo, EncoderParams(stride=8))
+    return t.s_star, t.l_star
+
+
+@pytest.mark.parametrize("case", ["paf_30x30", "paf_90x90", "conf_4d", "paf_2d"])
+def test_decode_rejects_maps_of_other_shapes(topo, case):
+    conf, paf = frame_maps(topo)
+    assert conf.shape[1:] == paf.shape[1:] == (60, 60)
+    assert len(decode_with_stats((conf, paf), topo)[0]) == 2
+    if case == "paf_30x30":
+        paf = paf[:, ::2, ::2]
+    elif case == "paf_90x90":
+        paf = np.zeros((paf.shape[0], 90, 90), dtype=paf.dtype)
+    elif case == "conf_4d":
+        conf = conf[None]
+    else:
+        paf = paf[:, 0]
+    with pytest.raises(ValueError, match="same H and W"):
+        decode_with_stats((conf, paf), topo)
 
 
 def test_decode_single_person_recovers_all_parts(topo):
