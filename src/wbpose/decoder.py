@@ -17,6 +17,16 @@ sample positions cannot be valid. The prefilter tests the scorer's own
 positions, drops each pair at its first miss beyond n_samples -
 min_valid_samples, and scores exactly the pairs that are left.
 
+A candidate lies in [0, W - 1] x [0, H - 1]: a peak moves at most half a
+cell, and a peak on the map border not at all across it. A sample position
+lies on the segment between two candidates, and the rounding of
+sx + t * (dx - sx) is monotonic, so it lies in [0, W - 1] x [0, H - 1] as
+well, up to rounding above the far end that stays inside the last cell.
+There, truncating a coordinate gives its floor, already inside the map,
+and the bilinear fractions are in [0, 1), the cell and weights the oracle
+reads after its floor and clips; the prefilter and the scorer rely on this
+and take no floor and no clip.
+
 All positions are subpixel map-cell coordinates (x, y); multiply by the grid
 stride to get pixels. The decode is deterministic: candidates are ordered by
 descending score with (row, col) tie-breaks, connections by descending score
@@ -33,6 +43,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .skeleton import SkeletonTopology
+
+
+# Limbs per block of the support map's float64 scratch (_corner_support).
+# A block of a 60x60 map is 0.46 MB and stays in cache; squares of the
+# whole 134-limb stack take 3.9 MB each, and building the map from them
+# measured about a third slower.
+_SUPPORT_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -77,20 +94,26 @@ class DecodeStats:
     poses_dropped_min_parts: int = 0  # connected components below min_parts
     poses_dropped_min_score: int = 0  # components kept by min_parts, below min_score
     nms_ns: int = 0
-    scoring_ns: int = 0
+    scoring_ns: int = 0  # pair enumeration and the four phases below
+    support_ns: int = 0  # support map (_corner_support)
+    prefilter_ns: int = 0  # prefilter loop (_support_keep)
+    scorer_ns: int = 0  # line integrals of the kept pairs
+    matching_ns: int = 0
     assembly_ns: int = 0
 
 
 def _parabola_offsets(vl: np.ndarray, vc: np.ndarray, vr: np.ndarray) -> np.ndarray:
     """Vertex of the 1D quadratic fit through the 3-neighborhood, clamped to
-    +-0.5. Fit in log space where all three values are positive (exact for
-    Gaussian bumps), otherwise on the raw values; a -inf neighbour (a NaN
-    or +inf cell, or the padding beyond the map border) gives no fit and no
-    offset."""
-    pos = (vl > 0.0) & (vc > 0.0) & (vr > 0.0)
+    +-0.5, for each row of neighbours vl and vr (one row per axis) around
+    the centres vc. Fit in log space where all three values are positive
+    (exact for Gaussian bumps), otherwise on the raw values; a -inf
+    neighbour (a NaN or +inf cell, or the padding beyond the map border)
+    gives no fit and no offset. The centres' logs are taken once for both
+    axes; where a centre is not positive they are unused."""
+    pos = (vl > 0.0) & (vr > 0.0) & (vc > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         al = np.log(np.where(pos, vl, 1.0))
-        ac = np.log(np.where(pos, vc, 1.0))
+        ac = np.log(np.where(vc > 0.0, vc, 1.0))
         ar = np.log(np.where(pos, vr, 1.0))
         den_log = al + ar - 2.0 * ac
         d_log = np.where(np.abs(den_log) > 1e-12, (al - ar) / (2.0 * den_log), 0.0)
@@ -98,6 +121,27 @@ def _parabola_offsets(vl: np.ndarray, vc: np.ndarray, vr: np.ndarray) -> np.ndar
         fit = np.isfinite(den_lin) & (np.abs(den_lin) > 1e-12)
         d_lin = np.where(fit, (vl - vr) / (2.0 * den_lin), 0.0)
     return np.clip(np.where(pos, d_log, d_lin), -0.5, 0.5)
+
+
+def _group_desc_order(groups: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The permutation that sorts rows by group, ascending, then by value,
+    descending, with ties in row order: a stable sort on -values followed
+    by a stable sort on groups (non-negative ints, radix-sorted as the
+    smallest unsigned type that holds them). The first sort is an unstable
+    one, which gives the same permutation unless two rows of one group
+    share a value out of row order; only then is it redone stably."""
+    if not groups.size:
+        return np.arange(0)
+    key = -values
+    gkey = groups.astype(np.min_scalar_type(groups.max()))
+    by_value = np.argsort(key)
+    order = by_value[np.argsort(gkey[by_value], kind="stable")]
+    g, v = gkey[order], key[order]
+    tied = (g[1:] == g[:-1]) & (v[1:] == v[:-1])
+    if np.any(order[1:][tied] < order[:-1][tied]):
+        by_value = np.argsort(key, kind="stable")
+        order = by_value[np.argsort(gkey[by_value], kind="stable")]
+    return order
 
 
 def _nms_arrays(conf: np.ndarray, topo: SkeletonTopology, params: DecoderParams):
@@ -108,85 +152,126 @@ def _nms_arrays(conf: np.ndarray, topo: SkeletonTopology, params: DecoderParams)
     cell on each side, with NaN and +inf read as -inf: such a cell is never
     a peak and never blocks one, wherever it sits in the 3x3 ring, so no
     candidate score is non-finite. A peak is a cell at or above
-    nms_threshold and strictly greater than each of its 8 neighbours, read
-    as shifted views of the padded stack. Its parabola neighbours come
-    from the same stack, so a peak on the map border has a -inf neighbour
-    across it and no offset along that axis."""
+    nms_threshold and strictly greater than each of its 8 neighbours. On
+    the raveled stack each neighbour is one contiguous slice at a fixed
+    offset (+-1, +-row, +-row+-1), and the padding keeps rows and channels
+    apart: a padding cell is -inf, so it is never a peak, and a map cell's
+    8 neighbours all lie in its own padded channel. Its parabola neighbours
+    come from the same stack, so a peak on the map border has a -inf
+    neighbour across it and no offset along that axis."""
     H, W = conf.shape[1:]
+    row, plane = W + 2, (H + 2) * (W + 2)
     padded = np.full((topo.n_parts, H + 2, W + 2), -np.inf)
     maps = padded[:, 1:-1, 1:-1]
     np.fmax(conf[:topo.n_parts], -np.inf, out=maps)
     maps[maps == np.inf] = -np.inf
-    peak = maps >= params.nms_threshold
-    for dy in range(3):
-        for dx in range(3):
-            if dy != 1 or dx != 1:
-                peak &= maps > padded[:, dy:dy + H, dx:dx + W]
-
-    pids, rest = np.divmod(np.flatnonzero(peak), H * W)
-    ys, xs = np.divmod(rest, W)
-    row = W + 2
-    at = (pids * (H + 2) + ys + 1) * row + xs + 1  # the peaks' padded flat indices
     flat = padded.reshape(-1)
+    lo, hi = row + 1, flat.size - row - 1
+    centre = flat[lo:hi]
+    peak = centre >= params.nms_threshold
+    for off in (-row - 1, -row, -row + 1, -1, 1, row - 1, row, row + 1):
+        peak &= centre > flat[lo + off:hi + off]
+
+    at = np.flatnonzero(peak)  # the peaks' padded flat indices, (part, y, x) order
+    at += lo
     vc = flat.take(at)
-    dx = _parabola_offsets(flat.take(at - 1), vc, flat.take(at + 1))
-    dy = _parabola_offsets(flat.take(at - row), vc, flat.take(at + row))
-    order = np.lexsort((xs, ys, -vc, pids))
-    return pids[order], (xs + dx)[order], (ys + dy)[order], vc[order]
+    step = np.array([[1], [row]])  # the x and y neighbours' offsets
+    dx, dy = _parabola_offsets(flat.take(at - step), vc, flat.take(at + step))
+    # Rows run in (part, y, x) order, so equal scores keep (y, x) order.
+    pids, rest = np.divmod(at, plane)
+    order = _group_desc_order(pids, vc)
+    ys, xs = np.divmod(rest[order], row)
+    return pids[order], xs - 1 + dx[order], ys - 1 + dy[order], vc[order]
 
 
-def _flat_pair_scores(flat, base, shape, sx, sy, dx, dy, params: DecoderParams):
-    """(rows, scores) of the valid pairs among flat pair-endpoint arrays:
-    their indices, ascending, and their line-integral scores.
+def _flat_pair_scores(flat, base, shape, sx, sy, vecx, vecy, params: DecoderParams):
+    """(rows, scores) of the valid pairs among flat pair arrays, each from
+    (sx, sy) along (vecx, vecy): their indices, ascending, and their
+    line-integral scores.
 
     flat is the raveled, interleaved (x, y, x, y, ...) PAF stack and base
     is each pair's offset 2 * limb_id * H * W into it; y is read through
-    the view flat[H*W:], one plane later. The first bilinear corner's
-    linear index is built once and the other three derived by integer
-    adds; everything after the gather is elementwise, so a pair's score
-    does not depend on which other pairs share the call. A non-finite
-    sample (a NaN or infinite corner cell) fails and adds 0 to the mean,
-    so every score is finite.
+    the view flat[H*W:], one plane later. Samples are laid out (S, P), one
+    row per sample position, so every elementwise step runs along rows of
+    P pairs. Positions are truncated toward zero, which is the floor
+    clipped to the map on every position the decoder forms (see the module
+    docstring). The first bilinear corner's linear index is built once and
+    the other three derived by integer adds; everything after the gather
+    is elementwise, so a pair's score does not depend on which other pairs
+    share the call. A non-finite sample (a NaN or infinite corner cell)
+    fails and adds 0 to the mean, so every score is finite. The mean of a
+    valid pair's dots is taken on a (P, S) copy, so it adds them in the
+    order np.mean uses on a pair's row.
     """
     H, W = shape
     flat_x, flat_y = flat, flat[H * W:]
-    vecx = dx - sx
-    vecy = dy - sy
     length = np.hypot(vecx, vecy)
     nonzero = length > 1e-12
     safe_len = np.where(nonzero, length, 1.0)
     ux = vecx / safe_len
     uy = vecy / safe_len
 
-    t = np.linspace(0.0, 1.0, params.n_samples)
-    px = sx[:, None] + t[None, :] * vecx[:, None]  # (P, S)
-    py = sy[:, None] + t[None, :] * vecy[:, None]
-    x0 = np.clip(np.floor(px).astype(np.int64), 0, W - 1)
-    y0 = np.clip(np.floor(py).astype(np.int64), 0, H - 1)
-    stepx = (x0 < W - 1).astype(np.int64)  # x1 - x0, zero at the border
-    stepy = (y0 < H - 1).astype(np.int64) * W
-    fx = np.clip(px - x0, 0.0, 1.0)
-    fy = np.clip(py - y0, 0.0, 1.0)
-    w00 = (1 - fx) * (1 - fy)
-    w10 = fx * (1 - fy)
-    w01 = (1 - fx) * fy
-    w11 = fx * fy
-    lin00 = base[:, None] + y0 * W + x0
-    lin10 = lin00 + stepx
-    lin01 = lin00 + stepy
-    lin11 = lin01 + stepx
-    with np.errstate(invalid="ignore", over="ignore"):
-        vx = (flat_x.take(lin00) * w00 + flat_x.take(lin10) * w10
-              + flat_x.take(lin01) * w01 + flat_x.take(lin11) * w11)
-        vy = (flat_y.take(lin00) * w00 + flat_y.take(lin10) * w10
-              + flat_y.take(lin01) * w01 + flat_y.take(lin11) * w11)
-        dots = vx * ux[:, None] + vy * uy[:, None]  # (P, S)
-    finite = np.isfinite(dots)
-    dots[~finite] = 0.0
+    t = np.linspace(0.0, 1.0, params.n_samples)[:, None]
+    px = t * vecx  # (S, P)
+    px += sx
+    py = t * vecy
+    py += sy
+    x0 = px.astype(np.intp)
+    y0 = py.astype(np.intp)
+    stepx = x0 < W - 1  # x1 - x0, zero at the border
+    stepy = (y0 < H - 1) * W
+    # A position less its truncation is in [0, 1), so the clip of the
+    # fractions to [0, 1] never binds.
+    fx = np.subtract(px, x0, out=px)
+    fy = np.subtract(py, y0, out=py)
+    gx = 1 - fx
+    gy = 1 - fy
+    lin00 = y0
+    lin00 *= W
+    lin00 += x0
+    lin00 += base
+    # The four corners (x0, y0), (x1, y0), (x0, y1), (x1, y1) in turn, each
+    # weight and index built in one reused buffer. Each sum accumulates in
+    # place, left to right as the four-term expression, so its bits are
+    # that expression's. Every index is in range, where take's clip mode
+    # reads the same cells as its default and skips the bounds error path.
+    w = gx * gy
+    lin = lin00
+    cell = np.empty(w.shape, dtype=flat.dtype)
+    term = np.empty_like(w)
 
-    valid_counts = (finite & (dots > params.sample_threshold)).sum(axis=1)
+    def gather(plane):
+        return plane.take(lin, mode="clip", out=cell)
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        vx = gather(flat_x) * w
+        vy = gather(flat_y) * w
+        lin = lin00 + stepx
+        np.multiply(fx, gy, out=w)
+        vx += np.multiply(gather(flat_x), w, out=term)
+        vy += np.multiply(gather(flat_y), w, out=term)
+        np.add(lin00, stepy, out=lin)
+        np.multiply(gx, fy, out=w)
+        vx += np.multiply(gather(flat_x), w, out=term)
+        vy += np.multiply(gather(flat_y), w, out=term)
+        lin += stepx
+        np.multiply(fx, fy, out=w)
+        vx += np.multiply(gather(flat_x), w, out=term)
+        vy += np.multiply(gather(flat_y), w, out=term)
+        vx *= ux
+        vy *= uy
+        dots = vx
+        dots += vy
+    finite = np.isfinite(dots)
+    if finite.all():
+        passing = dots > params.sample_threshold
+    else:
+        dots[~finite] = 0.0
+        passing = finite & (dots > params.sample_threshold)
+
+    valid_counts = passing.sum(axis=0)
     rows = np.flatnonzero(nonzero & (valid_counts >= params.min_valid_samples))
-    return rows, dots.mean(axis=1)[rows]
+    return rows, np.ascontiguousarray(dots[:, rows].T).mean(axis=1)
 
 
 def _corner_support(paf: np.ndarray, threshold: float) -> np.ndarray:
@@ -196,23 +281,37 @@ def _corner_support(paf: np.ndarray, threshold: float) -> np.ndarray:
     position is (x, y) may clear threshold. The squares are taken in
     float64, exact for float32 cells, and the 1e-9 relative slack on the
     squared threshold covers rounding in the scorer. A threshold whose
-    square underflows falls back to any nonzero cell."""
+    square underflows falls back to any nonzero cell. The map is built
+    _SUPPORT_BLOCK limbs at a time in reused buffers, so its float64
+    scratch stays small."""
     px, py = paf[0::2], paf[1::2]
-    if threshold < 1e-150:
-        support = (np.abs(px) > 0.0) | (np.abs(py) > 0.0)
-    else:
-        sq = np.square(px, dtype=np.float64)
-        sq += np.square(py, dtype=np.float64)
-        support = sq > threshold * threshold * (1.0 - 1e-9)
-    support[:, :, :-1] |= support[:, :, 1:]
-    support[:, :-1, :] |= support[:, 1:, :]
+    limbs, H, W = px.shape
+    bound = threshold * threshold * (1.0 - 1e-9)
+    support = np.empty((limbs, H, W), dtype=bool)
+    block = min(_SUPPORT_BLOCK, limbs)
+    sq, sq_y = np.empty((block, H, W)), np.empty((block, H, W))
+    long = np.empty((block, H, W), dtype=bool)
+    for a in range(0, limbs, block):
+        b = min(a + block, limbs)
+        s, s_y, g, out = sq[:b - a], sq_y[:b - a], long[:b - a], support[a:b]
+        if threshold < 1e-150:
+            np.greater(np.abs(px[a:b]), 0.0, out=g)
+            g |= np.abs(py[a:b]) > 0.0
+        else:
+            np.square(px[a:b], out=s, dtype=np.float64)
+            s += np.square(py[a:b], out=s_y, dtype=np.float64)
+            np.greater(s, bound, out=g)
+        np.logical_or(g[:, :, :-1], g[:, :, 1:], out=out[:, :, :-1])
+        out[:, :, -1] = g[:, :, -1]
+        out[:, :-1, :] |= out[:, 1:, :]
     return support
 
 
-def _support_keep(paf, ch, sx, sy, dx, dy, params: DecoderParams) -> np.ndarray:
-    """Indices of the pairs (limb ch, from (sx, sy) to (dx, dy)) with at
+def _support_keep(support, ch, sx, sy, vecx, vecy, params: DecoderParams) -> np.ndarray:
+    """Indices of the pairs (limb ch, from (sx, sy) along (vecx, vecy)) with at
     least min_valid_samples sample positions whose bilinear corner block
-    is supported (_corner_support), ascending.
+    is supported (support, the (limbs, H, W) map of _corner_support),
+    ascending.
 
     The scorer's PAF vector at a sample is a convex combination of its four
     corner cells, and its dot product with the unit limb direction is at
@@ -220,37 +319,53 @@ def _support_keep(paf, ch, sx, sy, dx, dy, params: DecoderParams) -> np.ndarray:
     supported block (NaN corners never support, and fail the sample). A
     pair with fewer supported positions cannot be valid, so dropping it
     leaves the decode unchanged; a pair with that many is kept. Positions
-    are the scorer's own (same expression, floor and clip), tested middle
+    are the scorer's own (same expression and cell), tested middle
     first, since the endpoints sit on part candidates where some limb band
     usually starts. A pair is dropped at its first miss beyond the budget
     n_samples - min_valid_samples; the survivors are compacted once the
-    first budget + 1 positions are in and after every later one."""
+    first budget + 1 positions are in and after every later one.
+
+    Positions are worked out in two reused float64 buffers, truncated
+    there (see the module docstring), and the flat cell index is formed
+    once before the cast: every value is a small integer, exact in float64.
+    Each index is in range, where take's clip mode reads the same cell as
+    its default, faster. A pair's misses are its positions tested so far
+    less its hits, so the hit counter holds at most n_samples. A
+    compaction that drops nothing is skipped."""
     n_s = params.n_samples
     budget = n_s - params.min_valid_samples
-    idx = np.arange(sx.size)
     if budget >= n_s:
-        return idx
-    H, W = paf.shape[1:]
-    cells = _corner_support(paf, params.sample_threshold).reshape(-1)
+        return np.arange(sx.size)
+    H, W = support.shape[1:]
+    cells = support.reshape(-1)
     t = np.linspace(0.0, 1.0, n_s)
-    vecx, vecy = dx - sx, dy - sy
-    plane = ch * (H * W)
-    misses = np.zeros(sx.size, dtype=np.int64)
+    plane = ch * float(H * W)
+    hits = np.zeros(sx.size, dtype=np.min_scalar_type(n_s))
+    bufx, bufy = np.empty(sx.size), np.empty(sx.size)
+    at, hit = np.empty(sx.size, dtype=np.intp), np.empty(sx.size, dtype=bool)
+    idx = None  # the survivors' indices, once a compaction drops a pair
     for j, k in enumerate(np.argsort(np.abs(2 * np.arange(n_s) - (n_s - 1)), kind="stable")):
-        x0 = np.floor(sx + t[k] * vecx).astype(np.int64)
-        np.clip(x0, 0, W - 1, out=x0)
-        y0 = np.floor(sy + t[k] * vecy).astype(np.int64)
-        np.clip(y0, 0, H - 1, out=y0)
+        n = sx.size
+        x0, y0 = bufx[:n], bufy[:n]
+        np.multiply(vecx, t[k], out=x0)
+        x0 += sx
+        np.trunc(x0, out=x0)
+        np.multiply(vecy, t[k], out=y0)
+        y0 += sy
+        np.trunc(y0, out=y0)
         y0 *= W
         y0 += plane
         y0 += x0
-        misses += ~cells.take(y0)
+        np.copyto(at[:n], y0, casting="unsafe")
+        hits += cells.take(at[:n], mode="clip", out=hit[:n])
         if j >= budget:
-            live = np.flatnonzero(misses <= budget)
-            idx, misses, sx, sy, vecx, vecy, plane = (
-                a.take(live) for a in (idx, misses, sx, sy, vecx, vecy, plane)
-            )
-    return idx
+            live = np.flatnonzero(hits >= j + 1 - budget)
+            if live.size < n:
+                idx = live if idx is None else idx.take(live)
+                hits, sx, sy, vecx, vecy, plane = (
+                    a.take(live) for a in (hits, sx, sy, vecx, vecy, plane)
+                )
+    return np.arange(sx.size) if idx is None else idx
 
 
 def _segment_keys(ids: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -272,17 +387,21 @@ def _match_all_limbs(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Greedy bipartite matching of every limb in one pass over the valid
     pairs: within a limb, pairs are taken by descending score (ties on src
-    id, then dst id) and each candidate is used at most once. Sorting limb-major with those
-    keys as secondary keys reproduces the independent per-limb matchings
-    exactly, concatenated in limb order; used-sets are keyed on (limb,
-    candidate) because matching is per limb while candidate ids are global.
-    A pair whose (limb, src) and (limb, dst) keys no other pair holds
-    competes with nobody and is always taken, so only the contested pairs
-    run the greedy loop, in the same order.
+    id, then dst id) and each candidate is used at most once. Sorting
+    limb-major with those keys as secondary keys reproduces the independent
+    per-limb matchings exactly, concatenated in limb order; used-sets are
+    keyed on (limb, candidate) because matching is per limb while candidate
+    ids are global. A pair whose (limb, src) and (limb, dst) keys no other
+    pair holds competes with nobody and is always taken, so only the
+    contested pairs run the greedy loop, in the same order.
+
+    The pairs must arrive in (limb, src, dst) order, as the decoder
+    enumerates them, so sorting on (limb, -score) with ties in that order
+    gives the full order.
     Returns accepted (src, dst, score) arrays."""
     if limb_ids.size == 0:
         return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
-    order = np.lexsort((dst_ids, src_ids, -scores, limb_ids))
+    order = _group_desc_order(limb_ids, scores)
     limbs = limb_ids[order]
     starts = np.flatnonzero(np.diff(limbs, prepend=limbs[0] - 1))
     src_key, src_n = _segment_keys(src_ids[order], starts)
@@ -363,23 +482,23 @@ def _assemble_forest(
     if not members.size:
         return []
     # Rows ascend within each component, so its first row is its lowest,
-    # which is also its label.
-    order = members[np.argsort(labels[members], kind="stable")]
+    # which is also its label. Labels are below n, so they radix-sort.
+    order = members[np.argsort(labels[members].astype(np.min_scalar_type(n)), kind="stable")]
     cuts = np.flatnonzero(np.diff(labels[order])) + 1
-    groups = np.split(order, cuts)
-    first = order[np.r_[0, cuts]]
-    score = np.array([cand_score[rows].sum() for rows in groups]) + extra[first]
+    starts, ends = np.append(0, cuts), np.append(cuts, order.size)
+    first = order[starts]
+    member_score = cand_score[order]
+    bounds = list(zip(starts.tolist(), ends.tolist()))
+    score = np.array([member_score[a:b].sum() for a, b in bounds]) + extra[first]
     kept = np.flatnonzero(score >= params.resolved_min_score)
-    stats.poses_dropped_min_score = len(groups) - kept.size
+    stats.poses_dropped_min_score = len(bounds) - kept.size
+    part = cand_part[order].tolist()
+    xys = list(zip(cand_x[order].tolist(), cand_y[order].tolist(), member_score.tolist()))
+    person_score = score.tolist()
     poses: list[Pose] = []
     for k in kept[np.lexsort((first[kept], -score[kept]))].tolist():
-        rows = groups[k]
-        poses.append(Pose(
-            parts=dict(zip(cand_part[rows].tolist(), zip(
-                cand_x[rows].tolist(), cand_y[rows].tolist(), cand_score[rows].tolist()
-            ))),
-            person_score=float(score[k]),
-        ))
+        a, b = bounds[k]
+        poses.append(Pose(parts=dict(zip(part[a:b], xys[a:b])), person_score=person_score[k]))
     return poses
 
 
@@ -404,8 +523,12 @@ def decode_with_stats(
     (connections_scored), kept by the prefilter and scored (_kept), valid
     (_valid) and taken by matching (_accepted); components of two or more
     candidates below min_parts, and components that pass min_parts but
-    not min_score. nms_ns, scoring_ns (support map, prefilter, scorer,
-    matching) and assembly_ns are wall times."""
+    not min_score. nms_ns, scoring_ns and assembly_ns are wall times of
+    the three phases. scoring_ns covers pair enumeration and four parts
+    timed on their own: support_ns (the support map), prefilter_ns (the
+    prefilter loop), scorer_ns (line integrals of the kept pairs) and
+    matching_ns. A part that does not run (no live limb, no kept pair, or
+    the prefilter off at a negative sample_threshold) reads 0."""
     params = params or DecoderParams()
     conf, paf = maps
     if conf.ndim != 3 or paf.ndim != 3 or conf.shape[1:] != paf.shape[1:]:
@@ -445,47 +568,59 @@ def decode_with_stats(
         flat = paf.reshape(-1)
 
         # Flatten every (limb, src, dst) pair into one set of arrays, built
-        # arithmetically: pair p of limb l is (src row a0+p//nd, dst row
-        # b0+p%nd), row-major in src. Candidate rows are part-major, so each
-        # part is a slice [bases[p], bases[p+1]) of the flat arrays.
+        # arithmetically from one group per (limb, src row): the src row
+        # paired with each dst row of the limb in turn. Candidate rows are
+        # part-major, so each part is a slice [bases[p], bases[p+1]) of the
+        # flat arrays, and group g covers pairs [g_at[g], g_at[g] + nd[g]).
+        limb_ids = np.array([l.limb_id for l in live_limbs], dtype=np.int64)
         src_parts = np.array([l.src for l in live_limbs], dtype=np.int64)
         dst_parts = np.array([l.dst for l in live_limbs], dtype=np.int64)
-        a0, b0 = bases[src_parts], bases[dst_parts]
         ns, nd = counts[src_parts], counts[dst_parts]
-        totals = ns * nd
-        starts = np.zeros(totals.size, dtype=np.int64)
-        np.cumsum(totals[:-1], out=starts[1:])
-        within = np.arange(int(totals.sum())) - np.repeat(starts, totals)
-        nd_rep = np.repeat(nd, totals)
-        ij = within // nd_rep
-        sid = np.repeat(a0, totals) + ij
-        did = np.repeat(b0, totals) + (within - ij * nd_rep)
-        sx, sy = cand_x[sid], cand_y[sid]
-        dx, dy = cand_x[did], cand_y[did]
-        # Limb ids rise with the live limbs, so matching keys on ch.
-        ch = np.repeat(np.array([l.limb_id for l in live_limbs], dtype=np.int64), totals)
+        g_first = np.cumsum(ns) - ns  # each limb's first group
+        g_src = np.arange(int(ns.sum())) + np.repeat(bases[src_parts] - g_first, ns)
+        g_nd = np.repeat(nd, ns)
+        g_at = np.cumsum(g_nd) - g_nd  # each group's first pair
+        did = np.arange(int(g_nd.sum())) + np.repeat(np.repeat(bases[dst_parts], ns) - g_at, g_nd)
+        sx, sy = np.repeat(cand_x[g_src], g_nd), np.repeat(cand_y[g_src], g_nd)
+        # did is in range, so take's clip mode reads the same rows, faster.
+        vecx, vecy = cand_x.take(did, mode="clip"), cand_y.take(did, mode="clip")
+        vecx -= sx
+        vecy -= sy
+        # Limb ids rise with the live limbs, so pairs run in (limb, src,
+        # dst) order, the order matching wants.
+        ch = np.repeat(np.repeat(limb_ids, ns), g_nd)
         stats.connections_scored = int(sx.size)
 
         # Exact prefilter: drops exactly the pairs with too few supported
         # sample positions to be valid (see _support_keep).
         if params.sample_threshold >= 0.0:
-            keep = _support_keep(paf, ch, sx, sy, dx, dy, params)
+            t1 = time.perf_counter_ns()
+            support = _corner_support(paf, params.sample_threshold)
+            t2 = time.perf_counter_ns()
+            keep = _support_keep(support, ch, sx, sy, vecx, vecy, params)
+            stats.support_ns = t2 - t1
+            stats.prefilter_ns = time.perf_counter_ns() - t2
         else:
             keep = np.arange(sx.size)
         stats.connections_kept = int(keep.size)
 
         if keep.size:
+            t1 = time.perf_counter_ns()
             rows, scores = _flat_pair_scores(
                 flat, ch[keep] * (2 * H * W), (H, W),
-                sx[keep], sy[keep], dx[keep], dy[keep], params,
+                sx[keep], sy[keep], vecx[keep], vecy[keep], params,
             )
             valid = keep[rows]
             stats.connections_valid = int(valid.size)
-
+            t2 = time.perf_counter_ns()
+            # A valid pair's src row is its group's.
+            sid = g_src[np.searchsorted(g_at, valid, side="right") - 1]
             acc_src, acc_dst, acc_score = _match_all_limbs(
-                ch[valid], scores, sid[valid], did[valid]
+                ch[valid], scores, sid, did[valid]
             )
             stats.connections_accepted = int(acc_src.size)
+            stats.scorer_ns = t2 - t1
+            stats.matching_ns = time.perf_counter_ns() - t2
     stats.scoring_ns = time.perf_counter_ns() - t0
 
     t0 = time.perf_counter_ns()

@@ -73,7 +73,12 @@ def test_records_nest_every_decoder_counter(topo):
 
 def test_phase_medians_within_p90(topo):
     # Each phase is a part of its repetition's total, so its median over the
-    # repetitions cannot exceed the total's median, let alone its p90.
+    # repetitions cannot exceed the total's median, let alone its p90. The
+    # support map, prefilter, scorer and matching are parts of scoring in
+    # the same way.
     for r in small_grid_records(topo):
-        for phase in (r.stats.nms_ns, r.stats.scoring_ns, r.stats.assembly_ns):
+        s = r.stats
+        for phase in (s.nms_ns, s.scoring_ns, s.assembly_ns):
             assert 0 < phase <= r.median_ns <= r.p90_ns
+        for part in (s.support_ns, s.prefilter_ns, s.scorer_ns, s.matching_ns):
+            assert 0 < part <= s.scoring_ns

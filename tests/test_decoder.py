@@ -12,6 +12,7 @@ from wbpose.decoder import (
     DecoderParams,
     DecodeStats,
     _assemble_forest,
+    _corner_support,
     _forest_labels,
     _match_all_limbs,
     _nms_arrays,
@@ -172,6 +173,61 @@ def test_nms_tiny_maps_equal_grid_scan_oracle(ch, dtype, thr):
             assert x == j
         if i in (0, h - 1):
             assert y == i
+
+
+def parts_only_topo(n_parts):
+    return load_topology({
+        "manifest_version": 1,
+        "background_channel": False,
+        "parts": [{"id": p, "name": f"p{p}", "group": "body", "side": "center"}
+                  for p in range(n_parts)],
+        "limbs": [],
+        "anchors": [],
+        "oks_kappa": {str(p): 0.05 for p in range(n_parts)},
+    })
+
+
+SEAM_CELLS = [1.0, 0.9, 0.5, 0.05, np.nan, np.inf, -np.inf]
+
+
+@st.composite
+def seam_stacks(draw):
+    """2-4 channel stacks whose last column and last row hold peaks,
+    plateaus and NaN/+-inf cells. On the raveled, padded stack those cells
+    sit one padding cell away from the next row's first cell and the next
+    channel's first row."""
+    c, h, w = draw(st.integers(2, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    cells = np.array(draw(st.lists(st.sampled_from(TINY_CELLS) | st.floats(0.0, 1.0),
+                                   min_size=c * h * w, max_size=c * h * w))).reshape(c, h, w)
+    seam = np.zeros((h, w), dtype=bool)
+    seam[:, -1] = seam[-1, :] = True
+    n_seam = c * int(seam.sum())
+    cells[:, seam] = np.array(draw(st.lists(st.sampled_from(SEAM_CELLS), min_size=n_seam,
+                                            max_size=n_seam))).reshape(c, -1)
+    return cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(stack=seam_stacks(), dtype=st.sampled_from([np.float32, np.float64]),
+       thr=st.sampled_from([0.05, 0.0]))
+def test_nms_channel_seams_equal_grid_scan_oracle(stack, dtype, thr):
+    # Each channel of the stack decodes as it would alone: no peak, plateau
+    # or non-finite cell leaks across a row end or a channel end, and a
+    # peak on the map border takes no offset across it.
+    stack = stack.astype(dtype)
+    c, h, w = stack.shape
+    pids, xs, ys, scores = _nms_arrays(stack, parts_only_topo(c), DecoderParams(nms_threshold=thr))
+    assert np.all(np.diff(pids) >= 0)
+    for p in range(c):
+        want = sorted(oracle_nms(stack[p], thr, 3), key=lambda k: (-k[2], k[0], k[1]))
+        mine = pids == p
+        assert scores[mine].tolist() == [float(v) for _, _, v in want]
+        for x, y, (i, j, _) in zip(xs[mine].tolist(), ys[mine].tolist(), want):
+            assert abs(x - j) <= 0.5 and abs(y - i) <= 0.5
+            if j in (0, w - 1):
+                assert x == j
+            if i in (0, h - 1):
+                assert y == i
 
 
 def scene_maps(topo, people, size=(96, 96)):
@@ -658,7 +714,29 @@ def test_support_keep_equals_oracle_on_noisy_maps(topo_name, seed, sigma, dtype,
     params = DecoderParams(sample_threshold=sample_threshold, n_samples=n_samples,
                            valid_fraction=valid_fraction)
     pairs = limb_pairs(topo, conf, params, rng, cap=3000)
-    assert _support_keep(paf, *pairs, params).tolist() == oracle_support_keep(paf, *pairs, params)
+    ch, sx, sy, dx, dy = pairs
+    support = _corner_support(paf, params.sample_threshold)
+    kept = _support_keep(support, ch, sx, sy, dx - sx, dy - sy, params)
+    assert kept.tolist() == oracle_support_keep(paf, *pairs, params)
+
+
+@pytest.mark.parametrize("n_samples, valid_fraction", [(300, 0.8), (3, 1.0)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_prefilter_edge_params_equal_oracles(seed, n_samples, valid_fraction):
+    # 300 samples: a true limb holds more supported positions than a uint8
+    # counter can count. 3 samples at valid_fraction 1.0: no miss is
+    # allowed, so every pair is dropped at its first miss.
+    topo = DIFF_TOPOLOGIES["tiny"]
+    rng = np.random.default_rng(seed)
+    conf, paf = noisy_maps(topo, rng, 20, 20, 3, 0.01)
+    params = DecoderParams(n_samples=n_samples, valid_fraction=valid_fraction, min_parts=2)
+    ch, sx, sy, dx, dy = pairs = limb_pairs(topo, conf, params, rng, cap=3000)
+    support = _corner_support(paf, params.sample_threshold)
+    kept = _support_keep(support, ch, sx, sy, dx - sx, dy - sy, params)
+    assert kept.tolist() == oracle_support_keep(paf, *pairs, params)
+    poses, stats = decode_with_stats((conf, paf), topo, params)
+    assert stats.connections_valid > 0
+    assert poses == oracle_decode(conf, paf, topo, params)
 
 
 @pytest.mark.parametrize("missed, kept", [
@@ -677,5 +755,7 @@ def test_support_keep_boundary_at_miss_budget(missed, kept):
     for k in missed:
         paf[0, :, 2 * k : 2 * k + 2] = 0.2
     pair = (np.array([0]), np.array([0.25]), np.array([1.25]), np.array([18.25]), np.array([1.25]))
-    assert _support_keep(paf, *pair, params).tolist() == ([0] if kept else [])
+    support = _corner_support(paf, params.sample_threshold)
+    vec = (np.array([18.0]), np.array([0.0]))
+    assert _support_keep(support, *pair[:3], *vec, params).tolist() == ([0] if kept else [])
     assert oracle_support_keep(paf, *pair, params) == ([0] if kept else [])
