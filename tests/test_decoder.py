@@ -156,25 +156,6 @@ def tiny_maps(draw):
     return np.array(cells).reshape(h, w)
 
 
-@settings(max_examples=300, deadline=None)
-@given(ch=tiny_maps(), dtype=st.sampled_from([np.float32, np.float64]),
-       thr=st.sampled_from([0.05, 0.0]))
-def test_nms_tiny_maps_equal_grid_scan_oracle(ch, dtype, thr):
-    # Every cell of these maps is on the border, so every peak has a -inf
-    # padding neighbour across it on at least one axis and no offset there.
-    ch = ch.astype(dtype)
-    h, w = ch.shape
-    cands = peaks_of(ch, DecoderParams(nms_threshold=thr))
-    want = sorted(oracle_nms(ch, thr, 3), key=lambda c: (-c[2], c[0], c[1]))
-    assert [score for _, _, score in cands] == [float(v) for _, _, v in want]
-    for (x, y, _), (i, j, _) in zip(cands, want):
-        assert abs(x - j) <= 0.5 and abs(y - i) <= 0.5
-        if j in (0, w - 1):
-            assert x == j
-        if i in (0, h - 1):
-            assert y == i
-
-
 def parts_only_topo(n_parts):
     return load_topology({
         "manifest_version": 1,
@@ -185,6 +166,33 @@ def parts_only_topo(n_parts):
         "anchors": [],
         "oks_kappa": {str(p): 0.05 for p in range(n_parts)},
     })
+
+
+def assert_nms_equals_grid_scan_oracle(stack, thr):
+    """Each channel of stack decodes as the grid-scan oracle finds it
+    alone, and a peak on the map border takes no offset across it."""
+    c, h, w = stack.shape
+    pids, xs, ys, scores = _nms_arrays(stack, parts_only_topo(c), DecoderParams(nms_threshold=thr))
+    assert np.all(np.diff(pids) >= 0)
+    for p in range(c):
+        want = sorted(oracle_nms(stack[p], thr, 3), key=lambda k: (-k[2], k[0], k[1]))
+        mine = pids == p
+        assert scores[mine].tolist() == [float(v) for _, _, v in want]
+        for x, y, (i, j, _) in zip(xs[mine].tolist(), ys[mine].tolist(), want):
+            assert abs(x - j) <= 0.5 and abs(y - i) <= 0.5
+            if j in (0, w - 1):
+                assert x == j
+            if i in (0, h - 1):
+                assert y == i
+
+
+@settings(max_examples=300, deadline=None)
+@given(ch=tiny_maps(), dtype=st.sampled_from([np.float32, np.float64]),
+       thr=st.sampled_from([0.05, 0.0]))
+def test_nms_tiny_maps_equal_grid_scan_oracle(ch, dtype, thr):
+    # Every cell of these maps is on the border, so every peak has a -inf
+    # padding neighbour across it on at least one axis and no offset there.
+    assert_nms_equals_grid_scan_oracle(ch.astype(dtype)[None], thr)
 
 
 SEAM_CELLS = [1.0, 0.9, 0.5, 0.05, np.nan, np.inf, -np.inf]
@@ -211,23 +219,9 @@ def seam_stacks(draw):
 @given(stack=seam_stacks(), dtype=st.sampled_from([np.float32, np.float64]),
        thr=st.sampled_from([0.05, 0.0]))
 def test_nms_channel_seams_equal_grid_scan_oracle(stack, dtype, thr):
-    # Each channel of the stack decodes as it would alone: no peak, plateau
-    # or non-finite cell leaks across a row end or a channel end, and a
-    # peak on the map border takes no offset across it.
-    stack = stack.astype(dtype)
-    c, h, w = stack.shape
-    pids, xs, ys, scores = _nms_arrays(stack, parts_only_topo(c), DecoderParams(nms_threshold=thr))
-    assert np.all(np.diff(pids) >= 0)
-    for p in range(c):
-        want = sorted(oracle_nms(stack[p], thr, 3), key=lambda k: (-k[2], k[0], k[1]))
-        mine = pids == p
-        assert scores[mine].tolist() == [float(v) for _, _, v in want]
-        for x, y, (i, j, _) in zip(xs[mine].tolist(), ys[mine].tolist(), want):
-            assert abs(x - j) <= 0.5 and abs(y - i) <= 0.5
-            if j in (0, w - 1):
-                assert x == j
-            if i in (0, h - 1):
-                assert y == i
+    # No peak, plateau or non-finite cell leaks across a row end or a
+    # channel end of the raveled stack.
+    assert_nms_equals_grid_scan_oracle(stack.astype(dtype), thr)
 
 
 def scene_maps(topo, people, size=(96, 96)):
@@ -737,6 +731,47 @@ def test_prefilter_edge_params_equal_oracles(seed, n_samples, valid_fraction):
     poses, stats = decode_with_stats((conf, paf), topo, params)
     assert stats.connections_valid > 0
     assert poses == oracle_decode(conf, paf, topo, params)
+
+
+BORDER_CELLS = [1.0, 1.0 - 1e-7, 0.9, 0.5, 1e-6, 0.0, -1.0, np.nan, np.inf]
+
+
+@st.composite
+def border_peak_maps(draw):
+    """Two-part confidence stacks of 1x1, 1xN, Nx1 and small maps whose
+    cells mix peaks, near ties and NaN/+inf, so candidates sit on the
+    border and close to half a cell from it."""
+    n = draw(st.integers(2, 8))
+    h, w = draw(st.sampled_from([(1, 1), (1, n), (n, 1)]) | st.tuples(st.integers(2, 6),
+                                                                         st.integers(2, 6)))
+    cells = draw(st.lists(st.sampled_from(BORDER_CELLS) | st.floats(0.0, 1.0),
+                          min_size=2 * h * w, max_size=2 * h * w))
+    return np.array(cells).reshape(2, h, w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(conf=border_peak_maps(), seed=st.integers(0, 2**32 - 1),
+       n_samples=st.sampled_from([2, 3, 10]), dtype=st.sampled_from([np.float32, np.float64]))
+def test_sample_positions_from_border_candidates_stay_in_map(conf, seed, n_samples, dtype):
+    # The prefilter and the scorer truncate sample positions and read
+    # cells with no floor or clip, which is sound only while every
+    # position t * (dx - sx) + sx between two candidates is non-negative
+    # and truncates into the map (module docstring). Positions are formed
+    # as both form them, for every ordered pair of candidates, and the
+    # decode must equal the oracle's, which floors and clips.
+    conf = conf.astype(dtype)
+    topo = two_part_topo()
+    params = DecoderParams(n_samples=n_samples, min_parts=2)
+    h, w = conf.shape[1:]
+    _, xs, ys, _ = _nms_arrays(conf, topo, params)
+    t = np.linspace(0.0, 1.0, n_samples)[:, None]
+    for c, size in ((xs, w), (ys, h)):
+        assert np.all((c >= 0) & (c <= size - 1))
+        src, dst = np.repeat(c, c.size), np.tile(c, c.size)
+        pos = t * (dst - src) + src
+        assert np.all(pos >= 0) and np.all(np.trunc(pos) <= size - 1)
+    paf = np.random.default_rng(seed).normal(0.0, 0.5, (2, h, w)).astype(dtype)
+    assert decode_with_stats((conf, paf), topo, params)[0] == oracle_decode(conf, paf, topo, params)
 
 
 @pytest.mark.parametrize("missed, kept", [
