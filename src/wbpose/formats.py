@@ -4,7 +4,7 @@ documents, and COCO-keypoint ingestion.
 WBPT layout (all integers little-endian):
 
     magic      4 bytes  b"WBPT"
-    version    u32      currently 1
+    version    u32      currently 2
     endianness u8       0x01 = little (the only value written or accepted)
     map_w      u32
     map_h      u32
@@ -13,12 +13,23 @@ WBPT layout (all integers little-endian):
     kind       u8       1 = confidence, 2 = paf, 3 = mask, 4 = combined
     manifest   32 bytes raw sha256 digest of the topology manifest
     directory  (kind 4 only) u8 count, then count * (u8 kind, u32 channels)
+    pad        zero bytes up to the next multiple of 16 (version 2 only)
     payload    channels * map_h * map_w float32, channel-major, row-major
 
 The manifest digest is embedded so a tensor file can refuse to be decoded
 against the wrong topology.  Combined files store S, then L, then W
 contiguously; the directory records the channel split so readers do not
 need the topology to slice the payload.
+
+The pad puts the payload at byte 64 of a single-kind file and at byte 80
+of a combined one, so ``from_bytes`` can hand it out as an aligned float32
+view of the caller's buffer instead of a copy.  The view is read-only when
+the buffer is (``bytes``, and so every file ``read_wbpt`` reads) and
+writeable when it is not (a ``bytearray``).  Version 1 files, which have no
+pad, are still read.  Their payload starts at byte 58 of a single-kind file
+and at byte 74 of an S, L, W combined one, off float32 alignment, so like
+any buffer whose payload is not aligned they are read through a copy, which
+is writeable.  ``to_bytes`` always writes version 2.
 """
 from __future__ import annotations
 
@@ -38,7 +49,9 @@ from .metrics import EvalPose
 from .skeleton import PartGroup, SkeletonTopology
 
 MAGIC = b"WBPT"
-WBPT_VERSION = 1
+WBPT_VERSION = 2
+# The payload of a version 2 file starts at a multiple of this many bytes.
+PAYLOAD_ALIGN = 16
 LITTLE_ENDIAN = 0x01
 
 KIND_CONFIDENCE = 1
@@ -48,6 +61,8 @@ KIND_COMBINED = 4
 
 _HEADER = struct.Struct("<4sIBIIIIB")
 _DIR_ENTRY = struct.Struct("<BI")
+_U8_MAX = 0xFF
+_U32_MAX = 0xFFFFFFFF
 
 COCO_BODY_MAPPING_NAME = "coco_body_mapping.json"
 
@@ -110,11 +125,15 @@ class WbptFile:
             raise WbptError(f"payload must be float32, got {self.payload.dtype}")
         if len(self.manifest_hash) != 64 or set(self.manifest_hash) - set("0123456789abcdef"):
             raise WbptError("manifest_hash must be a lowercase sha256 hex digest")
-        if self.stride < 1:
-            raise WbptError(f"stride must be >= 1, got {self.stride}")
+        if not 1 <= self.stride <= _U32_MAX:
+            raise WbptError(f"stride must be in [1, {_U32_MAX}], got {self.stride}")
         if self.kind == KIND_COMBINED:
             if not self.sections:
                 raise WbptError("combined files need a channel directory")
+            if len(self.sections) > _U8_MAX:
+                raise WbptError(
+                    f"a channel directory holds at most {_U8_MAX} entries, got {len(self.sections)}"
+                )
             for k, n in self.sections:
                 if k not in (KIND_CONFIDENCE, KIND_PAF, KIND_MASK):
                     raise WbptError(f"directory entry kind {k} is not a payload kind")
@@ -149,6 +168,10 @@ class WbptFile:
         return self.payload.shape[2]
 
 
+def _pad_size(at: int) -> int:
+    return -at % PAYLOAD_ALIGN
+
+
 def to_bytes(f: WbptFile) -> bytes:
     head = _HEADER.pack(
         MAGIC, WBPT_VERSION, LITTLE_ENDIAN, f.map_w, f.map_h, f.channels, f.stride, f.kind
@@ -158,23 +181,19 @@ def to_bytes(f: WbptFile) -> bytes:
         parts.append(struct.pack("<B", len(f.sections)))
         for k, n in f.sections:
             parts.append(_DIR_ENTRY.pack(k, n))
-    payload = np.ascontiguousarray(f.payload, dtype="<f4")
-    # The tobytes() staging copy is kept on purpose. Joining the payload's
-    # buffer directly gives the same bytes about 2 ms faster per 11.6 MB
-    # frame, but the large temporary it no longer frees appears to keep
-    # glibc's dynamic mmap threshold low, so from_bytes' per-call payload
-    # copy then takes fresh pages: in the perfbench decode workloads (2-core
-    # machine) each decode op then took thousands of minor page faults
-    # instead of none and ran 20-30% slower.
-    parts.append(payload.tobytes())
+    parts.append(bytes(_pad_size(sum(map(len, parts)))))
+    parts.append(np.ascontiguousarray(f.payload, dtype="<f4"))
     return b"".join(parts)
 
 
-def from_bytes(buf: bytes) -> WbptFile:
+def from_bytes(buf: bytes | bytearray | memoryview) -> WbptFile:
+    """Read a WBPT file.  The payload is a view of ``buf`` where it is
+    aligned (every version 2 file in a ``bytes`` or ``bytearray``), and a
+    copy otherwise; see the module docstring."""
     if len(buf) < 4:
         raise Truncated(4, len(buf), "magic")
     if buf[:4] != MAGIC:
-        raise BadMagic(buf[:4])
+        raise BadMagic(bytes(buf[:4]))
     if len(buf) < _HEADER.size:
         raise Truncated(_HEADER.size, len(buf), "header")
     _, version, endian, map_w, map_h, channels, stride, kind = _HEADER.unpack_from(buf, 0)
@@ -201,13 +220,21 @@ def from_bytes(buf: bytes) -> WbptFile:
             entries.append(_DIR_ENTRY.unpack_from(buf, at))
             at += _DIR_ENTRY.size
         sections = tuple((int(k), int(n)) for k, n in entries)
+    if version >= 2:
+        pad = _pad_size(at)
+        if len(buf) < at + pad:
+            raise Truncated(at + pad, len(buf), "header padding")
+        if any(buf[at : at + pad]):
+            raise WbptError("nonzero byte in the header padding")
+        at += pad
     expected = at + channels * map_h * map_w * 4
     if len(buf) < expected:
         raise Truncated(expected, len(buf), "payload")
     if len(buf) > expected:
         raise WbptError(f"{len(buf) - expected} trailing bytes after payload")
-    flat = np.frombuffer(buf, dtype="<f4", offset=at)
-    payload = flat.reshape(channels, map_h, map_w).astype(np.float32, copy=True)
+    payload = np.frombuffer(buf, dtype="<f4", offset=at).reshape(channels, map_h, map_w)
+    if not payload.flags.aligned:
+        payload = payload.astype(np.float32, copy=True)
     return WbptFile(
         kind=int(kind),
         stride=int(stride),
@@ -248,9 +275,12 @@ def from_targets(targets: TargetTensors, manifest_hash: str) -> WbptFile:
 
 def to_targets(f: WbptFile) -> TargetTensors:
     """Unpack a combined file.  The three tensors are views of f.payload and
-    share its memory: writing into one writes into the WbptFile, and the
-    payload stays alive while any of them does.  The original image size is
-    not stored, so it is reconstructed as map size * stride (exact when the
+    share its memory, and the payload stays alive while any of them does.
+    They are writeable only if the payload is: ``from_bytes`` gives a
+    read-only view of ``bytes`` (so of every file ``read_wbpt`` reads), and
+    a writeable view of a ``bytearray``, which writes into the buffer too.
+    A payload it had to copy is writeable.  The original image size is not
+    stored, so it is reconstructed as map size * stride (exact when the
     image was a multiple of the stride, otherwise rounded up to the next
     cell)."""
     if f.kind != KIND_COMBINED:

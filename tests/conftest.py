@@ -1,3 +1,6 @@
+import struct
+
+import numpy as np
 import pytest
 
 from wbpose.skeleton import default_topology
@@ -49,3 +52,17 @@ def tiny_topo_module():
     from wbpose.skeleton import load_topology
 
     return load_topology(tiny_manifest())
+
+
+def wbpt_v1_bytes(f):
+    """The version 1 encoding of a WbptFile, packed by hand: the version 2
+    layout without the zero pad in front of the payload."""
+    parts = [
+        struct.pack("<4sIBIIIIB", b"WBPT", 1, 0x01, f.map_w, f.map_h, f.channels, f.stride, f.kind),
+        bytes.fromhex(f.manifest_hash),
+    ]
+    if f.sections:
+        parts.append(struct.pack("<B", len(f.sections)))
+        parts += [struct.pack("<BI", k, n) for k, n in f.sections]
+    parts.append(np.asarray(f.payload, dtype="<f4").tobytes())
+    return b"".join(parts)

@@ -15,7 +15,7 @@ from wbpose.bench import BenchRecord
 from wbpose.cli import DECODE_TOTALS, EXIT_IO, EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, main
 from wbpose.formats import default_coco_mapping, read_wbpt, to_targets, write_wbpt
 
-from conftest import tiny_manifest
+from conftest import tiny_manifest, wbpt_v1_bytes
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -110,6 +110,23 @@ class TestPipeline:
         targets = to_targets(f)
         assert targets.s_star.shape[1:] == (40, 40)
         assert float(targets.s_star.max()) > 0.9
+
+    def test_decode_of_version_1_file_equals_its_rewrite(self, pipeline, tmp_path):
+        v2 = pipeline / "tensors" / "scene_000000.wbpt"
+        v1 = tmp_path / "v1" / v2.name
+        v1.parent.mkdir()
+        v1.write_bytes(wbpt_v1_bytes(read_wbpt(v2)))
+        rewrite = tmp_path / "v2" / v2.name
+        rewrite.parent.mkdir()
+        write_wbpt(rewrite, read_wbpt(v1))
+        assert rewrite.read_bytes() == v2.read_bytes() != v1.read_bytes()
+        docs = []
+        for path in (v1, rewrite):
+            out = path.parent / "poses.json"
+            assert main(["--seed", "7", "--quiet", "decode", str(path), "--out", str(out)]) == EXIT_OK
+            docs.append(out.read_bytes())
+        assert docs[0] == docs[1]
+        assert json.loads(docs[0])["poses"]["0"]
 
     def test_scene_ids_come_from_filenames(self, pipeline):
         doc = json.loads((pipeline / "poses.json").read_text())

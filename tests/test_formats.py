@@ -17,6 +17,7 @@ from wbpose.formats import (
     KIND_CONFIDENCE,
     KIND_MASK,
     KIND_PAF,
+    PAYLOAD_ALIGN,
     BadMagic,
     CocoIngestError,
     DocumentError,
@@ -38,6 +39,8 @@ from wbpose.formats import (
     write_wbpt,
 )
 from wbpose.skeleton import PartGroup
+
+from conftest import wbpt_v1_bytes
 
 DATA = Path(__file__).parent / "data"
 HASH64 = "ab" * 32
@@ -100,16 +103,97 @@ class TestWbptBinary:
 
     def test_future_version_rejected(self):
         buf = bytearray(to_bytes(random_file(np.random.default_rng(6))))
-        struct.pack_into("<I", buf, 4, 2)
+        struct.pack_into("<I", buf, 4, 3)
         with pytest.raises(UnsupportedVersion) as err:
             from_bytes(bytes(buf))
-        assert err.value.version == 2
+        assert err.value.version == 3
 
     def test_wrong_endianness_byte(self):
         buf = bytearray(to_bytes(random_file(np.random.default_rng(7))))
         buf[8] = 0x02
         with pytest.raises(WbptError, match="endianness"):
             from_bytes(bytes(buf))
+
+    @pytest.mark.parametrize("kind, entries", [
+        (KIND_CONFIDENCE, 0), (KIND_PAF, 0), (KIND_MASK, 0),
+        *((KIND_COMBINED, n) for n in (*range(1, 18), 254, 255)),
+    ])
+    def test_payload_offset_is_aligned(self, kind, entries):
+        channels = max(entries, 1)
+        payload = np.zeros((channels, 3, 2), dtype=np.float32)
+        sections = ((KIND_CONFIDENCE, 1),) * entries
+        f = WbptFile(kind=kind, stride=8, manifest_hash=HASH64, payload=payload, sections=sections)
+        buf = to_bytes(f)
+        offset = len(buf) - payload.nbytes
+        assert offset % PAYLOAD_ALIGN == 0
+        assert 0 <= offset - (len(wbpt_v1_bytes(f)) - payload.nbytes) < PAYLOAD_ALIGN
+        assert from_bytes(buf).payload.flags.aligned
+
+    @pytest.mark.parametrize("at", [58, 63])
+    def test_nonzero_pad_byte_rejected(self, at):
+        buf = bytearray(to_bytes(random_file(np.random.default_rng(13))))
+        buf[at] = 0x01
+        with pytest.raises(WbptError, match="padding"):
+            from_bytes(bytes(buf))
+
+    def test_truncated_inside_pad(self):
+        buf = to_bytes(random_file(np.random.default_rng(14), kind=KIND_COMBINED))
+        with pytest.raises(Truncated) as err:
+            from_bytes(buf[:77])
+        assert (err.value.expected, err.value.actual) == (80, 77)
+
+    @pytest.mark.parametrize("kind", [KIND_CONFIDENCE, KIND_PAF, KIND_MASK, KIND_COMBINED])
+    def test_version_1_reads_back_and_rewrites_as_version_2(self, kind):
+        f = random_file(np.random.default_rng(15), kind=kind)
+        if kind != KIND_MASK:
+            f.payload[0, 0, 0] = np.nan
+            f.payload[0, 0, 1] = -np.inf
+        old = wbpt_v1_bytes(f)
+        g = from_bytes(old)
+        assert (g.kind, g.stride, g.manifest_hash, g.sections) == (
+            f.kind, f.stride, f.manifest_hash, f.sections
+        )
+        np.testing.assert_array_equal(g.payload.view(np.uint32), f.payload.view(np.uint32))
+        assert g.payload.flags.aligned and g.payload.flags.owndata
+        new = to_bytes(g)
+        assert new == to_bytes(f) and new != old
+        assert struct.unpack_from("<I", new, 4) == (2,)
+
+    def test_payload_of_bytes_is_a_read_only_view(self):
+        buf = to_bytes(random_file(np.random.default_rng(16), kind=KIND_COMBINED))
+        g = from_bytes(buf)
+        assert g.payload.flags.aligned
+        assert not g.payload.flags.owndata
+        assert not g.payload.flags.writeable
+        assert np.shares_memory(g.payload, np.frombuffer(buf, dtype=np.uint8))
+
+    def test_payload_of_bytearray_is_writeable(self):
+        buf = bytearray(to_bytes(random_file(np.random.default_rng(17))))
+        g = from_bytes(buf)
+        assert g.payload.flags.aligned and g.payload.flags.writeable
+        g.payload[0, 0, 0] = 5.0
+        assert struct.unpack_from("<f", buf, 64) == (5.0,)
+
+    def test_unaligned_buffer_is_read_through_a_copy(self):
+        buf = to_bytes(random_file(np.random.default_rng(18), kind=KIND_COMBINED))
+        shifted = memoryview(b"\x00" + buf)[1:]
+        g = from_bytes(shifted)
+        assert g.payload.flags.aligned and g.payload.flags.owndata
+        assert not np.shares_memory(g.payload, np.frombuffer(shifted, dtype=np.uint8))
+        np.testing.assert_array_equal(
+            g.payload.view(np.uint32), from_bytes(buf).payload.view(np.uint32)
+        )
+        assert to_bytes(g) == buf
+
+    def test_unstorable_header_values_rejected(self):
+        payload = np.zeros((256, 1, 1), dtype=np.float32)
+        with pytest.raises(WbptError, match="at most 255 entries"):
+            WbptFile(kind=KIND_COMBINED, stride=8, manifest_hash=HASH64, payload=payload,
+                     sections=((KIND_CONFIDENCE, 1),) * 256)
+        with pytest.raises(WbptError, match="stride"):
+            WbptFile(kind=KIND_PAF, stride=2**32, manifest_hash=HASH64, payload=payload)
+        f = WbptFile(kind=KIND_PAF, stride=2**32 - 1, manifest_hash=HASH64, payload=payload)
+        assert from_bytes(to_bytes(f)).stride == 2**32 - 1
 
     def test_mask_values_validated(self):
         payload = np.full((1, 2, 2), 0.5, dtype=np.float32)
@@ -171,13 +255,21 @@ class TestTargetsPacking:
         assert back.image_size == targets.image_size
 
     def test_to_targets_returns_writeable_views_of_the_payload(self):
-        f = from_bytes(to_bytes(random_file(np.random.default_rng(9), kind=KIND_COMBINED)))
+        buf = to_bytes(random_file(np.random.default_rng(9), kind=KIND_COMBINED))
+        f = from_bytes(bytearray(buf))
         back = to_targets(f)
         for tensor in (back.s_star, back.l_star, back.w_mask):
             assert np.shares_memory(tensor, f.payload)
             assert tensor.flags.writeable
         back.l_star[0, 0, 0] = 7.0
         assert f.payload[1, 0, 0] == 7.0
+
+        f = from_bytes(buf)
+        back = to_targets(f)
+        for tensor in (back.s_star, back.l_star, back.w_mask):
+            assert np.shares_memory(tensor, np.frombuffer(buf, dtype=np.uint8))
+            with pytest.raises(ValueError, match="read-only"):
+                tensor[0, 0, 0] = 7.0
 
     def test_to_targets_needs_combined(self):
         f = random_file(np.random.default_rng(8), kind=KIND_PAF)
