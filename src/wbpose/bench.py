@@ -70,6 +70,10 @@ def run_bench(
         raise ValueError("warmup must be >= 3")
     if repetitions < 10:
         raise ValueError("repetitions must be >= 10")
+    # Timings are keyed by crowd size, so a repeated size would pool its
+    # points' repetitions into each of their records.
+    if len(set(n_people_grid)) < len(n_people_grid):
+        raise ValueError(f"crowd sizes must not repeat, got {list(n_people_grid)}")
     enc_params = enc_params or EncoderParams()
     records = []
     for image_size in image_sizes:

@@ -356,45 +356,31 @@ def _support_keep(support, ch, sx, sy, vecx, vecy, params: DecoderParams) -> np.
     return np.arange(sx.size) if idx is None else idx
 
 
-def _segment_keys(ids: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense int keys for (segment, id), with segments the runs that begin
-    at starts, and each key's multiplicity. Segment k maps its ids onto
-    its own span [min, max] of keys, the spans laid end to end, so keys
-    never collide across segments and no sort is needed."""
-    lo = np.minimum.reduceat(ids, starts)
-    span = np.maximum.reduceat(ids, starts) - lo + 1
-    keys = ids + np.repeat(np.cumsum(span) - span - lo, np.diff(starts, append=ids.size))
-    return keys, np.bincount(keys)[keys]
-
-
 def _match_all_limbs(
     limb_ids: np.ndarray,
     scores: np.ndarray,
-    src_ids: np.ndarray,
-    dst_ids: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    src_keys: np.ndarray,
+    dst_keys: np.ndarray,
+) -> np.ndarray:
     """Greedy bipartite matching of every limb in one pass over the valid
-    pairs: within a limb, pairs are taken by descending score (ties on src
-    id, then dst id) and each candidate is used at most once. Sorting
-    limb-major with those keys as secondary keys reproduces the independent
-    per-limb matchings exactly, concatenated in limb order; used-sets are
-    keyed on (limb, candidate) because matching is per limb while candidate
-    ids are global. A pair whose (limb, src) and (limb, dst) keys no other
-    pair holds competes with nobody and is always taken, so only the
-    contested pairs run the greedy loop, in the same order.
+    pairs: within a limb, pairs are taken by descending score (ties in
+    arrival order) and each candidate is used at most once. Sorting
+    limb-major reproduces the independent per-limb matchings exactly,
+    concatenated in limb order. The caller keys each pair's ends by (limb,
+    candidate), because matching is per limb while candidate ids are
+    global: src_keys and dst_keys are small non-negative ints, each equal
+    for two pairs exactly when they share that end's limb and candidate. A
+    pair whose src and dst keys no other pair holds competes with nobody
+    and is always taken, so only the contested pairs run the greedy loop,
+    in the same order.
 
     The pairs must arrive in (limb, src, dst) order, as the decoder
     enumerates them, so sorting on (limb, -score) with ties in that order
     gives the full order.
-    Returns accepted (src, dst, score) arrays."""
-    if limb_ids.size == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
+    Returns the indices of the accepted pairs, in that order."""
     order = _group_desc_order(limb_ids, scores)
-    limbs = limb_ids[order]
-    starts = np.flatnonzero(np.diff(limbs, prepend=limbs[0] - 1))
-    src_key, src_n = _segment_keys(src_ids[order], starts)
-    dst_key, dst_n = _segment_keys(dst_ids[order], starts)
-    take = (src_n == 1) & (dst_n == 1)
+    src_key, dst_key = src_keys[order], dst_keys[order]
+    take = (np.bincount(src_key)[src_key] == 1) & (np.bincount(dst_key)[dst_key] == 1)
     contested = np.flatnonzero(~take)
     used_src: set[int] = set()
     used_dst: set[int] = set()
@@ -407,8 +393,7 @@ def _match_all_limbs(
         used_dst.add(d)
         won.append(j)
     take[won] = True
-    idx = order[take]
-    return src_ids[idx], dst_ids[idx], scores[idx]
+    return order[take]
 
 
 def _forest_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -560,12 +545,17 @@ def decode_with_stats(
         # paired with each dst row of the limb in turn. Candidate rows are
         # part-major, so each part is a slice [bases[p], bases[p+1]) of the
         # flat arrays, and group g covers pairs [g_at[g], g_at[g] + nd[g]).
+        # A group is its pairs' (limb, src) key for matching; did + g_dkey
+        # numbers the (limb, dst row)s densely, each limb's dst rows laid
+        # after the previous limb's, so two limbs into one part never share
+        # a key.
         limb_ids = np.array([l.limb_id for l in live_limbs], dtype=np.int64)
         src_parts = np.array([l.src for l in live_limbs], dtype=np.int64)
         dst_parts = np.array([l.dst for l in live_limbs], dtype=np.int64)
         ns, nd = counts[src_parts], counts[dst_parts]
         g_first = np.cumsum(ns) - ns  # each limb's first group
         g_src = np.arange(int(ns.sum())) + np.repeat(bases[src_parts] - g_first, ns)
+        g_dkey = np.repeat(np.cumsum(nd) - nd - bases[dst_parts], ns)
         g_nd = np.repeat(nd, ns)
         g_at = np.cumsum(g_nd) - g_nd  # each group's first pair
         did = np.arange(int(g_nd.sum())) + np.repeat(np.repeat(bases[dst_parts], ns) - g_at, g_nd)
@@ -598,12 +588,12 @@ def decode_with_stats(
             valid = keep[rows]
             stats.connections_valid = int(valid.size)
             t2 = time.perf_counter_ns()
-            # A valid pair's src row is its group's.
-            sid = g_src[np.searchsorted(g_at, valid, side="right") - 1]
-            acc_src, acc_dst, acc_score = _match_all_limbs(
-                ch[valid], scores, sid, did[valid]
-            )
-            stats.connections_accepted = int(acc_src.size)
+            # A valid pair's group gives its src row and both matching keys.
+            g = np.searchsorted(g_at, valid, side="right") - 1
+            vdid = did[valid]
+            won = _match_all_limbs(ch[valid], scores, g, vdid + g_dkey[g])
+            acc_src, acc_dst, acc_score = g_src[g[won]], vdid[won], scores[won]
+            stats.connections_accepted = int(won.size)
             stats.scorer_ns = t2 - t1
             stats.matching_ns = time.perf_counter_ns() - t2
     stats.scoring_ns = time.perf_counter_ns() - t0

@@ -53,14 +53,21 @@ class SceneRecipe:
     person_scale: tuple[float, float] = (90.0, 130.0)  # px height of the template
     coverage: frozenset[PartGroup] = frozenset(PartGroup)
     missing_prob: Mapping[PartGroup, float] = field(default_factory=dict)
-    rotation_deg: float = 20.0  # whole-person rotation, uniform +-
+    rotation_deg: float = 20.0  # whole-person rotation, uniform +-, <= 180
     jitter_deg: float = 12.0  # per-limb angular jitter, uniform +-, <= 15
     seed: int = 0
     max_attempts: int = 1000
 
     def __post_init__(self) -> None:
-        if self.jitter_deg > 15.0:
-            raise ValueError("per-limb jitter is capped at 15 degrees")
+        # Each angle bounds a uniform draw, which a NaN or huge bound
+        # overflows and a negative one reverses; a NaN separation fails
+        # every placement after the first person.
+        for name, cap in (("rotation_deg", 180.0), ("jitter_deg", 15.0)):
+            value = getattr(self, name)
+            if not 0.0 <= value <= cap:
+                raise ValueError(f"{name} must be in [0, {cap:g}], got {value}")
+        if not math.isfinite(self.min_separation):
+            raise ValueError(f"min_separation must be finite, got {self.min_separation}")
         if self.n_people < 0:
             raise ValueError("n_people must be >= 0")
         if min(self.image_size) < 1:

@@ -24,6 +24,12 @@ def test_run_bench_rejects_thin_sampling(topo):
         run_bench([1], [(128, 128)], topo, warmup=3, repetitions=9)
 
 
+def test_run_bench_rejects_repeated_crowd_size(topo):
+    # Each record would pool the repetitions of every point of its size.
+    with pytest.raises(ValueError, match="crowd sizes must not repeat"):
+        run_bench([1, 3, 1], [(128, 128)], topo, warmup=3, repetitions=10)
+
+
 def test_bench_record_invariants():
     ok = dict(
         n_people=1, map_w=16, map_h=16, median_ns=10, p90_ns=20, repetitions=10,

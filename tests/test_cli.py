@@ -528,6 +528,34 @@ class TestExitCodes:
         assert main(["--quiet", *argv]) == EXIT_USAGE
         assert "expected a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["synth", "--rotation-deg", "nan"], "rotation_deg must be in [0, 180], got nan"),
+        (["synth", "--rotation-deg", "inf"], "rotation_deg must be in [0, 180], got inf"),
+        (["synth", "--rotation-deg", "1e308"], "rotation_deg must be in [0, 180], got 1e+308"),
+        (["synth", "--rotation-deg", "-5"], "rotation_deg must be in [0, 180], got -5.0"),
+        (["synth", "--jitter-deg", "nan"], "jitter_deg must be in [0, 15], got nan"),
+        (["synth", "--jitter-deg", "-20"], "jitter_deg must be in [0, 15], got -20.0"),
+        (["synth", "--min-separation", "nan"], "min_separation must be finite, got nan"),
+        (["roundtrip", "--n-scenes", "1", "--min-separation", "nan"],
+         "min_separation must be finite, got nan"),
+        # Each record would pool the repetitions of both points.
+        (["bench", "--n-people", "1,1", "--image-size", "160x160", "--repetitions", "10"],
+         "crowd sizes must not repeat, got [1, 1]"),
+    ])
+    def test_unusable_recipe_or_crowd_grid_is_usage_error(self, capsys, argv, message):
+        assert main(["--quiet", *argv]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"wbpose: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--rotation-deg", "nan"],
+        ["bench", "--n-people", "1,1", "--image-size", "160x160", "--repetitions", "10"],
+    ], ids=["synth", "bench"])
+    def test_process_exits_2_without_traceback(self, argv):
+        proc = subprocess.run([sys.executable, "-m", "wbpose.cli", "--quiet", *argv],
+                              capture_output=True, text=True, env=src_env(), timeout=120)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
     def test_process_exits_3_without_traceback(self, tmp_path):
         # The other tests call main() in-process; this checks the code the
         # interpreter actually exits with.

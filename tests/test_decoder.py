@@ -278,12 +278,18 @@ def test_true_pairs_outrank_cross_pairs_two_people():
 
 def match_and_oracle(rows):
     """_match_all_limbs on the valid rows of (limb, score, valid, src, dst)
-    next to oracle_greedy_match run on each limb's valid rows separately."""
+    next to oracle_greedy_match run on each limb's valid rows separately.
+    The matching keys number the (limb, src) and (limb, dst) pairs densely,
+    as the decoder's enumeration groups do."""
     ok = [r for r in rows if r[2]]
     limb_ids, src_ids, dst_ids = (np.array([r[k] for r in ok], dtype=np.int64) for k in (0, 3, 4))
     scores = np.array([r[1] for r in ok], dtype=np.float64)
-    acc_src, acc_dst, acc_score = _match_all_limbs(limb_ids, scores, src_ids, dst_ids)
-    got = list(zip(acc_src.tolist(), acc_dst.tolist(), acc_score.tolist()))
+    src_keys, dst_keys = (
+        np.unique(np.stack([limb_ids, ids]), axis=1, return_inverse=True)[1].reshape(-1)
+        for ids in (src_ids, dst_ids)
+    )
+    won = _match_all_limbs(limb_ids, scores, src_keys, dst_keys)
+    got = list(zip(src_ids[won].tolist(), dst_ids[won].tolist(), scores[won].tolist()))
     per_limb = [
         oracle_greedy_match([(v, s, d) for l, v, _, s, d in ok if l == limb])
         for limb in sorted({r[0] for r in rows})
@@ -529,7 +535,36 @@ def test_dropped_poses_are_counted(params, by_parts, by_score, n_poses):
     assert len(poses) == n_poses
 
 
-DIFF_TOPOLOGIES = {"tiny": load_topology(tiny_manifest()), "default": default_topology()}
+def two_parent_manifest():
+    """A 6-part body tree in which the neck is the dst of two limbs (from
+    each shoulder) and the src of two (to the nose and to the hip). No part
+    of the tiny or default topology is the dst of two limbs, so only this
+    one tells matching's (limb, dst) keys from keys on the dst alone."""
+    names = ["nose", "neck", "l_shoulder", "r_shoulder", "hip", "knee"]
+    return {
+        "manifest_version": 1,
+        "background_channel": False,
+        "parts": [{"id": i, "name": n, "group": "body", "side": "center"}
+                  for i, n in enumerate(names)],
+        "limbs": [
+            {"id": 0, "src": 2, "dst": 1},
+            {"id": 1, "src": 3, "dst": 1},
+            {"id": 2, "src": 1, "dst": 0},
+            {"id": 3, "src": 1, "dst": 4},
+            {"id": 4, "src": 4, "dst": 5},
+        ],
+        "anchors": [],
+        "oks_kappa": {str(i): 0.079 for i in range(len(names))},
+        "template_pose": {"0": [0.0, 0.0], "1": [0.0, 0.3], "2": [-0.2, 0.35],
+                          "3": [0.2, 0.35], "4": [0.0, 0.7], "5": [0.05, 1.0]},
+    }
+
+
+DIFF_TOPOLOGIES = {
+    "tiny": load_topology(tiny_manifest()),
+    "default": default_topology(),
+    "two_parent": load_topology(two_parent_manifest()),
+}
 
 
 def noisy_maps(topo, rng, map_w, map_h, n_people, sigma):

@@ -128,6 +128,19 @@ def test_jitter_cap_enforced():
         SceneRecipe(n_people=1, jitter_deg=15.5)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("rotation_deg", math.nan), ("rotation_deg", math.inf), ("rotation_deg", 1e308),
+    ("rotation_deg", -5.0), ("jitter_deg", math.nan), ("jitter_deg", -20.0),
+    ("min_separation", math.nan), ("min_separation", -math.inf),
+])
+def test_recipe_rejects_unusable_angles_and_separation(field, value):
+    # An angle bounds a uniform draw: a NaN or huge one would overflow it
+    # and a negative one reverse it. A NaN separation would fail every
+    # placement but the first.
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        SceneRecipe(n_people=2, **{field: value})
+
+
 @pytest.mark.parametrize("scale", [(0.0, 0.0), (-10.0, 50.0), (65.0, 45.0)])
 def test_person_scale_must_be_a_positive_range(scale):
     with pytest.raises(ValueError, match="person_scale"):
