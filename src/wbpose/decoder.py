@@ -57,6 +57,12 @@ class DecoderParams:
     min_score: float | None = None  # None -> 0.2 * min_parts
 
     def __post_init__(self) -> None:
+        for name, value in (("nms_threshold", self.nms_threshold),
+                            ("min_score", self.resolved_min_score)):
+            if not math.isfinite(value):  # NaN would fail every comparison
+                raise ValueError(f"{name} must be finite, got {value}")
+        if not 0.0 <= self.sample_threshold < math.inf:
+            raise ValueError(f"sample_threshold must be finite and >= 0, got {self.sample_threshold}")
         if self.n_samples < 2:
             raise ValueError("n_samples must be >= 2")
         if not 0.0 < self.valid_fraction <= 1.0:
@@ -69,7 +75,7 @@ class DecoderParams:
     @property
     def min_valid_samples(self) -> int:
         # ceil with a guard against float dust in valid_fraction * n_samples
-        return math.ceil(self.valid_fraction * self.n_samples - 1e-9)
+        return max(1, math.ceil(self.valid_fraction * self.n_samples - 1e-9))
 
 
 @dataclass
@@ -265,11 +271,9 @@ def _flat_pair_scores(flat, base, shape, sx, sy, vecx, vecy, params: DecoderPara
         dots = vx
         dots += vy
     finite = np.isfinite(dots)
-    if finite.all():
-        passing = dots > params.sample_threshold
-    else:
-        dots[~finite] = 0.0
-        passing = finite & (dots > params.sample_threshold)
+    if not finite.all():
+        dots[~finite] = 0.0  # so it fails: the threshold is not negative
+    passing = dots > params.sample_threshold
 
     valid_counts = passing.sum(axis=0)
     rows = np.flatnonzero(nonzero & (valid_counts >= params.min_valid_samples))
@@ -322,8 +326,6 @@ def _support_keep(support, ch, sx, sy, vecx, vecy, params: DecoderParams) -> np.
     is skipped."""
     n_s = params.n_samples
     budget = n_s - params.min_valid_samples
-    if budget >= n_s:
-        return np.arange(sx.size)
     H, W = support.shape[1:]
     cells = support.reshape(-1)
     t = np.linspace(0.0, 1.0, n_s)
@@ -500,8 +502,8 @@ def decode_with_stats(
     the three phases. scoring_ns covers pair enumeration and four parts
     timed on their own: support_ns (the support map), prefilter_ns (the
     prefilter loop), scorer_ns (line integrals of the kept pairs) and
-    matching_ns. A part that does not run (no live limb, no kept pair, or
-    the prefilter off at a negative sample_threshold) reads 0."""
+    matching_ns. A part that does not run (no live limb or no kept pair)
+    reads 0."""
     params = params or DecoderParams()
     conf, paf = maps
     if conf.ndim != 3 or paf.ndim != 3 or conf.shape[1:] != paf.shape[1:]:
@@ -568,15 +570,12 @@ def decode_with_stats(
 
         # Exact prefilter: drops exactly the pairs with too few supported
         # sample positions to be valid (see _support_keep).
-        if params.sample_threshold >= 0.0:
-            t1 = time.perf_counter_ns()
-            support = _corner_support(paf, params.sample_threshold)
-            t2 = time.perf_counter_ns()
-            keep = _support_keep(support, ch, sx, sy, vecx, vecy, params)
-            stats.support_ns = t2 - t1
-            stats.prefilter_ns = time.perf_counter_ns() - t2
-        else:
-            keep = np.arange(sx.size)
+        t1 = time.perf_counter_ns()
+        support = _corner_support(paf, params.sample_threshold)
+        t2 = time.perf_counter_ns()
+        keep = _support_keep(support, ch, sx, sy, vecx, vecy, params)
+        stats.support_ns = t2 - t1
+        stats.prefilter_ns = time.perf_counter_ns() - t2
         stats.connections_kept = int(keep.size)
 
         if keep.size:

@@ -77,21 +77,9 @@ class DatasetSpec:
             raise RegistryError(f"{self.name}: size must be positive")
 
 
-@dataclass(frozen=True)
-class RngState:
-    """Value-typed RNG position: every draw keys a fresh Philox generator by
-    (seed, counter) and hands back the incremented state."""
-
-    seed: int
-    counter: int = 0
-
-    def generator(self) -> np.random.Generator:
-        return np.random.Generator(
-            np.random.Philox(np.random.SeedSequence((self.seed, self.counter)))
-        )
-
-    def advanced(self, steps: int = 1) -> "RngState":
-        return RngState(self.seed, self.counter + steps)
+def rng_for(seed: int, counter: int) -> np.random.Generator:
+    """The generator of one draw: Philox keyed by (seed, counter)."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, counter))))
 
 
 @dataclass(frozen=True)
@@ -182,35 +170,28 @@ def registry_from_json(doc: Mapping) -> tuple[DatasetSpec, ...]:
     return registry
 
 
-def next_batch(
-    registry: Sequence[DatasetSpec], state: RngState
-) -> tuple[DatasetSpec, RngState]:
-    """Pick the source dataset for one batch by inverse CDF in registry order."""
-    validate_registry(registry)
-    u = float(state.generator().random())
+def pick_dataset(registry: Sequence[DatasetSpec], rng: np.random.Generator) -> DatasetSpec:
+    """The source dataset of one batch, picked by inverse CDF in registry
+    order. The registry must be valid (validate_registry)."""
+    u = float(rng.random())
     acc = 0.0
-    chosen = registry[-1]  # guard against float leftovers at u ~ 1
     for spec in registry:
         acc += spec.probability
         if u < acc:
-            chosen = spec
-            break
-    return chosen, state.advanced()
+            return spec
+    return registry[-1]  # guard against float leftovers at u ~ 1
 
 
-def draw_augmentation(
-    spec: DatasetSpec, state: RngState
-) -> tuple[AugmentationDraw, RngState]:
+def draw_augmentation(spec: DatasetSpec, rng: np.random.Generator) -> AugmentationDraw:
     """One augmentation tuple for one image: uniform scale over the spec
     range, uniform rotation over +-range, Bernoulli flip, uniform fractional
     crop placement. Draw order within the generator is fixed."""
-    gen = state.generator()
     lo, hi = spec.aug.scale
-    scale = float(gen.uniform(lo, hi))
-    rotation = float(gen.uniform(-spec.aug.rotation_deg, spec.aug.rotation_deg))
-    flip = bool(gen.random() < spec.aug.flip_prob)
-    crop_offset = (float(gen.random()), float(gen.random()))
-    return AugmentationDraw(scale, rotation, flip, crop_offset), state.advanced()
+    scale = float(rng.uniform(lo, hi))
+    rotation = float(rng.uniform(-spec.aug.rotation_deg, spec.aug.rotation_deg))
+    flip = bool(rng.random() < spec.aug.flip_prob)
+    crop_offset = (float(rng.random()), float(rng.random()))
+    return AugmentationDraw(scale, rotation, flip, crop_offset)
 
 
 @dataclass(frozen=True)
@@ -228,22 +209,18 @@ class SamplePlan:
     batches: tuple[BatchPlan, ...]
 
 
-def state_for_batch(seed: int, batch_index: int, batch_size: int) -> RngState:
-    """Counter layout: batch i owns counters [i*(1+B), (i+1)*(1+B)) — one for
-    the dataset pick, then one per image."""
-    return RngState(seed, batch_index * (1 + batch_size))
-
-
 def plan_batch(
     registry: Sequence[DatasetSpec], seed: int, batch_index: int, batch_size: int
 ) -> BatchPlan:
-    state = state_for_batch(seed, batch_index, batch_size)
-    spec, state = next_batch(registry, state)
-    draws = []
-    for _ in range(batch_size):
-        draw, state = draw_augmentation(spec, state)
-        draws.append(draw)
-    return BatchPlan(batch_index=batch_index, dataset=spec.name, draws=tuple(draws))
+    """Counter layout: batch i owns counters [i*(1+B), (i+1)*(1+B)) — one for
+    the dataset pick, then one per image."""
+    validate_registry(registry)
+    first = batch_index * (1 + batch_size)
+    spec = pick_dataset(registry, rng_for(seed, first))
+    draws = tuple(
+        draw_augmentation(spec, rng_for(seed, first + 1 + k)) for k in range(batch_size)
+    )
+    return BatchPlan(batch_index=batch_index, dataset=spec.name, draws=draws)
 
 
 def build_plan(

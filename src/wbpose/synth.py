@@ -73,8 +73,8 @@ class SceneRecipe:
         if min(self.image_size) < 1:
             raise ValueError(f"image sides must be at least 1 px, got {self.image_size}")
         lo, hi = self.person_scale
-        if not 0.0 < lo <= hi:
-            raise ValueError(f"person_scale needs 0 < LO <= HI, got {lo}:{hi}")
+        if not 0.0 < lo <= hi < math.inf:  # an infinite HI overflows the height draw
+            raise ValueError(f"person_scale needs 0 < LO <= HI < inf, got {lo}:{hi}")
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:

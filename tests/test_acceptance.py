@@ -45,13 +45,12 @@ from wbpose.formats import (
 from wbpose.loss import loss_gradient, masked_l2, multitask_loss
 from wbpose.metrics import OKS_THRESHOLDS, EvalPose, evaluate
 from wbpose.scheduler import (
-    RngState,
     build_plan,
     default_registry,
     draw_augmentation,
-    next_batch,
+    pick_dataset,
     read_plan_jsonl,
-    state_for_batch,
+    rng_for,
     write_plan_jsonl,
 )
 from wbpose.skeleton import PartGroup, default_topology, load_topology
@@ -166,7 +165,7 @@ def test_criterion_3_scheduler_statistics():
     n = 100_000
     counts = {spec.name: 0 for spec in registry}
     for i in range(n):
-        spec, _ = next_batch(registry, state_for_batch(seed=17, batch_index=i, batch_size=1))
+        spec = pick_dataset(registry, rng_for(17, 2 * i))
         counts[spec.name] += 1
 
     max_dev_pp = 0.0
@@ -205,10 +204,9 @@ def test_criterion_4_augmentation_ranges():
 
     worst_p = 1.0
     for idx, spec in enumerate(registry):
-        state = RngState(seed=900 + idx, counter=0)
         scales, rotations = [], []
-        for _ in range(10_000):
-            draw, state = draw_augmentation(spec, state)
+        for k in range(10_000):
+            draw = draw_augmentation(spec, rng_for(900 + idx, k))
             scales.append(draw.scale)
             rotations.append(draw.rotation_deg)
             assert 0.0 <= draw.crop_offset[0] < 1.0 and 0.0 <= draw.crop_offset[1] < 1.0

@@ -237,6 +237,10 @@ class TestPlan:
         code, doc = run(capsys, "sample-plan", "--check", str(plan))
         assert code == EXIT_OK and doc["identical"] is True
 
+    def test_check_of_committed_plan_is_identical(self, capsys):
+        code, doc = run(capsys, "sample-plan", "--check", str(DATA / "plan_seed17.jsonl"))
+        assert code == EXIT_OK and doc["identical"] is True
+
     def test_check_flags_drift(self, capsys, tmp_path):
         plan = tmp_path / "plan.jsonl"
         main(["--quiet", "--seed", "3", "sample-plan", "--batches", "2",
@@ -541,6 +545,9 @@ class TestExitCodes:
         # Each record would pool the repetitions of both points.
         (["bench", "--n-people", "1,1", "--image-size", "160x160", "--repetitions", "10"],
          "crowd sizes must not repeat, got [1, 1]"),
+        # A HI of 400 nines parses as inf, which the height draw cannot take.
+        (["synth", "--person-scale", "1:" + "9" * 400],
+         "person_scale needs 0 < LO <= HI < inf, got 1.0:inf"),
     ])
     def test_unusable_recipe_or_crowd_grid_is_usage_error(self, capsys, argv, message):
         assert main(["--quiet", *argv]) == EXIT_USAGE
@@ -549,7 +556,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["synth", "--rotation-deg", "nan"],
         ["bench", "--n-people", "1,1", "--image-size", "160x160", "--repetitions", "10"],
-    ], ids=["synth", "bench"])
+        ["synth", "--person-scale", "1:" + "9" * 400],
+    ], ids=["synth", "bench", "person_scale"])
     def test_process_exits_2_without_traceback(self, argv):
         proc = subprocess.run([sys.executable, "-m", "wbpose.cli", "--quiet", *argv],
                               capture_output=True, text=True, env=src_env(), timeout=120)

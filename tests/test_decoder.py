@@ -468,6 +468,19 @@ def test_decode_rejects_maps_of_other_shapes(topo, case):
         decode_with_stats((conf, paf), topo)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("nms_threshold", np.nan), ("nms_threshold", np.inf), ("min_score", np.nan),
+    ("min_score", -np.inf), ("sample_threshold", -0.01), ("sample_threshold", np.nan),
+    ("sample_threshold", np.inf),
+])
+def test_params_reject_unusable_thresholds(field, value):
+    # A NaN threshold fails every comparison, so it would silently find no
+    # peak, keep no pose or pass no sample; a negative sample threshold
+    # would let a failed sample pass.
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        DecoderParams(**{field: value})
+
+
 def test_decode_single_person_recovers_all_parts(topo):
     template = topo.template_pose
     people = [
@@ -592,7 +605,7 @@ def noisy_maps(topo, rng, map_w, map_h, n_people, sigma):
     map_w=st.integers(20, 30),
     map_h=st.integers(20, 30),
     n_people=st.integers(1, 4),
-    sample_threshold=st.sampled_from([-0.01, 0.0, 0.05, 0.2]),
+    sample_threshold=st.sampled_from([0.0, 0.05, 0.2]),
     n_samples=st.sampled_from([3, 5, 10]),
     valid_fraction=st.sampled_from([0.5, 0.8, 1.0]),
     min_parts=st.integers(1, 5),
@@ -601,8 +614,8 @@ def noisy_maps(topo, rng, map_w, map_h, n_people, sigma):
 def test_decode_equals_oracle_on_noisy_maps(topo_name, seed, map_w, map_h, n_people, sigma,
                                             sample_threshold, n_samples, valid_fraction,
                                             min_parts, dtype):
-    # A negative sample_threshold turns the support prefilter off, so both
-    # sides of that switch are compared against the unfiltered oracle.
+    # The support prefilter always runs, and the oracle has none, so this
+    # also checks that the prefilter drops no pair that could be valid.
     # NaN and +inf each on about 1% of confidence cells, next to peaks and
     # in them.
     topo = DIFF_TOPOLOGIES[topo_name]
@@ -669,7 +682,7 @@ def test_prefilter_keeps_cells_whose_square_underflows():
 @given(
     seed=st.integers(0, 2**32 - 1),
     dtype=st.sampled_from([np.float32, np.float64]),
-    sample_threshold=st.sampled_from([-0.01, 0.0, 0.05, 0.2]),
+    sample_threshold=st.sampled_from([0.0, 0.05, 0.2]),
     n_samples=st.sampled_from([3, 5, 10]),
     valid_fraction=st.sampled_from([0.5, 0.8, 1.0]),
 )

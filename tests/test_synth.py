@@ -141,7 +141,9 @@ def test_recipe_rejects_unusable_angles_and_separation(field, value):
         SceneRecipe(n_people=2, **{field: value})
 
 
-@pytest.mark.parametrize("scale", [(0.0, 0.0), (-10.0, 50.0), (65.0, 45.0)])
+# An infinite HI would overflow the uniform height draw.
+@pytest.mark.parametrize("scale", [(0.0, 0.0), (-10.0, 50.0), (65.0, 45.0), (45.0, math.inf),
+                                   (math.inf, math.inf)])
 def test_person_scale_must_be_a_positive_range(scale):
     with pytest.raises(ValueError, match="person_scale"):
         SceneRecipe(n_people=1, person_scale=scale)
