@@ -2,7 +2,7 @@
 
 Times the decoder alone (scenes are generated and encoded once per grid
 point, outside the clock) on a grid of person counts and image sizes, with
-warmup runs discarded and medians over a fixed repetition count. The point
+the first WARMUP runs discarded and medians over a fixed repetition count. The point
 is the shape of the curve: a single decode pass is nearly flat in the person
 count, unlike a body-pass-plus-crops pipeline whose cost grows linearly.
 That comparison line comes from the runtime model and is always labeled
@@ -23,6 +23,9 @@ from .encoder import EncoderParams, encode
 from .skeleton import SkeletonTopology
 from .synth import SceneRecipe, generate
 
+# Decodes per grid point run before the clock starts, and discarded.
+WARMUP = 3
+
 
 @dataclass(frozen=True)
 class BenchRecord:
@@ -36,16 +39,9 @@ class BenchRecord:
     # times as medians over the timed repetitions, like median_ns.
     stats: DecodeStats
 
-    def __post_init__(self) -> None:
-        if self.repetitions < 10:
-            raise ValueError("need >= 10 repetitions for stable medians")
-        if self.median_ns > self.p90_ns:
-            raise ValueError("median above p90; timing is broken")
-
 
 def _percentile(sorted_ns: Sequence[int], q: float) -> int:
-    idx = min(int(round(q * (len(sorted_ns) - 1))), len(sorted_ns) - 1)
-    return sorted_ns[idx]
+    return sorted_ns[round(q * (len(sorted_ns) - 1))]
 
 
 def run_bench(
@@ -53,7 +49,6 @@ def run_bench(
     image_sizes: Sequence[tuple[int, int]],
     topo: SkeletonTopology,
     enc_params: EncoderParams | None = None,
-    warmup: int = 3,
     repetitions: int = 30,
     seed: int = 0,
 ) -> list[BenchRecord]:
@@ -66,8 +61,6 @@ def run_bench(
     slow clock-frequency drift hits every grid point alike instead of
     skewing cross-point comparisons.
     """
-    if warmup < 3:
-        raise ValueError("warmup must be >= 3")
     if repetitions < 10:
         raise ValueError("repetitions must be >= 10")
     # Timings are keyed by crowd size, so a repeated size would pool its
@@ -102,12 +95,12 @@ def run_bench(
         gc.collect()
         gc.disable()
         try:
-            for rep in range(warmup + repetitions):
+            for rep in range(WARMUP + repetitions):
                 for n_people, maps in prepared:
                     t0 = time.perf_counter_ns()
                     _, stats = decode_with_stats(maps, topo)
                     elapsed = time.perf_counter_ns() - t0
-                    if rep >= warmup:
+                    if rep >= WARMUP:
                         timings[n_people].append(elapsed)
                         stats_of[n_people].append(stats)
         finally:

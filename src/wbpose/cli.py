@@ -96,6 +96,16 @@ def _count(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 def _int_list(text: str) -> list[int]:
     try:
         values = [int(v) for v in text.split(",") if v != ""]
@@ -140,7 +150,7 @@ def _scale(text: str) -> tuple[float, float]:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="wbpose", description=__doc__.splitlines()[0])
     p.add_argument("--manifest", type=Path, default=None, help="topology manifest JSON (default: bundled wholebody135)")
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed, echoed in outputs")
+    p.add_argument("--seed", type=_seed, default=0, help="base RNG seed, echoed in outputs")
     p.add_argument("--stride", type=int, default=8, help="map cell size in pixels")
     p.add_argument("--quiet", action="store_true", help="suppress the JSON summary on stdout")
     sub = p.add_subparsers(dest="command", required=True)
@@ -208,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     be = sub.add_parser("bench", help="decode-only timing over a synthetic grid")
     be.add_argument("--n-people", type=_int_list, default=[1, 5, 10, 20])
     be.add_argument("--image-size", type=_size, action="append", default=None, metavar="WxH")
-    be.add_argument("--warmup", type=int, default=3)
     be.add_argument("--repetitions", type=int, default=30)
     return p
 
@@ -491,7 +500,7 @@ def cmd_bench(args) -> int:
     records = run_bench(
         args.n_people, sizes, topo,
         enc_params=EncoderParams(stride=args.stride),
-        warmup=args.warmup, repetitions=args.repetitions, seed=args.seed,
+        repetitions=args.repetitions, seed=args.seed,
     )
     _emit(args, topo, {
         "n_records": len(records), "records": [dataclasses.asdict(r) for r in records],

@@ -128,11 +128,6 @@ class TargetTensors:
     stride: int
     image_size: tuple[int, int]
 
-    @property
-    def grid(self) -> tuple[int, int, int]:
-        """(map_w, map_h, stride)."""
-        return self.s_star.shape[2], self.s_star.shape[1], self.stride
-
 
 def map_shape(image_size: tuple[int, int], stride: int) -> tuple[int, int]:
     """(map_h, map_w) for an image; partial cells at the border are kept."""

@@ -44,7 +44,7 @@ import numpy as np
 from . import __version__
 from .decoder import Pose
 from .encoder import AnnotatedScene, Person, TargetTensors, Visibility
-from .jsondoc import DocumentError, errors_as, id_keys, read, read_at_least
+from .jsondoc import DocumentError, id_keys, read, read_at_least
 from .metrics import EvalPose
 from .skeleton import PartGroup, SkeletonTopology
 
@@ -416,10 +416,6 @@ def poses_from_document(doc: Mapping) -> dict[int, list[EvalPose]]:
 # COCO keypoint ingestion.
 
 
-class CocoIngestError(DocumentError):
-    """A COCO keypoint document does not fit the mapping."""
-
-
 _COCO_VIS = {0: Visibility.MISSING, 1: Visibility.OCCLUDED, 2: Visibility.LABELED}
 
 
@@ -428,7 +424,6 @@ def default_coco_mapping() -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-@errors_as(CocoIngestError)
 def ingest_coco(
     coco: Mapping,
     topo: SkeletonTopology,
@@ -442,7 +437,7 @@ def ingest_coco(
     missing/occluded/labeled.  Crowd annotations contribute their boxes as
     unlabeled regions instead of people; images without annotations become
     explicit no-people scenes.  Scene ids are the COCO image ids and output
-    order follows ascending image id.  CocoIngestError on a malformed node
+    order follows ascending image id.  DocumentError on a malformed node
     of either document (a negative image id, or a width or height below
     1 px, among them), or a mapping name the topology lacks.
     """
@@ -453,14 +448,14 @@ def ingest_coco(
     part_id = {p.name: p.part_id for p in topo.parts}
     for coco_name, ours in names.items():
         if read(ours, str, "mapping keypoints", coco_name) not in part_id:
-            raise CocoIngestError(f"mapping names {ours!r} for {coco_name!r}, a part the topology lacks")
+            raise DocumentError(f"mapping names {ours!r} for {coco_name!r}, a part the topology lacks")
 
     coco = read(coco, dict, "COCO document")
     categories = read(coco.get("categories", []), list[dict], "COCO categories")
     known_ids = {read(c.get("id"), int, "COCO category id") for c in categories}
     cat_ids = {c["id"] for c in categories if c.get("name") == category_name}
     if not cat_ids:
-        raise CocoIngestError(f"no category named {category_name!r} in the document")
+        raise DocumentError(f"no category named {category_name!r} in the document")
     name_order = list(names)
     for c in categories:
         if c["id"] in cat_ids and "keypoints" in c:
@@ -471,7 +466,7 @@ def ingest_coco(
     for img in read(coco.get("images"), list[dict], "COCO images"):
         img_id = read_at_least(img.get("id"), int, 0, "COCO image id")
         if img_id in by_id:
-            raise CocoIngestError(f"two images have id {img_id}")
+            raise DocumentError(f"two images have id {img_id}")
         size = read_at_least(
             [img.get("width"), img.get("height")], tuple[int, int], 1, f"image {img_id} size"
         )
@@ -480,19 +475,19 @@ def ingest_coco(
         where = f"annotation {ann.get('id')}"
         cid = read(ann.get("category_id"), int, where, "category_id")
         if cid not in known_ids:
-            raise CocoIngestError(f"{where} has unknown category id {cid}")
+            raise DocumentError(f"{where} has unknown category id {cid}")
         if cid not in cat_ids:
             continue
         image_id = read(ann.get("image_id"), int, where, "image_id")
         if image_id not in by_id:
-            raise CocoIngestError(f"{where} references missing image {image_id}")
+            raise DocumentError(f"{where} references missing image {image_id}")
         if read(ann.get("iscrowd", 0), int, where, "iscrowd"):
             x, y, w, h = read(ann.get("bbox"), _BOX, where, "bbox")
             by_id[image_id].unlabeled_regions.append((x, y, x + w, y + h))
             continue
         kp = read(ann.get("keypoints"), list, where, "keypoints")
         if len(kp) != 3 * len(part_of_slot):
-            raise CocoIngestError(
+            raise DocumentError(
                 f"{where} has {len(kp)} keypoint values, expected {3 * len(part_of_slot)}"
             )
         parts: dict[int, tuple[float, float, Visibility]] = {}
@@ -501,7 +496,7 @@ def ingest_coco(
                 continue
             x, y, v = read(kp[3 * slot : 3 * slot + 3], tuple[float, float, float], where, "keypoints")
             if v not in _COCO_VIS:
-                raise CocoIngestError(f"{where} has visibility flag {v:g}")
+                raise DocumentError(f"{where} has visibility flag {v:g}")
             parts[pid] = (x, y, _COCO_VIS[v])
         by_id[image_id].people.append(Person(parts=parts))
     scenes = [

@@ -2,10 +2,11 @@
 poses, COCO keypoints and the COCO name mapping, topology manifests, dataset
 registries and sample plans. Their readers take every node through read(),
 naming it in their own words, so a malformed node raises one DocumentError
-that says which node it is and what was expected there."""
+that says which node it is and what was expected there. Their own checks
+(a limb closing a cycle, probabilities that do not sum to 1) raise it too,
+so a caller catches one type whichever document it reads."""
 from __future__ import annotations
 
-import functools
 import re
 import sys
 import typing
@@ -93,18 +94,3 @@ def from_json(cls, doc, *where):
         return cls(**out)
     except (TypeError, ValueError) as exc:  # a missing or unknown key, or a value cls rejects
         raise _error(where, exc) from None
-
-
-def errors_as(error):
-    """Decorate a reader so each DocumentError it raises reaches the caller as error."""
-    def decorate(reader):
-        @functools.wraps(reader)
-        def wrapped(*args, **kwargs):
-            try:
-                return reader(*args, **kwargs)
-            except error:
-                raise
-            except DocumentError as exc:
-                raise error(str(exc)) from exc
-        return wrapped
-    return decorate

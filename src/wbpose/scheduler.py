@@ -21,20 +21,12 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .jsondoc import DocumentError, errors_as, from_json, read
+from .jsondoc import DocumentError, from_json, read
 from .skeleton import PartGroup
 
 RNG_ALGORITHM = "numpy-philox4x64/seedseq(seed,counter)"
 
 REGISTRY_VERSION = 1
-
-
-class RegistryError(DocumentError):
-    """A dataset registry is not one this version can plan with."""
-
-
-class PlanError(DocumentError):
-    """A plan file is not a JSON-lines plan this version can replay."""
 
 
 class Special(str, Enum):
@@ -52,13 +44,13 @@ class AugmentationRanges:
     def __post_init__(self) -> None:
         lo, hi = self.scale
         if not (0 < lo <= hi):
-            raise RegistryError(f"bad scale range {self.scale}")
+            raise DocumentError(f"bad scale range {self.scale}")
         if self.rotation_deg < 0:
-            raise RegistryError("rotation_deg must be >= 0")
+            raise DocumentError("rotation_deg must be >= 0")
         if not (0.0 <= self.flip_prob <= 1.0):
-            raise RegistryError("flip_prob must be in [0, 1]")
+            raise DocumentError("flip_prob must be in [0, 1]")
         if self.crop[0] <= 0 or self.crop[1] <= 0:
-            raise RegistryError("crop target must be positive")
+            raise DocumentError("crop target must be positive")
 
 
 @dataclass(frozen=True)
@@ -72,9 +64,9 @@ class DatasetSpec:
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.probability <= 1.0):
-            raise RegistryError(f"{self.name}: probability {self.probability} outside [0, 1]")
+            raise DocumentError(f"{self.name}: probability {self.probability} outside [0, 1]")
         if self.size <= 0:
-            raise RegistryError(f"{self.name}: size must be positive")
+            raise DocumentError(f"{self.name}: size must be positive")
 
 
 def rng_for(seed: int, counter: int) -> np.random.Generator:
@@ -129,13 +121,13 @@ def default_registry() -> tuple[DatasetSpec, ...]:
 
 def validate_registry(registry: Sequence[DatasetSpec]) -> None:
     if not registry:
-        raise RegistryError("registry is empty")
+        raise DocumentError("registry is empty")
     names = [spec.name for spec in registry]
     if len(set(names)) != len(names):
-        raise RegistryError("duplicate dataset names in registry")
+        raise DocumentError("duplicate dataset names in registry")
     total = sum(spec.probability for spec in registry)
     if abs(total - 1.0) > 1e-9:
-        raise RegistryError(f"probabilities sum to {total!r}, expected 1.0")
+        raise DocumentError(f"probabilities sum to {total!r}, expected 1.0")
 
 
 def registry_hash(registry: Sequence[DatasetSpec]) -> str:
@@ -155,13 +147,12 @@ def registry_to_json(registry: Sequence[DatasetSpec]) -> dict:
     }
 
 
-@errors_as(RegistryError)
 def registry_from_json(doc: Mapping) -> tuple[DatasetSpec, ...]:
-    """The registry of a registry_to_json document; RegistryError on
+    """The registry of a registry_to_json document; DocumentError on
     anything else, naming the bad node."""
     version = read(read(doc, dict, "registry").get("registry_version"), int, "registry_version")
     if version != REGISTRY_VERSION:
-        raise RegistryError(f"unsupported registry_version {version!r}")
+        raise DocumentError(f"unsupported registry_version {version!r}")
     specs = []
     for entry in read(doc.get("datasets", []), list[dict], "registry datasets"):
         specs.append(from_json(DatasetSpec, entry, f"bad dataset entry {entry.get('name', '?')!r}"))
@@ -253,21 +244,22 @@ def write_plan_jsonl(plan: SamplePlan, fp: IO[str]) -> None:
         fp.write(json.dumps(asdict(batch)) + "\n")
 
 
-@errors_as(PlanError)
 def read_plan_jsonl(lines: Iterable[str]) -> SamplePlan:
-    """Parse a plan written by write_plan_jsonl; PlanError on anything else."""
+    """Parse a plan written by write_plan_jsonl; DocumentError on anything else."""
     it = iter(lines)
     try:
         header = read(json.loads(next(it)), dict, "plan header")
     except StopIteration:
-        raise PlanError("empty plan file") from None
+        raise DocumentError("empty plan file") from None
     if header.get("rng_algorithm") != RNG_ALGORITHM:
-        raise PlanError(f"plan was written with {header.get('rng_algorithm')!r}")
+        raise DocumentError(f"plan was written with {header.get('rng_algorithm')!r}")
     seed = read(header.get("seed"), int, "plan header 'seed'")
     batch_size = read(header.get("batch_size"), int, "plan header 'batch_size'")
     registry_hash = read(header.get("registry_hash"), str, "plan header 'registry_hash'")
     if seed < 0 or batch_size < 1:
-        raise PlanError(f"plan header needs seed >= 0 and batch_size >= 1, got {seed}, {batch_size}")
+        raise DocumentError(
+            f"plan header needs seed >= 0 and batch_size >= 1, got {seed}, {batch_size}"
+        )
     batches = tuple(
         from_json(BatchPlan, json.loads(line), f"plan line {line_no}")
         for line_no, line in enumerate(it, start=2)

@@ -18,7 +18,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
-from .jsondoc import DocumentError, errors_as, id_keys, read
+from .jsondoc import DocumentError, id_keys, read
 
 MANIFEST_VERSION = 1
 
@@ -36,14 +36,6 @@ class Side(str, Enum):
     LEFT = "left"
     RIGHT = "right"
     CENTER = "center"
-
-
-class ManifestError(DocumentError):
-    """A topology manifest failed validation."""
-
-
-class DisconnectedGroupError(ManifestError):
-    """Parts exist that no anchor or body part can reach through limbs."""
 
 
 @dataclass(frozen=True)
@@ -102,10 +94,6 @@ class SkeletonTopology:
     def background_index(self) -> int | None:
         return self.n_parts if self.background_channel else None
 
-    def channel_counts(self) -> tuple[int, int]:
-        """(confidence channels incl. background if enabled, PAF channels)."""
-        return self.confidence_channels, self.paf_channels
-
     def part_by_name(self, name: str) -> Part:
         for p in self.parts:
             if p.name == name:
@@ -135,14 +123,13 @@ def _manifest_hash(manifest: Mapping) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-@errors_as(ManifestError)
 def load_topology(source: str | Path | Mapping) -> SkeletonTopology:
     """Parse and validate a topology manifest (path or already-parsed dict).
 
-    Raises ManifestError on structural problems (including an ill-typed
-    node, and a limb that closes a cycle: decoding assembles poses over a
-    forest) and DisconnectedGroupError when some part cannot be reached
-    from any body part or anchor.
+    Raises DocumentError on an ill-typed node, on structural problems (a
+    limb that closes a cycle among them: decoding assembles poses over a
+    forest), and when some part cannot be reached from any body part or
+    anchor.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
@@ -151,29 +138,29 @@ def load_topology(source: str | Path | Mapping) -> SkeletonTopology:
 
     version = read(manifest.get("manifest_version"), int, "manifest_version")
     if version != MANIFEST_VERSION:
-        raise ManifestError(f"unsupported manifest_version {version!r}, expected {MANIFEST_VERSION}")
+        raise DocumentError(f"unsupported manifest_version {version!r}, expected {MANIFEST_VERSION}")
 
     raw_parts = read(manifest.get("parts"), list[dict], "manifest parts")
     if not raw_parts:
-        raise ManifestError("manifest declares no parts")
+        raise DocumentError("manifest declares no parts")
     seen_ids: set[int] = set()
     seen_names: set[str] = set()
     parts: list[Part] = []
     for idx, entry in enumerate(raw_parts):
         pid = read(entry.get("id"), int, f"part {idx} id")
         if pid in seen_ids:
-            raise ManifestError(f"duplicate part id {pid}")
+            raise DocumentError(f"duplicate part id {pid}")
         seen_ids.add(pid)
         name = read(entry.get("name"), str, f"part {pid} name")
         if name in seen_names:
-            raise ManifestError(f"duplicate part name {name!r}")
+            raise DocumentError(f"duplicate part name {name!r}")
         seen_names.add(name)
         group = read(entry.get("group"), PartGroup, f"part {pid} group")
         side = read(entry.get("side", "center"), Side, f"part {pid} side")
         parts.append(Part(pid, name, group, side))
     n_parts = len(parts)
     if seen_ids != set(range(n_parts)):
-        raise ManifestError("part ids must be contiguous from 0 (they fix the channel layout)")
+        raise DocumentError("part ids must be contiguous from 0 (they fix the channel layout)")
     parts.sort(key=lambda p: p.part_id)
     group_of = {p.part_id: p.group for p in parts}
 
@@ -189,16 +176,16 @@ def load_topology(source: str | Path | Mapping) -> SkeletonTopology:
     for idx, entry in enumerate(read(manifest.get("limbs"), list[dict], "manifest limbs")):
         lid = read(entry.get("id", idx), int, f"limb {idx} id")
         if lid != idx:
-            raise ManifestError(f"limb ids must be contiguous from 0 in order, got {lid} at index {idx}")
+            raise DocumentError(f"limb ids must be contiguous from 0 in order, got {lid} at index {idx}")
         src, dst = (read(entry.get(end), int, f"limb {lid} {end}") for end in ("src", "dst"))
         for ref in (src, dst):
             if ref not in seen_ids:
-                raise ManifestError(f"limb {lid} references unknown part {ref}")
+                raise DocumentError(f"limb {lid} references unknown part {ref}")
         if src == dst:
-            raise ManifestError(f"limb {lid} is degenerate (src == dst == {src})")
+            raise DocumentError(f"limb {lid} is degenerate (src == dst == {src})")
         rs, rd = root(src), root(dst)
         if rs == rd:
-            raise ManifestError(
+            raise DocumentError(
                 f"limb {lid} ({src} -> {dst}) closes a cycle; the limb graph must be a forest"
             )
         tree_of[rs] = rd
@@ -208,34 +195,34 @@ def load_topology(source: str | Path | Mapping) -> SkeletonTopology:
     for idx, entry in enumerate(read(manifest.get("anchors"), list[dict], "manifest anchors")):
         pid = read(entry.get("part"), int, f"anchor {idx} part")
         if pid not in seen_ids:
-            raise ManifestError(f"anchor references unknown part {pid}")
+            raise DocumentError(f"anchor references unknown part {pid}")
         ga, gb = read(entry.get("groups"), tuple[PartGroup, PartGroup], f"anchor part {pid} groups")
         if ga == gb:
-            raise ManifestError(f"anchor part {pid} must bridge two distinct groups")
+            raise DocumentError(f"anchor part {pid} must bridge two distinct groups")
         if group_of[pid] not in (ga, gb):
-            raise ManifestError(f"anchor part {pid} does not belong to either bridged group")
+            raise DocumentError(f"anchor part {pid} does not belong to either bridged group")
         anchors.append(Anchor(pid, ga, gb))
 
     kappa = [0.0] * n_parts
     for pid, val in id_keys(manifest.get("oks_kappa"), "manifest oks_kappa").items():
         if pid not in seen_ids:
-            raise ManifestError(f"oks_kappa references unknown part {pid}")
+            raise DocumentError(f"oks_kappa references unknown part {pid}")
         kappa[pid] = read(val, float, f"oks_kappa of part {pid}")
     for p in parts:
         if not kappa[p.part_id] > 0.0:
-            raise ManifestError(f"non-positive oks_kappa for part {p.part_id} ({p.name})")
+            raise DocumentError(f"non-positive oks_kappa for part {p.part_id} ({p.name})")
 
     # Every part must be reachable from a body part or a declared anchor,
     # otherwise decode could never attach the orphaned parts to a person.
     seeds = {p.part_id for p in parts if p.group == PartGroup.BODY}
     seeds.update(a.part_id for a in anchors)
     if not seeds:
-        raise DisconnectedGroupError("topology has no body parts and no anchors to root assembly")
+        raise DocumentError("topology has no body parts and no anchors to root assembly")
     seed_roots = {root(pid) for pid in seeds}
     orphans = [pid for pid in range(n_parts) if root(pid) not in seed_roots]
     if orphans:
         orphan_groups = sorted({group_of[pid].value for pid in orphans})
-        raise DisconnectedGroupError(
+        raise DocumentError(
             f"groups {orphan_groups} have parts unreachable from any anchor or body part: {orphans[:8]}"
         )
 
@@ -245,10 +232,10 @@ def load_topology(source: str | Path | Mapping) -> SkeletonTopology:
         template = {}
         for pid, xy in id_keys(manifest["template_pose"], "manifest template_pose").items():
             if pid not in seen_ids:
-                raise ManifestError(f"template_pose references unknown part {pid}")
+                raise DocumentError(f"template_pose references unknown part {pid}")
             template[pid] = read(xy, tuple[float, float], f"template_pose of part {pid}")
         if set(template) != seen_ids:
-            raise ManifestError("template_pose must cover every part or be omitted")
+            raise DocumentError("template_pose must cover every part or be omitted")
 
     return SkeletonTopology(
         parts=tuple(parts),

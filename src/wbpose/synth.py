@@ -27,6 +27,7 @@ import numpy as np
 from .decoder import DecodeStats, decode_with_stats
 from .encoder import AnnotatedScene, EncoderParams, Person, Visibility, encode
 from .metrics import EvalPose, gt_poses_from_scene, match_scene
+from .scheduler import rng_for
 from .skeleton import PartGroup, SkeletonTopology
 
 
@@ -75,10 +76,6 @@ class SceneRecipe:
         lo, hi = self.person_scale
         if not 0.0 < lo <= hi < math.inf:  # an infinite HI overflows the height draw
             raise ValueError(f"person_scale needs 0 < LO <= HI < inf, got {lo}:{hi}")
-
-
-def _rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, *key))))
 
 
 def _limb_subtrees(topo: SkeletonTopology) -> list[tuple[int, list[int]]]:
@@ -182,7 +179,7 @@ def generate(recipe: SceneRecipe, topo: SkeletonTopology, scene_id: int = 0) -> 
             image_size=recipe.image_size, people=[], coverage=recipe.coverage,
             no_people=True, scene_id=scene_id,
         )
-    rng = _rng(recipe.seed, scene_id)
+    rng = rng_for(recipe.seed, scene_id)
     template = _flat_template(topo)
     boxes: list[tuple[float, float, float, float]] = []
     people: list[Person] = []

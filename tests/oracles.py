@@ -27,6 +27,7 @@ import numpy as np
 
 from wbpose.decoder import Pose, _nms_arrays
 from wbpose.encoder import AnnotatedScene, Person, Visibility
+from wbpose.scheduler import rng_for
 from wbpose.skeleton import PartGroup, SkeletonTopology
 from wbpose.synth import (
     EDGE_MARGIN_PX,
@@ -34,7 +35,6 @@ from wbpose.synth import (
     SceneRecipe,
     _box_gap,
     _limb_subtrees,
-    _rng,
 )
 
 
@@ -606,7 +606,7 @@ def oracle_generate(recipe: SceneRecipe, topo: SkeletonTopology, scene_id: int =
             image_size=recipe.image_size, people=[], coverage=recipe.coverage,
             no_people=True, scene_id=scene_id,
         )
-    rng = _rng(recipe.seed, scene_id)
+    rng = rng_for(recipe.seed, scene_id)
     subtrees = _limb_subtrees(topo)
     boxes: list[tuple[float, float, float, float]] = []
     people: list[Person] = []

@@ -364,8 +364,7 @@ def test_criterion_7_runtime_shape(topo):
     maps) at most 2.0; modeled multi-network ratio curve affine in n with
     positive slope; under 120 s."""
     t0 = time.monotonic()
-    records = run_bench([1, 5, 10, 20], [(480, 480)], topo, warmup=3,
-                        repetitions=60, seed=0)
+    records = run_bench([1, 5, 10, 20], [(480, 480)], topo, repetitions=60, seed=0)
     medians = {r.n_people: r.median_ns for r in records}
     ratio = medians[20] / medians[1]
 

@@ -675,6 +675,22 @@ class TestExitCodes:
         assert main(["--quiet"] + command) == EXIT_USAGE
         assert "expected a count of at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["synth", "--n-scenes", "1"],
+        ["roundtrip", "--n-scenes", "1"],
+        ["bench", "--repetitions", "10"],
+        ["sample-plan", "--out", "plan.jsonl"],
+        ["arch", "--ratio"],
+    ], ids=lambda command: command[0])
+    def test_negative_seed_is_usage_error_naming_the_option(self, capsys, command):
+        # Every summary echoes the seed so that the run can be replayed, and
+        # the generators take only seeds >= 0. argparse prints its usage
+        # first, which lists every global flag; the error is one line.
+        assert main(["--quiet", "--seed", "-1"] + command) == EXIT_USAGE
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("wbpose:")]
+        assert errors == ["wbpose: error: argument --seed: expected a non-negative integer, got -1"]
+
 
 class TestRoundtripCommand:
     def test_small_gate_passes(self, capsys, topo):

@@ -3,7 +3,9 @@
 Any one node of a valid document is replaced with a value of another JSON
 kind, or one object key is deleted. The command that reads the document
 must then succeed or exit 3 with a message; it must never raise, and never
-exit 1 (a failed gate) or 2 (a usage error) because of a document.
+exit 1 (a failed gate) or 2 (a usage error) because of a document. Each
+library reader raises DocumentError itself, whose text is the line the
+command prints.
 """
 import copy
 import io
@@ -17,8 +19,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wbpose.cli import EXIT_IO, EXIT_OK, EXIT_TOLERANCE, main
-from wbpose.formats import default_coco_mapping
-from wbpose.scheduler import build_plan, default_registry, registry_to_json, write_plan_jsonl
+from wbpose.formats import default_coco_mapping, ingest_coco
+from wbpose.jsondoc import DocumentError
+from wbpose.scheduler import (
+    build_plan,
+    default_registry,
+    read_plan_jsonl,
+    registry_from_json,
+    registry_to_json,
+    write_plan_jsonl,
+)
+from wbpose.skeleton import default_topology, load_topology
 
 from conftest import tiny_manifest
 
@@ -120,3 +131,34 @@ def test_single_node_edit_exits_0_or_3(name, workdir, capsys):
         assert (code == EXIT_IO) == err.startswith("wbpose: "), (edit, code, err)
 
     check()
+
+
+# reader -> (the document it reads, the library call, one malformed node as
+# a path and its new value, argv reading the document from {doc}).
+READERS = {
+    # Limb 3 (2 -> 0) joins ankle and nose, which the neck already joins.
+    "load_topology": ("manifest", load_topology, (("limbs", 3), {"id": 3, "src": 2, "dst": 0}),
+                      ["--manifest", "{doc}", "arch", "--ratio", "--n", "1"]),
+    "registry_from_json": ("registry", registry_from_json, (("datasets", 1, "probability"), 2.0),
+                           ["sample-plan", "--registry", "{doc}", "--out", "{out}"]),
+    "read_plan_jsonl": ("plan", lambda doc: read_plan_jsonl(json.dumps(line) for line in doc),
+                        ((0, "rng_algorithm"), "numpy-pcg64"), ["sample-plan", "--check", "{doc}"]),
+    "ingest_coco": ("coco", lambda doc: ingest_coco(doc, default_topology()),
+                    (("annotations", 0, "category_id"), 7), ["encode", "--coco", "{doc}"]),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_reader_raises_document_error_with_the_printed_line(reader, workdir, capsys):
+    name, call, edit, argv = READERS[reader]
+    doc = _apply(DOCUMENTS[name][0], *edit)
+    with pytest.raises(DocumentError) as info:
+        call(doc)
+    assert type(info.value) is DocumentError
+
+    paths = {"doc": workdir / f"{reader}.json", "out": workdir / f"{reader}-out.jsonl"}
+    paths["doc"].write_text(
+        "".join(json.dumps(line) + "\n" for line in doc) if name == "plan" else json.dumps(doc)
+    )
+    assert main(["--quiet"] + [arg.format(**paths) for arg in argv]) == EXIT_IO
+    assert capsys.readouterr().err == f"wbpose: {info.value}\n"

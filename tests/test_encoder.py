@@ -340,7 +340,7 @@ def test_encode_shapes_consistent(topo):
     assert t.s_star.shape == (136, 60, 60)
     assert t.l_star.shape == (268, 60, 60)
     assert t.w_mask.shape == (136 + 268, 60, 60)
-    assert t.grid == (60, 60, 8)
+    assert t.stride == 8
 
 
 def four_group_topo():

@@ -19,7 +19,6 @@ from wbpose.formats import (
     KIND_PAF,
     PAYLOAD_ALIGN,
     BadMagic,
-    CocoIngestError,
     DocumentError,
     Truncated,
     UnsupportedVersion,
@@ -403,23 +402,23 @@ class TestCocoIngestion:
     def test_unknown_category(self, topo):
         coco = self.toy()
         coco["annotations"][0]["category_id"] = 99
-        with pytest.raises(CocoIngestError, match="unknown category"):
+        with pytest.raises(DocumentError, match="unknown category"):
             ingest_coco(coco, topo)
 
     def test_keypoint_count_mismatch(self, topo):
         coco = self.toy()
         coco["annotations"][0]["keypoints"] = coco["annotations"][0]["keypoints"][:-3]
-        with pytest.raises(CocoIngestError, match="keypoint values"):
+        with pytest.raises(DocumentError, match="keypoint values"):
             ingest_coco(coco, topo)
 
     def test_missing_person_category(self, topo):
         coco = self.toy()
         coco["categories"][0]["name"] = "giraffe"
-        with pytest.raises(CocoIngestError, match="person"):
+        with pytest.raises(DocumentError, match="person"):
             ingest_coco(coco, topo)
 
     def test_bad_visibility_flag(self, topo):
         coco = self.toy()
         coco["annotations"][0]["keypoints"][2] = 3
-        with pytest.raises(CocoIngestError, match="visibility"):
+        with pytest.raises(DocumentError, match="visibility"):
             ingest_coco(coco, topo)

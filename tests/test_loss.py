@@ -216,7 +216,7 @@ def test_multitask_loss_equals_oracle_path(
     # ending in a partial block; the tiny one has fewer than a block.
     tp = topo if use_default else tiny_topo_module
     rng = np.random.default_rng(seed)
-    n_s, n_l = tp.channel_counts()
+    n_s, n_l = tp.confidence_channels, tp.paf_channels
     paf_pred, l_star, w_paf = _random_masked(rng, (n_l, h, w), pred_dtype)
     cm_pred, s_star, w_conf = _random_masked(rng, (n_s, h, w), pred_dtype)
     paf_preds = [paf_pred] + [paf_pred * rng.random() for _ in range(n_paf - 1)]

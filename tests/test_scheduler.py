@@ -10,12 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from wbpose.jsondoc import DocumentError
 from wbpose.scheduler import (
     RNG_ALGORITHM,
     AugmentationRanges,
     DatasetSpec,
-    PlanError,
-    RegistryError,
     Special,
     build_plan,
     default_registry,
@@ -161,29 +160,30 @@ def test_registry_json_roundtrip_and_validation():
     assert restored == reg
     assert registry_hash(restored) == registry_hash(reg)
 
-    for field, value in (
-        ("probability", 0.5),  # the mix no longer sums to 1
-        ("probability", "0.7651"),  # a string where a number belongs
-        ("aug", {"scale": None}),
-        ("aug", 5),
+    for field, value, message in (
+        ("probability", 0.5, "probabilities sum to"),  # the mix no longer sums to 1
+        # a string where a number belongs
+        ("probability", "0.7651", "bad dataset entry 'coco': bad 'probability'"),
+        ("aug", {"scale": None}, "bad dataset entry 'coco': bad 'aug': bad 'scale'"),
+        ("aug", 5, "bad dataset entry 'coco': bad 'aug'"),
     ):
         bad = json.loads(json.dumps(doc))
         bad["datasets"][0][field] = value
-        with pytest.raises(RegistryError):
+        with pytest.raises(DocumentError, match=message):
             registry_from_json(bad)
 
-    for bad in ({"registry_version": 99, "datasets": []},
-                {"registry_version": 1, "datasets": 5},
-                {"registry_version": 1, "datasets": [5]},
-                [doc]):
-        with pytest.raises(RegistryError):
+    for bad, message in (({"registry_version": 99, "datasets": []}, "registry_version 99"),
+                         ({"registry_version": 1, "datasets": 5}, "registry datasets: expected"),
+                         ({"registry_version": 1, "datasets": [5]}, "registry datasets: 0:"),
+                         ([doc], "registry: expected object")):
+        with pytest.raises(DocumentError, match=message):
             registry_from_json(bad)
 
     dup = (
         DatasetSpec("a", 1, frozenset({PartGroup.BODY}), 0.5),
         DatasetSpec("a", 1, frozenset({PartGroup.BODY}), 0.5),
     )
-    with pytest.raises(RegistryError):
+    with pytest.raises(DocumentError, match="duplicate dataset names"):
         validate_registry(dup)
 
 
@@ -202,12 +202,13 @@ def test_plan_with_missing_or_ill_typed_key_is_plan_error(line, key, value):
         del docs[line][key]
     else:
         docs[line][key] = value
-    with pytest.raises(PlanError):
+    node = f"plan header '{key}'" if line == 0 else f"plan line {line + 1}: .*'{key}'"
+    with pytest.raises(DocumentError, match=f"^{node}"):
         read_plan_jsonl([json.dumps(d) for d in docs])
 
 
 def test_empty_registry_rejected():
-    with pytest.raises(RegistryError):
+    with pytest.raises(DocumentError, match="registry is empty"):
         plan_batch((), seed=0, batch_index=0, batch_size=1)
 
 
@@ -219,7 +220,7 @@ def test_ill_typed_registry_value_names_its_key(key, value):
     doc = registry_to_json(default_registry())
     entry = doc["datasets"][1]
     (entry["aug"] if key in entry["aug"] else entry)[key] = value
-    with pytest.raises(RegistryError, match=f"bad '{key}': expected"):
+    with pytest.raises(DocumentError, match=f"bad '{key}': expected"):
         registry_from_json(doc)
 
 
@@ -233,5 +234,5 @@ def test_ill_typed_draw_value_names_its_key(key, value):
     header, line = buf.getvalue().splitlines()
     doc = json.loads(line)
     doc["draws"][1][key] = value
-    with pytest.raises(PlanError, match=f"bad '{key}': expected"):
+    with pytest.raises(DocumentError, match=f"bad '{key}': expected"):
         read_plan_jsonl([header, json.dumps(doc)])

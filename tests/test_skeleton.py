@@ -7,13 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from wbpose.skeleton import (
-    DisconnectedGroupError,
-    ManifestError,
-    PartGroup,
-    default_manifest_path,
-    load_topology,
-)
+from wbpose.jsondoc import DocumentError
+from wbpose.skeleton import PartGroup, default_manifest_path, load_topology
 
 from conftest import tiny_manifest
 
@@ -29,9 +24,8 @@ def test_default_counts(topo):
 
 
 def test_default_channel_counts_include_background(topo):
-    conf, paf = topo.channel_counts()
-    assert conf == 135 + 1
-    assert paf == 2 * 134
+    assert topo.confidence_channels == 135 + 1
+    assert topo.paf_channels == 2 * 134
     assert topo.background_index == 135
 
 
@@ -44,7 +38,7 @@ def test_single_part_topology_is_valid_degenerate():
         "anchors": [],
         "oks_kappa": {"0": 0.026},
     })
-    assert t.channel_counts() == (1, 0)
+    assert (t.confidence_channels, t.paf_channels) == (1, 0)
 
 
 def body_manifest(n_parts, limbs):
@@ -62,7 +56,7 @@ def body_manifest(n_parts, limbs):
 def test_channel_counts_for_26_limb_body_manifest():
     # 27-part body-only manifest with 26 limbs (a tree) and no background.
     t = load_topology(body_manifest(27, [(0, i + 1) for i in range(26)]))
-    assert t.channel_counts() == (27, 52)
+    assert (t.confidence_channels, t.paf_channels) == (27, 52)
 
 
 @pytest.mark.parametrize("n_parts, limbs, closing", [
@@ -74,7 +68,7 @@ def test_channel_counts_for_26_limb_body_manifest():
 ])
 def test_cyclic_limb_graph_rejected(n_parts, limbs, closing):
     s, d = limbs[closing]
-    with pytest.raises(ManifestError, match=rf"limb {closing} \({s} -> {d}\) closes a cycle"):
+    with pytest.raises(DocumentError, match=rf"limb {closing} \({s} -> {d}\) closes a cycle"):
         load_topology(body_manifest(n_parts, limbs))
 
 
@@ -90,21 +84,21 @@ def test_bundled_manifest_matches_generator_script():
 def test_duplicate_part_id_rejected():
     m = tiny_manifest()
     m["parts"][1] = dict(m["parts"][1], id=0)
-    with pytest.raises(ManifestError, match="duplicate|contiguous"):
+    with pytest.raises(DocumentError, match="duplicate|contiguous"):
         load_topology(m)
 
 
 def test_limb_unknown_part_rejected():
     m = tiny_manifest()
     m["limbs"][0] = {"id": 0, "src": 1, "dst": 99}
-    with pytest.raises(ManifestError, match="unknown part"):
+    with pytest.raises(DocumentError, match="unknown part"):
         load_topology(m)
 
 
 def test_nonpositive_kappa_rejected():
     m = tiny_manifest()
     m["oks_kappa"]["3"] = 0.0
-    with pytest.raises(ManifestError, match="non-positive"):
+    with pytest.raises(DocumentError, match="non-positive"):
         load_topology(m)
 
 
@@ -113,7 +107,7 @@ def test_non_canonical_part_key_rejected(table):
     # int("00") is 0, so this key would silently override part 0's entry.
     m = tiny_manifest()
     m[table]["00"] = m[table]["0"]
-    with pytest.raises(ManifestError, match=f"manifest {table}: key '00' is not a canonical"):
+    with pytest.raises(DocumentError, match=f"manifest {table}: key '00' is not a canonical"):
         load_topology(m)
 
 
@@ -126,7 +120,7 @@ def test_non_canonical_part_key_rejected(table):
 def test_ill_typed_manifest_node_is_named(key, value, node):
     m = tiny_manifest()
     m[key] = value
-    with pytest.raises(ManifestError, match=node):
+    with pytest.raises(DocumentError, match=node):
         load_topology(m)
 
 
@@ -140,7 +134,7 @@ def test_disconnected_group_rejected():
         {"id": 2, "src": 3, "dst": 4},
     ]
     m["anchors"] = []
-    with pytest.raises(DisconnectedGroupError):
+    with pytest.raises(DocumentError, match="unreachable from any anchor or body part"):
         load_topology(m)
 
 
