@@ -25,10 +25,6 @@ import numpy as np
 from .skeleton import SkeletonTopology
 
 
-class MalformedSpec(ValueError):
-    pass
-
-
 _SPEC_RE = re.compile(
     r"^\s*(\d+)\s*s\s*,\s*(\d+)\s*b\s*,\s*(\d+)(?:\s*-\s*(\d+))?\s*w\s*$"
 )
@@ -52,14 +48,14 @@ def parse_config(text: str) -> ArchSpec:
     """
     m = _SPEC_RE.match(text)
     if not m:
-        raise MalformedSpec(f"cannot parse config string {text!r}")
+        raise ValueError(f"cannot parse config string {text!r}")
     n_stages, n_blocks = int(m.group(1)), int(m.group(2))
     if n_stages < 1 or n_blocks < 1:
-        raise MalformedSpec(f"{text!r}: stages and blocks must be >= 1")
+        raise ValueError(f"{text!r}: stages and blocks must be >= 1")
     w_lo = int(m.group(3))
     w_hi = int(m.group(4)) if m.group(4) is not None else w_lo
     if w_lo < 1 or w_hi < 1:
-        raise MalformedSpec(f"{text!r}: widths must be >= 1")
+        raise ValueError(f"{text!r}: widths must be >= 1")
     widths = tuple(int(round(w)) for w in np.linspace(w_lo, w_hi, n_stages))
     return ArchSpec(n_stages=n_stages, n_blocks=n_blocks, widths=widths)
 
@@ -262,28 +258,16 @@ def cost_estimate(graph: StageGraph) -> CostEstimate:
     return CostEstimate(params=total_params, macs=total_macs, per_segment=per_segment)
 
 
-@dataclass(frozen=True)
-class RuntimeModel:
-    """Single-network cost vs a body-pass-plus-crops baseline.
-
-    Costs are in units of one whole-body pass, which is independent of the
-    person count. The baseline pays t_body once plus, for the visible
-    fraction of people, one face and one hand crop pass each. With the
-    defaults the baseline is 7x slower at 10 people.
-    """
-
-    t_body: float = 1.0
-    t_face: float = 0.5
-    t_hand: float = 0.5
-    visibility: float = 0.6
-
-    def __post_init__(self) -> None:
-        if min(self.t_body, self.t_face, self.t_hand) < 0:
-            raise ValueError("costs must be nonnegative")
-        if not (0.0 <= self.visibility <= 1.0):
-            raise ValueError("visibility must be in [0, 1]")
+# The runtime model: single-network cost vs a body-pass-plus-crops baseline,
+# in units of one whole-body pass, which is independent of the person count.
+# The baseline pays T_BODY once plus, for the VISIBILITY fraction of people,
+# one face and one hand crop pass each, so it is 7x slower at 10 people.
+T_BODY = 1.0
+T_FACE = 0.5
+T_HAND = 0.5
+VISIBILITY = 0.6
 
 
-def runtime_ratio(model: RuntimeModel, n_people: float) -> float:
+def runtime_ratio(n_people: float) -> float:
     """Baseline-over-single cost ratio at a crowd size; affine in n."""
-    return model.t_body + n_people * model.visibility * (model.t_face + model.t_hand)
+    return T_BODY + n_people * VISIBILITY * (T_FACE + T_HAND)

@@ -10,7 +10,9 @@ are attributable and replayable, and the process's peak_rss_mb. Tables
 
 Exit codes: 0 success, 1 a tolerance gate failed (roundtrip/eval/sample-plan
 --check), 2 usage error, 3 I/O or format error (a file made against another
-topology among them).
+topology among them).  Two error classes carry every input failure: a
+WbptError or DocumentError (or an OSError) exits 3, and names its file, or
+the plan line by number; any other ValueError exits 2.
 """
 from __future__ import annotations
 
@@ -27,14 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .archmodel import (
-    MalformedSpec,
-    RuntimeModel,
-    build_stage_graph,
-    cost_estimate,
-    receptive_field,
-    runtime_ratio,
-)
+from .archmodel import build_stage_graph, cost_estimate, receptive_field, runtime_ratio
 from .bench import run_bench
 from .decoder import DecodeStats, decode_with_stats
 from .encoder import EncoderParams, encode
@@ -61,7 +56,7 @@ from .scheduler import (
     write_plan_jsonl,
 )
 from .skeleton import PartGroup, default_topology, load_topology
-from .synth import PackingError, SceneRecipe, generate, roundtrip_report
+from .synth import SceneRecipe, generate, roundtrip_report
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -73,10 +68,6 @@ EXIT_IO = 3
 DECODE_TOTALS = tuple(
     f.name for f in dataclasses.fields(DecodeStats) if not f.name.endswith("_ns")
 )
-
-
-class UsageError(ValueError):
-    """Arguments parsed but their values make no sense together."""
 
 
 def _size(text: str) -> tuple[int, int]:
@@ -225,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _topology(args):
     if args.manifest is None:
         return default_topology()
-    return load_topology(json.loads(args.manifest.read_text(encoding="utf-8")))
+    return load_topology(_read_json(args.manifest))
 
 
 def _emit(args, topo, payload: dict) -> None:
@@ -240,7 +231,13 @@ def _emit(args, topo, payload: dict) -> None:
 
 
 def _read_json(path: Path):
-    return json.loads(path.read_text(encoding="utf-8"))
+    """The JSON document at path; a syntax error raises a DocumentError that
+    names the path."""
+    text = path.read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except ValueError as e:  # the parser raises a ValueError subclass
+        raise DocumentError(f"{path}: {e}") from None
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -375,7 +372,7 @@ def cmd_loss(args) -> int:
 
 def cmd_eval(args) -> int:
     if args.group is not None and not args.group:
-        raise UsageError("--group needs at least one part group")
+        raise ValueError("--group needs at least one part group")
     topo = _topology(args)
     det_doc = _read_poses(topo, args.detections)
     gt_doc = _read_poses(topo, args.groundtruth)
@@ -473,14 +470,13 @@ def cmd_sample_plan(args) -> int:
 def cmd_arch(args) -> int:
     topo = _topology(args)
     if args.ratio:
-        model = RuntimeModel()
         _emit(args, topo, {
-            "mode": "ratio", "ratio_at_10": runtime_ratio(model, 10.0),
-            "rows": [{"n_people": n, "modeled_ratio": runtime_ratio(model, n)} for n in args.n],
+            "mode": "ratio", "ratio_at_10": runtime_ratio(10.0),
+            "rows": [{"n_people": n, "modeled_ratio": runtime_ratio(n)} for n in args.n],
         })
         return EXIT_OK
     if not args.spec:
-        raise UsageError("arch needs --spec (cost mode) or --ratio (model mode)")
+        raise ValueError("arch needs --spec (cost mode) or --ratio (model mode)")
     graph = build_stage_graph(
         args.spec, args.cm or args.spec, topo, input_resolution=args.input_resolution
     )
@@ -529,10 +525,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return _HANDLERS[args.command](args)
-    except (WbptError, DocumentError, json.JSONDecodeError, OSError) as e:
+    except (WbptError, DocumentError, OSError) as e:
         print(f"wbpose: {e}", file=sys.stderr)
         return EXIT_IO
-    except (UsageError, PackingError, MalformedSpec, ValueError) as e:
+    except ValueError as e:
         print(f"wbpose: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -74,25 +74,9 @@ class WbptError(ValueError):
     """A WBPT file failed validation."""
 
 
-class BadMagic(WbptError):
-    def __init__(self, got: bytes):
-        super().__init__(f"not a WBPT file: magic {got!r}, expected {MAGIC!r}")
-        self.got = got
-
-
-class UnsupportedVersion(WbptError):
-    def __init__(self, version: int):
-        super().__init__(f"unsupported WBPT version {version}, this reader handles <= {WBPT_VERSION}")
-        self.version = version
-
-
-class Truncated(WbptError):
-    """File ends before the structure it promises is complete."""
-
-    def __init__(self, expected: int, actual: int, what: str):
-        super().__init__(f"truncated WBPT file in {what}: expected {expected} bytes, got {actual}")
-        self.expected = expected
-        self.actual = actual
+def _truncated(expected: int, actual: int, what: str) -> WbptError:
+    """The file ends before the structure it promises is complete."""
+    return WbptError(f"truncated WBPT file in {what}: expected {expected} bytes, got {actual}")
 
 
 def _check_mask_values(values: np.ndarray, what: str) -> None:
@@ -191,30 +175,30 @@ def from_bytes(buf: bytes | bytearray | memoryview) -> WbptFile:
     aligned (every version 2 file in a ``bytes`` or ``bytearray``), and a
     copy otherwise; see the module docstring."""
     if len(buf) < 4:
-        raise Truncated(4, len(buf), "magic")
+        raise _truncated(4, len(buf), "magic")
     if buf[:4] != MAGIC:
-        raise BadMagic(bytes(buf[:4]))
+        raise WbptError(f"not a WBPT file: magic {bytes(buf[:4])!r}, expected {MAGIC!r}")
     if len(buf) < _HEADER.size:
-        raise Truncated(_HEADER.size, len(buf), "header")
+        raise _truncated(_HEADER.size, len(buf), "header")
     _, version, endian, map_w, map_h, channels, stride, kind = _HEADER.unpack_from(buf, 0)
     if version > WBPT_VERSION or version < 1:
-        raise UnsupportedVersion(version)
+        raise WbptError(f"unsupported WBPT version {version}, this reader handles <= {WBPT_VERSION}")
     if endian != LITTLE_ENDIAN:
         raise WbptError(f"unknown endianness byte {endian:#x}")
     at = _HEADER.size
     if len(buf) < at + 32:
-        raise Truncated(at + 32, len(buf), "manifest hash")
+        raise _truncated(at + 32, len(buf), "manifest hash")
     manifest_hash = buf[at : at + 32].hex()
     at += 32
     sections: tuple[tuple[int, int], ...] = ()
     if kind == KIND_COMBINED:
         if len(buf) < at + 1:
-            raise Truncated(at + 1, len(buf), "channel directory")
+            raise _truncated(at + 1, len(buf), "channel directory")
         (count,) = struct.unpack_from("<B", buf, at)
         at += 1
         need = at + count * _DIR_ENTRY.size
         if len(buf) < need:
-            raise Truncated(need, len(buf), "channel directory")
+            raise _truncated(need, len(buf), "channel directory")
         entries = []
         for _ in range(count):
             entries.append(_DIR_ENTRY.unpack_from(buf, at))
@@ -223,13 +207,13 @@ def from_bytes(buf: bytes | bytearray | memoryview) -> WbptFile:
     if version >= 2:
         pad = _pad_size(at)
         if len(buf) < at + pad:
-            raise Truncated(at + pad, len(buf), "header padding")
+            raise _truncated(at + pad, len(buf), "header padding")
         if any(buf[at : at + pad]):
             raise WbptError("nonzero byte in the header padding")
         at += pad
     expected = at + channels * map_h * map_w * 4
     if len(buf) < expected:
-        raise Truncated(expected, len(buf), "payload")
+        raise _truncated(expected, len(buf), "payload")
     if len(buf) > expected:
         raise WbptError(f"{len(buf) - expected} trailing bytes after payload")
     payload = np.frombuffer(buf, dtype="<f4", offset=at).reshape(channels, map_h, map_w)
@@ -252,8 +236,13 @@ def write_wbpt(path, f: WbptFile) -> int:
 
 
 def read_wbpt(path) -> WbptFile:
+    """from_bytes of the file at path; a WbptError names the path."""
     with open(path, "rb") as fh:
-        return from_bytes(fh.read())
+        buf = fh.read()
+    try:
+        return from_bytes(buf)
+    except WbptError as e:
+        raise WbptError(f"{path}: {e}") from None
 
 
 def from_targets(targets: TargetTensors, manifest_hash: str) -> WbptFile:

@@ -244,11 +244,18 @@ def write_plan_jsonl(plan: SamplePlan, fp: IO[str]) -> None:
         fp.write(json.dumps(asdict(batch)) + "\n")
 
 
+def _plan_line(line: str, line_no: int):
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as e:
+        raise DocumentError(f"plan line {line_no}: {e}") from None
+
+
 def read_plan_jsonl(lines: Iterable[str]) -> SamplePlan:
     """Parse a plan written by write_plan_jsonl; DocumentError on anything else."""
     it = iter(lines)
     try:
-        header = read(json.loads(next(it)), dict, "plan header")
+        header = read(_plan_line(next(it), 1), dict, "plan header")
     except StopIteration:
         raise DocumentError("empty plan file") from None
     if header.get("rng_algorithm") != RNG_ALGORITHM:
@@ -261,7 +268,7 @@ def read_plan_jsonl(lines: Iterable[str]) -> SamplePlan:
             f"plan header needs seed >= 0 and batch_size >= 1, got {seed}, {batch_size}"
         )
     batches = tuple(
-        from_json(BatchPlan, json.loads(line), f"plan line {line_no}")
+        from_json(BatchPlan, _plan_line(line, line_no), f"plan line {line_no}")
         for line_no, line in enumerate(it, start=2)
         if line.strip()
     )

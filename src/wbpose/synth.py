@@ -42,10 +42,6 @@ _FOUND_OKS = math.nextafter(0.1, 1.0)
 EDGE_MARGIN_PX = 16.0
 
 
-class PackingError(RuntimeError):
-    """Rejection sampling could not place every person."""
-
-
 @dataclass(frozen=True)
 class SceneRecipe:
     n_people: int
@@ -160,7 +156,7 @@ def _place_person(
         if all(_box_gap(box, other) > recipe.min_separation for other in placed_boxes):
             pts = {pid: (x + ox, y + oy) for pid, x, y in zip(template.part_ids, px, py)}
             return pts, box, attempts_left
-    raise PackingError(
+    raise ValueError(
         f"could not place {len(placed_boxes) + 1} of {recipe.n_people} people "
         f"within {recipe.max_attempts} attempts"
     )

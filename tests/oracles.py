@@ -31,7 +31,6 @@ from wbpose.scheduler import rng_for
 from wbpose.skeleton import PartGroup, SkeletonTopology
 from wbpose.synth import (
     EDGE_MARGIN_PX,
-    PackingError,
     SceneRecipe,
     _box_gap,
     _limb_subtrees,
@@ -591,7 +590,7 @@ def oracle_place_person(
         box = (min(xs) + ox, min(ys) + oy, max(xs) + ox, max(ys) + oy)
         if all(_box_gap(box, other) > recipe.min_separation for other in placed_boxes):
             return ({pid: (x + ox, y + oy) for pid, (x, y) in pts.items()}, box, attempts_left)
-    raise PackingError(
+    raise ValueError(
         f"could not place {len(placed_boxes) + 1} of {recipe.n_people} people "
         f"within {recipe.max_attempts} attempts"
     )

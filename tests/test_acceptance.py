@@ -22,7 +22,6 @@ from oracles import (
     oracle_receptive_field,
 )
 from wbpose.archmodel import (
-    RuntimeModel,
     build_stage_graph,
     parse_config,
     receptive_field,
@@ -368,8 +367,7 @@ def test_criterion_7_runtime_shape(topo):
     medians = {r.n_people: r.median_ns for r in records}
     ratio = medians[20] / medians[1]
 
-    model = RuntimeModel()
-    curve = [runtime_ratio(model, n) for n in range(1, 21)]
+    curve = [runtime_ratio(n) for n in range(1, 21)]
     diffs = np.diff(curve)
     affine = bool(np.allclose(diffs, diffs[0], rtol=0, atol=1e-9))
     positive_slope = bool(diffs[0] > 0)

@@ -8,8 +8,6 @@ from oracles import oracle_receptive_field
 from wbpose.archmodel import (
     DEFAULT_BACKBONE,
     ArchSpec,
-    MalformedSpec,
-    RuntimeModel,
     StageConfig,
     build_stage_graph,
     conv_macs,
@@ -43,11 +41,11 @@ def test_parse_width_ramp_interpolates_linearly():
 
 
 def test_parse_rejects_zero_stages_and_garbage():
-    with pytest.raises(MalformedSpec):
+    with pytest.raises(ValueError, match="^'0s, 1b, 64w': stages and blocks must be >= 1$"):
         parse_config("0s, 1b, 64w")
-    with pytest.raises(MalformedSpec):
+    with pytest.raises(ValueError, match="^cannot parse config string '3 stages'$"):
         parse_config("3 stages")
-    with pytest.raises(MalformedSpec):
+    with pytest.raises(ValueError, match="^'3s, 0b, 64w': stages and blocks must be >= 1$"):
         parse_config("3s, 0b, 64w")
 
 
@@ -154,21 +152,10 @@ def test_cost_breakdown_sums_to_total(topo):
 
 
 def test_runtime_ratio_formula_and_affinity():
-    m = RuntimeModel()
-    assert runtime_ratio(m, 10) == pytest.approx(7.0)
-    assert runtime_ratio(m, 0) == pytest.approx(1.0)
+    assert runtime_ratio(10) == pytest.approx(7.0)
+    assert runtime_ratio(0) == pytest.approx(1.0)
     # Affine in n: second differences vanish, slope positive.
-    values = [runtime_ratio(m, n) for n in range(6)]
+    values = [runtime_ratio(n) for n in range(6)]
     diffs = [b - a for a, b in zip(values, values[1:])]
     assert all(d == pytest.approx(diffs[0]) for d in diffs)
     assert diffs[0] > 0
-
-    flat = RuntimeModel(t_body=1.5, t_face=0.0, t_hand=0.0)
-    assert runtime_ratio(flat, 1) == runtime_ratio(flat, 50)
-
-
-def test_runtime_model_validation():
-    with pytest.raises(ValueError, match="nonnegative"):
-        RuntimeModel(t_face=-0.1)
-    with pytest.raises(ValueError, match="visibility"):
-        RuntimeModel(visibility=1.5)

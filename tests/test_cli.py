@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from wbpose import __version__
-from wbpose.archmodel import RuntimeModel, runtime_ratio
+from wbpose.archmodel import runtime_ratio
 from wbpose.bench import BenchRecord
 from wbpose.cli import DECODE_TOTALS, EXIT_IO, EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, main
 from wbpose.formats import default_coco_mapping, read_wbpt, to_targets, write_wbpt
@@ -263,7 +263,7 @@ class TestArch:
         assert code == EXIT_OK
         assert [row["n_people"] for row in doc["rows"]] == list(range(1, 11))
         ratios = [row["modeled_ratio"] for row in doc["rows"]]
-        assert ratios == [runtime_ratio(RuntimeModel(), n) for n in range(1, 11)]
+        assert ratios == [runtime_ratio(n) for n in range(1, 11)]
         diffs = np.diff(ratios)
         assert np.all(diffs > 0)
         np.testing.assert_allclose(diffs, diffs[0])  # affine in n
@@ -294,7 +294,49 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert main(["--quiet", "encode", "--scenes", str(bad)]) == EXIT_IO
 
-    @pytest.mark.parametrize("cut", ["one_paf_channel", "wider_map"])
+    @pytest.mark.parametrize("argv", [
+        ["--manifest", "BAD", "arch", "--ratio"],
+        ["encode", "--scenes", "BAD"],
+        ["encode", "--coco", "BAD"],
+        ["encode", "--coco", str(DATA / "toy_coco.json"), "--mapping", "BAD"],
+        ["sample-plan", "--registry", "BAD", "--out", "plan.jsonl"],
+        ["eval", "BAD", "POSES"],
+        ["eval", "POSES", "BAD"],
+    ], ids=["manifest", "scenes", "coco", "mapping", "registry", "detections", "groundtruth"])
+    def test_json_syntax_error_names_the_file(self, pipeline, capsys, tmp_path, argv):
+        text = '{"scenes": ['
+        with pytest.raises(json.JSONDecodeError) as info:
+            json.loads(text)
+        bad = tmp_path / "trunc.json"
+        bad.write_text(text)
+        places = {"BAD": str(bad), "POSES": str(pipeline / "poses.json"),
+                  "plan.jsonl": str(tmp_path / "plan.jsonl")}
+        assert main(["--quiet", *(places.get(a, a) for a in argv)]) == EXIT_IO
+        assert capsys.readouterr().err == f"wbpose: {bad}: {info.value}\n"
+
+    def test_plan_syntax_error_names_the_line(self, capsys, tmp_path):
+        plan = tmp_path / "plan.jsonl"
+        main(["--quiet", "sample-plan", "--batches", "3", "--out", str(plan)])
+        lines = plan.read_text().splitlines()
+        lines[2] = lines[2].replace('"', "", 1)
+        with pytest.raises(json.JSONDecodeError) as info:
+            json.loads(lines[2])
+        plan.write_text("\n".join(lines) + "\n")
+        assert main(["--quiet", "sample-plan", "--check", str(plan)]) == EXIT_IO
+        assert capsys.readouterr().err == f"wbpose: plan line 3: {info.value}\n"
+
+    def test_decode_names_the_truncated_file(self, pipeline, capsys, tmp_path):
+        good = pipeline / "tensors" / "scene_000000.wbpt"
+        buf = good.read_bytes()
+        bad = tmp_path / "scene_000001.wbpt"
+        bad.write_bytes(buf[:-4])
+        assert main(["--quiet", "decode", str(good), str(bad)]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"wbpose: {bad}: truncated WBPT file in payload: "
+            f"expected {len(buf)} bytes, got {len(buf) - 4}\n"
+        )
+
+    @pytest.mark.parametrize("cut",["one_paf_channel", "wider_map"])
     def test_loss_of_mismatched_shapes_is_format_error(self, pipeline, capsys, tmp_path, cut):
         gt_path = pipeline / "tensors" / "scene_000000.wbpt"
         gt = read_wbpt(gt_path)

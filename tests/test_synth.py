@@ -11,7 +11,7 @@ from wbpose.decoder import decode_with_stats
 from wbpose.encoder import EncoderParams, PartGroup, Visibility, encode
 from wbpose.metrics import OKS_THRESHOLDS, EvalPose, gt_poses_from_scene, match_scene
 from wbpose.skeleton import default_topology
-from wbpose.synth import EDGE_MARGIN_PX, PackingError, SceneRecipe, generate, roundtrip_report
+from wbpose.synth import EDGE_MARGIN_PX, SceneRecipe, generate, roundtrip_report
 
 from oracles import oracle_generate
 
@@ -64,16 +64,16 @@ def test_all_keypoints_inside_margin(topo):
 def test_infeasible_packing_raises(topo):
     recipe = SceneRecipe(n_people=12, min_separation=200.0, seed=0)
     message = "^could not place 3 of 12 people within 1000 attempts$"
-    with pytest.raises(PackingError, match=message):
+    with pytest.raises(ValueError, match=message):
         generate(recipe, topo)
-    with pytest.raises(PackingError, match=message):
+    with pytest.raises(ValueError, match=message):
         oracle_generate(recipe, topo)
 
 
 def generate_or_error(recipe, topo, scene_id, fn):
     try:
         return fn(recipe, topo, scene_id=scene_id)
-    except PackingError as exc:
+    except ValueError as exc:
         return str(exc)
 
 
