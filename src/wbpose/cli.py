@@ -231,12 +231,11 @@ def _emit(args, topo, payload: dict) -> None:
 
 
 def _read_json(path: Path):
-    """The JSON document at path; a syntax error raises a DocumentError that
-    names the path."""
-    text = path.read_text(encoding="utf-8")
+    """The JSON document at path; bytes that are not UTF-8 or a syntax error
+    raise a DocumentError that names the path."""
     try:
-        return json.loads(text)
-    except ValueError as e:  # the parser raises a ValueError subclass
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as e:  # UnicodeDecodeError and JSONDecodeError are both ValueErrors
         raise DocumentError(f"{path}: {e}") from None
 
 
@@ -449,8 +448,11 @@ def cmd_sample_plan(args) -> int:
         registry_from_json(_read_json(args.registry)) if args.registry else default_registry()
     )
     if args.check:
-        with open(args.check, encoding="utf-8") as fh:
-            reference = read_plan_jsonl(fh)
+        try:
+            with open(args.check, encoding="utf-8") as fh:
+                reference = read_plan_jsonl(fh)
+        except UnicodeDecodeError as e:
+            raise DocumentError(f"{args.check}: {e}") from None
         regenerated = build_plan(
             registry, reference.seed, len(reference.batches), reference.batch_size
         )

@@ -30,12 +30,19 @@ pad, are still read.  Their payload starts at byte 58 of a single-kind file
 and at byte 74 of an S, L, W combined one, off float32 alignment, so like
 any buffer whose payload is not aligned they are read through a copy, which
 is writeable.  ``to_bytes`` always writes version 2.
+
+A file read from version 2 ``bytes`` without a copy keeps those bytes, and
+``to_bytes`` returns them as they are instead of encoding the payload again.
+``from_targets`` builds a file's bytes in one join and reads them back, so
+its payload is such a read-only view and packing then writing a frame holds
+one copy of it.  A ``bytearray`` or ``memoryview``, a version 1 file or a
+``dataclasses.replace`` result is encoded anew.
 """
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Mapping, Sequence
 
@@ -63,6 +70,8 @@ _HEADER = struct.Struct("<4sIBIIIIB")
 _DIR_ENTRY = struct.Struct("<BI")
 _U8_MAX = 0xFF
 _U32_MAX = 0xFFFFFFFF
+# Mask values checked per block; 2**16 keeps the check's scratch at 128 KiB.
+_MASK_BLOCK = 1 << 16
 
 COCO_BODY_MAPPING_NAME = "coco_body_mapping.json"
 
@@ -80,9 +89,45 @@ def _truncated(expected: int, actual: int, what: str) -> WbptError:
 
 
 def _check_mask_values(values: np.ndarray, what: str) -> None:
-    bad = values[(values != 0.0) & (values != 1.0)]
-    if bad.size:
-        raise WbptError(f"{what} must be 0.0 or 1.0, found {float(bad.flat[0])!r}")
+    """Raise on the first value, in C order, that is neither 0.0 nor 1.0.
+    Walks the values in blocks of at most _MASK_BLOCK, so its scratch is two
+    block-sized bool buffers, not full-size temporaries."""
+    zero = np.empty(_MASK_BLOCK, dtype=bool)
+    one = np.empty(_MASK_BLOCK, dtype=bool)
+    flags = ["external_loop", "buffered", "zerosize_ok"]
+    for block in np.nditer(values, flags=flags, buffersize=_MASK_BLOCK, order="C"):
+        ok = np.equal(block, 0.0, out=zero[: block.size])
+        np.logical_or(ok, np.equal(block, 1.0, out=one[: block.size]), out=ok)
+        if not ok.all():
+            raise WbptError(f"{what} must be 0.0 or 1.0, found {float(block[ok.argmin()])!r}")
+
+
+def _check_header(
+    kind: int, stride: int, manifest_hash: str, sections: tuple[tuple[int, int], ...], channels: int
+) -> None:
+    """WbptFile's checks on the fields the header stores besides the kind
+    and the map shape: manifest hash, stride and channel directory."""
+    if len(manifest_hash) != 64 or set(manifest_hash) - set("0123456789abcdef"):
+        raise WbptError("manifest_hash must be a lowercase sha256 hex digest")
+    if not 1 <= stride <= _U32_MAX:
+        raise WbptError(f"stride must be in [1, {_U32_MAX}], got {stride}")
+    if kind == KIND_COMBINED:
+        if not sections:
+            raise WbptError("combined files need a channel directory")
+        if len(sections) > _U8_MAX:
+            raise WbptError(
+                f"a channel directory holds at most {_U8_MAX} entries, got {len(sections)}"
+            )
+        for k, n in sections:
+            if k not in (KIND_CONFIDENCE, KIND_PAF, KIND_MASK):
+                raise WbptError(f"directory entry kind {k} is not a payload kind")
+            if n < 1:
+                raise WbptError("directory entries must cover at least one channel")
+        total = sum(n for _, n in sections)
+        if total != channels:
+            raise WbptError(f"directory covers {total} channels, payload has {channels}")
+    elif sections:
+        raise WbptError("only combined files carry a channel directory")
 
 
 @dataclass(frozen=True)
@@ -99,6 +144,9 @@ class WbptFile:
     manifest_hash: str
     payload: np.ndarray
     sections: tuple[tuple[int, int], ...] = ()
+    # The version 2 ``bytes`` that ``payload`` is a read-only view of, when
+    # ``from_bytes`` read it without a copy; ``to_bytes`` hands it back.
+    _encoded: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (KIND_CONFIDENCE, KIND_PAF, KIND_MASK, KIND_COMBINED):
@@ -107,29 +155,7 @@ class WbptFile:
             raise WbptError(f"payload must be (channels, h, w), got shape {self.payload.shape}")
         if self.payload.dtype != np.float32:
             raise WbptError(f"payload must be float32, got {self.payload.dtype}")
-        if len(self.manifest_hash) != 64 or set(self.manifest_hash) - set("0123456789abcdef"):
-            raise WbptError("manifest_hash must be a lowercase sha256 hex digest")
-        if not 1 <= self.stride <= _U32_MAX:
-            raise WbptError(f"stride must be in [1, {_U32_MAX}], got {self.stride}")
-        if self.kind == KIND_COMBINED:
-            if not self.sections:
-                raise WbptError("combined files need a channel directory")
-            if len(self.sections) > _U8_MAX:
-                raise WbptError(
-                    f"a channel directory holds at most {_U8_MAX} entries, got {len(self.sections)}"
-                )
-            for k, n in self.sections:
-                if k not in (KIND_CONFIDENCE, KIND_PAF, KIND_MASK):
-                    raise WbptError(f"directory entry kind {k} is not a payload kind")
-                if n < 1:
-                    raise WbptError("directory entries must cover at least one channel")
-            total = sum(n for _, n in self.sections)
-            if total != self.channels:
-                raise WbptError(
-                    f"directory covers {total} channels, payload has {self.channels}"
-                )
-        elif self.sections:
-            raise WbptError("only combined files carry a channel directory")
+        _check_header(self.kind, self.stride, self.manifest_hash, self.sections, self.channels)
         if self.kind == KIND_MASK:
             _check_mask_values(self.payload, "mask payload values")
         elif self.kind == KIND_COMBINED:
@@ -156,24 +182,39 @@ def _pad_size(at: int) -> int:
     return -at % PAYLOAD_ALIGN
 
 
+def _encode_header(
+    kind: int, map_w: int, map_h: int, channels: int, stride: int, manifest_hash: str,
+    sections: tuple[tuple[int, int], ...],
+) -> bytes:
+    """Every byte of a version 2 file in front of the payload, pad included."""
+    parts = [
+        _HEADER.pack(MAGIC, WBPT_VERSION, LITTLE_ENDIAN, map_w, map_h, channels, stride, kind),
+        bytes.fromhex(manifest_hash),
+    ]
+    if kind == KIND_COMBINED:
+        parts.append(struct.pack("<B", len(sections)))
+        parts += [_DIR_ENTRY.pack(k, n) for k, n in sections]
+    head = b"".join(parts)
+    return head + bytes(_pad_size(len(head)))
+
+
 def to_bytes(f: WbptFile) -> bytes:
-    head = _HEADER.pack(
-        MAGIC, WBPT_VERSION, LITTLE_ENDIAN, f.map_w, f.map_h, f.channels, f.stride, f.kind
+    """The version 2 encoding of f.  A file ``from_bytes`` read from
+    version 2 ``bytes`` without a copy (so every ``from_targets`` result)
+    gets those same bytes back, not a copy; any other file is encoded."""
+    if f._encoded is not None:
+        return f._encoded
+    head = _encode_header(
+        f.kind, f.map_w, f.map_h, f.channels, f.stride, f.manifest_hash, f.sections
     )
-    parts = [head, bytes.fromhex(f.manifest_hash)]
-    if f.kind == KIND_COMBINED:
-        parts.append(struct.pack("<B", len(f.sections)))
-        for k, n in f.sections:
-            parts.append(_DIR_ENTRY.pack(k, n))
-    parts.append(bytes(_pad_size(sum(map(len, parts)))))
-    parts.append(np.ascontiguousarray(f.payload, dtype="<f4"))
-    return b"".join(parts)
+    return b"".join([head, np.ascontiguousarray(f.payload, dtype="<f4")])
 
 
 def from_bytes(buf: bytes | bytearray | memoryview) -> WbptFile:
     """Read a WBPT file.  The payload is a view of ``buf`` where it is
     aligned (every version 2 file in a ``bytes`` or ``bytearray``), and a
-    copy otherwise; see the module docstring."""
+    copy otherwise.  A version 2 ``bytes`` buffer read without a copy is what
+    ``to_bytes`` of the result returns; see the module docstring."""
     if len(buf) < 4:
         raise _truncated(4, len(buf), "magic")
     if buf[:4] != MAGIC:
@@ -217,15 +258,19 @@ def from_bytes(buf: bytes | bytearray | memoryview) -> WbptFile:
     if len(buf) > expected:
         raise WbptError(f"{len(buf) - expected} trailing bytes after payload")
     payload = np.frombuffer(buf, dtype="<f4", offset=at).reshape(channels, map_h, map_w)
-    if not payload.flags.aligned:
+    view = payload.flags.aligned
+    if not view:
         payload = payload.astype(np.float32, copy=True)
-    return WbptFile(
+    f = WbptFile(
         kind=int(kind),
         stride=int(stride),
         manifest_hash=manifest_hash,
         payload=payload,
         sections=sections,
     )
+    if view and version == WBPT_VERSION and type(buf) is bytes:
+        object.__setattr__(f, "_encoded", buf)
+    return f
 
 
 def write_wbpt(path, f: WbptFile) -> int:
@@ -246,20 +291,28 @@ def read_wbpt(path) -> WbptFile:
 
 
 def from_targets(targets: TargetTensors, manifest_hash: str) -> WbptFile:
-    """Pack encoder output as a combined (kind 4) file: S, then L, then W."""
-    sections = (
-        (KIND_CONFIDENCE, targets.s_star.shape[0]),
-        (KIND_PAF, targets.l_star.shape[0]),
-        (KIND_MASK, targets.w_mask.shape[0]),
+    """Pack encoder output as a combined (kind 4) file: S, then L, then W.
+    The file's bytes are built in one join and read back with ``from_bytes``,
+    so the payload is a read-only view of them and ``to_bytes`` returns them
+    without a copy.  Tensors of another dtype are converted to float32.
+    Raises ValueError unless S, L and W are (channels, h, w) with one (h, w)."""
+    tensors = (targets.s_star, targets.l_star, targets.w_mask)
+    shapes = [np.shape(t) for t in tensors]
+    if any(len(shape) != 3 for shape in shapes) or len({shape[1:] for shape in shapes}) > 1:
+        raise ValueError(
+            "S, L and W must be (channels, h, w) maps of one (h, w), "
+            f"got shapes {shapes[0]}, {shapes[1]} and {shapes[2]}"
+        )
+    sections = tuple(
+        (kind, shape[0]) for kind, shape in zip((KIND_CONFIDENCE, KIND_PAF, KIND_MASK), shapes)
     )
-    payload = np.concatenate([targets.s_star, targets.l_star, targets.w_mask], axis=0)
-    return WbptFile(
-        kind=KIND_COMBINED,
-        stride=targets.stride,
-        manifest_hash=manifest_hash,
-        payload=np.ascontiguousarray(payload, dtype=np.float32),
-        sections=sections,
+    channels = sum(n for _, n in sections)
+    _check_header(KIND_COMBINED, targets.stride, manifest_hash, sections, channels)
+    _, map_h, map_w = shapes[0]
+    head = _encode_header(
+        KIND_COMBINED, map_w, map_h, channels, targets.stride, manifest_hash, sections
     )
+    return from_bytes(b"".join([head, *(np.ascontiguousarray(t, dtype="<f4") for t in tensors)]))
 
 
 def to_targets(f: WbptFile) -> TargetTensors:

@@ -314,6 +314,38 @@ class TestExitCodes:
         assert main(["--quiet", *(places.get(a, a) for a in argv)]) == EXIT_IO
         assert capsys.readouterr().err == f"wbpose: {bad}: {info.value}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["--manifest", "BAD", "arch", "--ratio"],
+        ["encode", "--scenes", "BAD"],
+        ["encode", "--coco", "BAD"],
+        ["encode", "--coco", str(DATA / "toy_coco.json"), "--mapping", "BAD"],
+        ["sample-plan", "--registry", "BAD", "--out", "plan.jsonl"],
+        ["eval", "BAD", "POSES"],
+        ["eval", "POSES", "BAD"],
+    ], ids=["manifest", "scenes", "coco", "mapping", "registry", "detections", "groundtruth"])
+    def test_document_not_utf8_names_the_file(self, pipeline, capsys, tmp_path, argv):
+        data = b"\xff{}"
+        with pytest.raises(UnicodeDecodeError) as info:
+            data.decode("utf-8")
+        bad = tmp_path / "latin.json"
+        bad.write_bytes(data)
+        places = {"BAD": str(bad), "POSES": str(pipeline / "poses.json"),
+                  "plan.jsonl": str(tmp_path / "plan.jsonl")}
+        assert main(["--quiet", *(places.get(a, a) for a in argv)]) == EXIT_IO
+        assert capsys.readouterr().err == f"wbpose: {bad}: {info.value}\n"
+
+    def test_plan_not_utf8_names_the_file(self, capsys, tmp_path):
+        plan = tmp_path / "plan.jsonl"
+        main(["--quiet", "sample-plan", "--batches", "3", "--out", str(plan)])
+        data = plan.read_bytes()
+        third = data.index(b"\n", data.index(b"\n") + 1) + 1
+        data = data[:third] + b"\xff" + data[third:]
+        with pytest.raises(UnicodeDecodeError) as info:
+            data.decode("utf-8")
+        plan.write_bytes(data)
+        assert main(["--quiet", "sample-plan", "--check", str(plan)]) == EXIT_IO
+        assert capsys.readouterr().err == f"wbpose: {plan}: {info.value}\n"
+
     def test_plan_syntax_error_names_the_line(self, capsys, tmp_path):
         plan = tmp_path / "plan.jsonl"
         main(["--quiet", "sample-plan", "--batches", "3", "--out", str(plan)])

@@ -1,7 +1,9 @@
 """WBPT container, scenes/poses JSON documents, COCO ingestion."""
+import dataclasses
 import json
 import re
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from wbpose import __version__
 from wbpose.decoder import Pose
-from wbpose.encoder import AnnotatedScene, Person, Visibility, encode
+from wbpose.encoder import AnnotatedScene, Person, TargetTensors, Visibility, encode
 from wbpose.formats import (
     KIND_COMBINED,
     KIND_CONFIDENCE,
@@ -34,6 +36,7 @@ from wbpose.formats import (
     to_targets,
     write_wbpt,
 )
+from wbpose.formats import _MASK_BLOCK
 from wbpose.skeleton import PartGroup
 
 from conftest import wbpt_v1_bytes
@@ -272,6 +275,155 @@ class TestTargetsPacking:
         f = random_file(np.random.default_rng(8), kind=KIND_PAF)
         with pytest.raises(WbptError, match="combined"):
             to_targets(f)
+
+
+def random_targets(rng, channels=(2, 4, 6), h=5, w=7, dtype=np.float32):
+    """Encoder-shaped S, L and W: S and L Gaussian noise, W zeros and ones."""
+    n_s, n_l, n_w = channels
+    return TargetTensors(
+        s_star=rng.standard_normal((n_s, h, w)).astype(dtype),
+        l_star=rng.standard_normal((n_l, h, w)).astype(dtype),
+        w_mask=(rng.random((n_w, h, w)) > 0.3).astype(dtype),
+        stride=8,
+        image_size=(w * 8, h * 8),
+    )
+
+
+def traced_peak(fn):
+    """(the peak bytes that tracemalloc sees fn hold above what was held
+    before it, fn's result)."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return tracemalloc.get_traced_memory()[1] - before, out
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def shares(payload, buf) -> bool:
+    return np.shares_memory(payload, np.frombuffer(buf, dtype=np.uint8))
+
+
+class TestOneCopy:
+    # A whole-body frame: 136 confidence, 268 PAF and 404 mask channels.
+    FRAME = dict(channels=(136, 268, 404), h=60, w=60)
+
+    def test_packing_holds_one_copy_of_the_file(self):
+        targets = random_targets(np.random.default_rng(20), **self.FRAME)
+        peak, buf = traced_peak(lambda: to_bytes(from_targets(targets, HASH64)))
+        assert len(buf) == 80 + 808 * 60 * 60 * 4
+        assert peak <= 1.05 * len(buf)
+
+    def test_reading_holds_no_full_size_temporary(self):
+        buf = to_bytes(from_targets(random_targets(np.random.default_rng(21), **self.FRAME), HASH64))
+        peak, f = traced_peak(lambda: from_bytes(buf))
+        assert shares(f.payload, buf)
+        assert peak <= 2**20
+
+    def test_bytes_are_handed_back_without_a_copy(self):
+        buf = to_bytes(random_file(np.random.default_rng(22), kind=KIND_COMBINED))
+        assert to_bytes(from_bytes(buf)) is buf
+        f = from_targets(random_targets(np.random.default_rng(23)), HASH64)
+        out = to_bytes(f)
+        assert shares(f.payload, out)
+        assert to_bytes(f) is out
+        assert not f.payload.flags.writeable and not f.payload.flags.owndata
+
+    @pytest.mark.parametrize("source", ["bytearray", "memoryview", "version-1", "replace"])
+    def test_other_files_are_encoded_anew(self, source):
+        f = random_file(np.random.default_rng(24), kind=KIND_COMBINED)
+        buf = to_bytes(f)
+        g = {
+            "bytearray": lambda: from_bytes(bytearray(buf)),
+            "memoryview": lambda: from_bytes(memoryview(buf)),
+            "version-1": lambda: from_bytes(wbpt_v1_bytes(f)),
+            "replace": lambda: dataclasses.replace(from_bytes(buf)),
+        }[source]()
+        out = to_bytes(g)
+        assert type(out) is bytes and out == buf and out is not buf
+        assert not shares(g.payload, out)
+
+    def test_packing_equals_encoding_the_concatenated_payload(self):
+        targets = random_targets(np.random.default_rng(25), channels=(3, 2, 5), h=4, w=9)
+        payload = np.concatenate([targets.s_star, targets.l_star, targets.w_mask])
+        sections = ((KIND_CONFIDENCE, 3), (KIND_PAF, 2), (KIND_MASK, 5))
+        concatenated = WbptFile(KIND_COMBINED, 8, HASH64, payload, sections)
+        assert to_bytes(from_targets(targets, HASH64)) == to_bytes(concatenated)
+        wide = random_targets(np.random.default_rng(25), channels=(3, 2, 5), h=4, w=9, dtype=np.float64)
+        assert to_bytes(from_targets(wide, HASH64)) == to_bytes(concatenated)
+
+    @pytest.mark.parametrize("shapes", [
+        ((2, 4, 5), (4, 4, 6), (6, 4, 5)),
+        ((2, 4, 5), (4, 4, 5), (6, 3, 5)),
+        ((2, 4, 5), (4, 20), (6, 4, 5)),
+    ], ids=["width", "height", "two-dimensional"])
+    def test_packing_maps_of_different_sizes_is_refused(self, shapes):
+        targets = TargetTensors(*(np.zeros(shape, np.float32) for shape in shapes), 8, (40, 32))
+        message = re.escape(f"got shapes {shapes[0]}, {shapes[1]} and {shapes[2]}")
+        with pytest.raises(ValueError, match=message):
+            from_targets(targets, HASH64)
+
+
+class TestMaskCheck:
+    # One mask channel 2 blocks and 5 values long, so the last block is partial.
+    SIZE = 2 * _MASK_BLOCK + 5
+    BAD = [0.5, -1.0, np.nan, np.inf, -np.inf, np.nextafter(np.float32(0), np.float32(1)),
+           np.nextafter(np.float32(1), np.float32(0)), np.nextafter(np.float32(1), np.float32(2))]
+
+    def mask(self, bad=None, at=0):
+        """Zeros and ones, with bad at index at and, where there is room,
+        a second bad value at the end, which must not be the one reported."""
+        mask = np.tile(np.float32([0.0, 1.0, 1.0]), self.SIZE)[: self.SIZE]
+        if bad is not None:
+            mask[-1] = 0.25
+            mask[at] = bad
+        return mask.reshape(1, 1, self.SIZE)
+
+    def paths(self, mask):
+        """Write the mask as a combined file, as a mask file, through
+        from_targets, and read a combined file holding it."""
+        combined = np.concatenate([np.zeros((2, 1, self.SIZE), np.float32), mask])
+        sections = ((KIND_CONFIDENCE, 1), (KIND_PAF, 1), (KIND_MASK, 1))
+        targets = TargetTensors(combined[:1], combined[1:2], mask, 8, (self.SIZE * 8, 8))
+        clean = np.concatenate([combined[:2], self.mask()])
+        buf = bytearray(to_bytes(WbptFile(KIND_COMBINED, 8, HASH64, clean, sections)))
+        buf[-mask.nbytes:] = mask.tobytes()
+        return [
+            ("mask section", lambda: WbptFile(KIND_COMBINED, 8, HASH64, combined, sections)),
+            ("mask payload", lambda: WbptFile(KIND_MASK, 8, HASH64, mask)),
+            ("mask section", lambda: from_targets(targets, HASH64)),
+            ("mask section", lambda: from_bytes(bytes(buf))),
+        ]
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    @pytest.mark.parametrize("at", [0, _MASK_BLOCK - 1, _MASK_BLOCK, SIZE - 1],
+                             ids=["first", "end-of-block", "next-block", "last-partial-block"])
+    def test_first_bad_value_is_reported(self, bad, at):
+        found = float(np.float32(bad))
+        assert found not in (0.0, 1.0)
+        for what, make in self.paths(self.mask(bad, at)):
+            with pytest.raises(WbptError, match=f"^{what} values must be 0.0 or 1.0, found "
+                                                f"{re.escape(repr(found))}$"):
+                make()
+
+    def test_negative_zero_is_accepted(self):
+        mask = self.mask()
+        mask[mask == 0.0] = -0.0
+        assert np.signbit(mask).any()
+        for _, make in self.paths(mask):
+            make()
+
+    def test_first_bad_value_in_c_order_of_a_strided_payload(self):
+        mask = np.asfortranarray(np.ones((3, 200, 300), np.float32))
+        mask[2, 0, 0] = 0.5  # first in memory
+        mask[0, 199, 299] = 0.25  # first in C order
+        with pytest.raises(WbptError, match="found 0.25$"):
+            WbptFile(KIND_MASK, 8, HASH64, mask)
 
 
 class TestJsonDocuments:
