@@ -7,7 +7,8 @@ is the shape of the curve: a single decode pass is nearly flat in the person
 count, unlike a body-pass-plus-crops pipeline whose cost grows linearly.
 That comparison line comes from the runtime model and is always labeled
 modeled, never measured. Records go out as the `records` list of the
-`wbpose bench` JSON summary, one `dataclasses.asdict` per BenchRecord.
+`wbpose bench` JSON summary, one `dataclasses.asdict` per BenchRecord, and
+the fits of growth_fits as its `fits` list.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import gc
 import statistics
 import time
 from dataclasses import dataclass, fields, replace
+from fractions import Fraction
+from itertools import groupby
 from typing import Sequence
 
 from .decoder import DecodeStats, decode_with_stats
@@ -125,3 +128,48 @@ def run_bench(
                 )
             )
     return records
+
+
+def _quadratic_fit(ns: Sequence[int], values: Sequence[int]) -> dict[str, float] | None:
+    """Least-squares coefficients of values against 1, n and n^2, keyed
+    "1", "n" and "n2", or None below three distinct n. The normal equations
+    are solved in rationals, so values that are a quadratic in n give back
+    its coefficients exactly."""
+    if len(set(ns)) < 3:
+        return None
+    rows = [(1, n, n * n) for n in ns]
+    a = [[Fraction(sum(r[i] * r[j] for r in rows)) for j in range(3)] for i in range(3)]
+    b = [sum(r[i] * Fraction(v) for r, v in zip(rows, values)) for i in range(3)]
+    # Three distinct n make the normal matrix positive definite, so
+    # elimination without pivoting never meets a zero pivot.
+    for i in range(3):
+        for k in range(i + 1, 3):
+            f = a[k][i] / a[i][i]
+            a[k] = [x - f * y for x, y in zip(a[k], a[i])]
+            b[k] -= f * b[i]
+    c = [Fraction(0)] * 3
+    for i in (2, 1, 0):
+        c[i] = (b[i] - sum(a[i][j] * c[j] for j in range(i + 1, 3))) / a[i][i]
+    return {"1": float(c[0]), "n": float(c[1]), "n2": float(c[2])}
+
+
+def growth_fits(records: Sequence[BenchRecord]) -> list[dict]:
+    """Per map size, in record order, the least-squares fit of median_ns
+    and of each *_ns phase median against 1, n and n^2 over the crowd
+    sizes n (see _quadratic_fit): how much of each cost is a floor, how
+    much grows with the people and how much with the pairs of people."""
+    fits = []
+    for (map_w, map_h), group in groupby(records, key=lambda r: (r.map_w, r.map_h)):
+        group = list(group)
+        ns = [r.n_people for r in group]
+        fits.append({
+            "map_w": map_w,
+            "map_h": map_h,
+            "n_people": ns,
+            "median_ns": _quadratic_fit(ns, [r.median_ns for r in group]),
+            "stats": {
+                f.name: _quadratic_fit(ns, [getattr(r.stats, f.name) for r in group])
+                for f in fields(DecodeStats) if f.name.endswith("_ns")
+            },
+        })
+    return fits

@@ -6,7 +6,7 @@ roundtrip, sample-plan, arch, bench.  Global flags (--manifest, --seed,
 JSON document to stdout (unless --quiet) and nothing else there: a summary
 carrying tool_version, the seed, the command and manifest_hash, so outputs
 are attributable and replayable, and the process's peak_rss_mb. Tables
-(bench records, arch --ratio rows) are lists inside that document.
+(bench records and fits, arch --ratio rows) are lists inside that document.
 
 Exit codes: 0 success, 1 a tolerance gate failed (roundtrip/eval/sample-plan
 --check), 2 usage error, 3 I/O or format error (a file made against another
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .archmodel import build_stage_graph, cost_estimate, receptive_field, runtime_ratio
-from .bench import run_bench
+from .bench import growth_fits, run_bench
 from .decoder import DecodeStats, decode_with_stats
 from .encoder import EncoderParams, encode
 from .formats import (
@@ -502,6 +502,7 @@ def cmd_bench(args) -> int:
     )
     _emit(args, topo, {
         "n_records": len(records), "records": [dataclasses.asdict(r) for r in records],
+        "fits": growth_fits(records),
     })
     return EXIT_OK
 

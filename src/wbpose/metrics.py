@@ -107,6 +107,9 @@ def _bbox_areas(xy: np.ndarray, has: np.ndarray) -> np.ndarray:
 # exp() of any argument below this is 0.0 in float64.
 _EXP_UNDERFLOW = -746.0
 
+# The most float64 values in one temporary of _oks_columns (512 KiB).
+_OKS_BLOCK = 1 << 16
+
 
 def _oks_columns(
     det_xy: np.ndarray,
@@ -119,22 +122,44 @@ def _oks_columns(
     from the arrays of _pose_arrays. Every ground truth must carry at least
     one part; an absent detection part sits at +inf and scores 0.
 
-    One column at a time, vectorized over the detections and that ground
-    truth's k parts, so scratch memory is O(D * n_parts). The sum runs over
-    parts in id order, one part after another, as a scalar loop adds them."""
-    mat = np.zeros((det_xy.shape[2], gt_xy.shape[2]))
-    for g in range(gt_xy.shape[2]):
-        pid = np.flatnonzero(gt_has[:, g])
-        dx = det_xy[0, pid] - gt_xy[0, pid, g][:, None]  # (k, D)
-        dy = det_xy[1, pid] - gt_xy[1, pid, g][:, None]
-        k = kappa[pid, None]
-        z = -(dx ** 2 + dy ** 2) / (2.0 * gt_area[g] * k * k)
-        # np.exp is slow where its result underflows, and most pairs in a
-        # crowd are far apart: give those the 0.0 that exp would.
-        live = ~(z < _EXP_UNDERFLOW)
+    Blocks of ground truths at a time, as (parts, G, D) arrays of at most
+    _OKS_BLOCK values, so scratch is bounded whatever the crowd. Each OKS
+    sums its ground truth's part similarities in id order, with the bits
+    np.add.reduce gives a (k, D) array of them: row after row when D >= 2,
+    a single column pairwise. An absent ground-truth part scores +0.0,
+    which keeps a non-negative running sum's bits, so two or more
+    detections are summed over every part at once, and a lone detection
+    over each ground truth's own parts."""
+    n_parts, n_det = det_xy.shape[1:]
+    n_gt = gt_xy.shape[2]
+    mat = np.zeros((n_det, n_gt))
+    if not n_det or not n_gt:
+        return mat
+    count = gt_has.sum(axis=0)
+    k = kappa[:, None]
+    step = max(1, _OKS_BLOCK // (n_parts * n_det))
+    for g0 in range(0, n_gt, step):
+        g = slice(g0, g0 + step)
+        with np.errstate(invalid="ignore"):  # inf - inf at parts absent on both sides
+            dx = det_xy[0][:, None, :] - gt_xy[0, :, g, None]  # (parts, G, D)
+            dy = det_xy[1][:, None, :] - gt_xy[1, :, g, None]
+            dx **= 2
+            dy **= 2
+            dx += dy
+            z = np.negative(dx, out=dx)
+            z /= (2.0 * gt_area[g] * k * k)[:, :, None]
+            # np.exp is slow where its result underflows, and most pairs in
+            # a crowd are far apart: give those the 0.0 that exp would.
+            live = ~(z < _EXP_UNDERFLOW)
+        live &= gt_has[:, g, None]
         sim = np.zeros_like(z)
         sim[live] = np.exp(z[live])
-        mat[:, g] = np.add.reduce(sim, axis=0) / len(pid)
+        if n_det > 1:
+            total = np.add.reduce(sim, axis=0).T
+        else:
+            total = np.array([np.add.reduce(col[has])
+                              for col, has in zip(sim[:, :, 0].T, gt_has[:, g].T)])
+        mat[:, g] = total / count[g]
     return mat
 
 

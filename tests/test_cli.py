@@ -811,6 +811,9 @@ class TestBenchCommand:
         assert doc["n_records"] == 4
         records = [BenchRecord(**r) for r in doc["records"]]  # every field, no extras
         assert [(r.n_people, r.map_w) for r in records] == [(1, 30), (2, 30), (1, 20), (2, 20)]
+        # Two crowd sizes cannot fix three coefficients.
+        assert [(f["map_w"], f["n_people"], f["median_ns"]) for f in doc["fits"]] == [
+            (30, [1, 2], None), (20, [1, 2], None)]
         # The records are the output; bench writes no file.
         assert main(["--quiet", "bench", "--csv", "x.csv"]) == EXIT_USAGE
 

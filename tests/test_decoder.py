@@ -16,6 +16,7 @@ from wbpose.decoder import (
     _forest_labels,
     _match_all_limbs,
     _nms_arrays,
+    _sample_mean,
     _support_keep,
     decode_with_stats,
 )
@@ -222,6 +223,55 @@ def test_nms_channel_seams_equal_grid_scan_oracle(stack, dtype, thr):
     # No peak, plateau or non-finite cell leaks across a row end or a
     # channel end of the raveled stack.
     assert_nms_equals_grid_scan_oracle(stack.astype(dtype), thr)
+
+
+F32_CELLS = [0.0, 0.05, 0.5, 0.9, 1.0, -1.0, 3e38, -3e38, 1e-40, np.nan, np.inf, -np.inf]
+
+
+@st.composite
+def float32_stacks(draw):
+    """1-3 channel float32 stacks of 1xN, Nx1 and small maps whose cells
+    repeat a few values, so plateaus, ties, peaks on the border, subnormal
+    and extreme values and NaN/+-inf cells all occur."""
+    c, n = draw(st.integers(1, 3)), draw(st.integers(1, 7))
+    h, w = draw(st.sampled_from([(1, n), (n, 1)]) | st.tuples(st.integers(2, 7), st.integers(2, 7)))
+    cells = draw(st.lists(st.sampled_from(F32_CELLS) | st.floats(-1.0, 1.0, width=32),
+                          min_size=c * h * w, max_size=c * h * w))
+    return np.array(cells, dtype=np.float32).reshape(c, h, w)
+
+
+@settings(max_examples=400, deadline=None)
+@given(stack=float32_stacks(), data=st.data())
+def test_nms_float32_stack_equals_float64_widening(stack, data):
+    # A float32 map is searched on a float32 stack; every candidate array,
+    # and its dtype, must be what the same map widened to float64 gives.
+    # Thresholds sit on a cell's value and one float64 step either side of
+    # it, where rounding the threshold to float32 would move the cut.
+    values = stack[np.isfinite(stack)].astype(np.float64).tolist() + [0.05, 0.0, -1e300, 1e300]
+    base = data.draw(st.sampled_from(values))
+    thr = data.draw(st.sampled_from([base, np.nextafter(base, -np.inf), np.nextafter(base, np.inf)]))
+    topo, params = parts_only_topo(stack.shape[0]), DecoderParams(nms_threshold=float(thr))
+    got = _nms_arrays(stack, topo, params)
+    want = _nms_arrays(stack.astype(np.float64), topo, params)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n_samples", list(range(2, 41)) + [127, 128, 129, 136, 300])
+def test_sample_mean_has_np_mean_bits(n_samples):
+    # The scorer's mean over the sample rows of an (S, P) array must give
+    # each pair the bits np.mean gives its row of S values: random values
+    # over many magnitudes, both signs, and columns of +0.0, -0.0 and one
+    # large value among small ones.
+    rng = np.random.default_rng(n_samples)
+    dots = rng.normal(0.0, 1.0, (n_samples, 257)) * 10.0 ** rng.integers(-12, 12, (n_samples, 257))
+    dots[:, 0] = 0.0
+    dots[:, 1] = -0.0
+    dots[:, 2] = 1e-17
+    dots[n_samples // 2, 2] = 1.0
+    want = np.ascontiguousarray(dots.T).mean(axis=1)
+    assert _sample_mean(dots.copy()).tobytes() == want.tobytes()
 
 
 def scene_maps(topo, people, size=(96, 96)):
@@ -732,6 +782,14 @@ def limb_pairs(topo, conf, params, rng, cap):
     return ch.astype(np.int64), sx, sy, dx, dy
 
 
+def support_keep(paf, params, ch, sx, sy, dx, dy):
+    """_support_keep on the support map of paf for pairs (limb ch, from
+    (sx, sy) to (dx, dy)), each on its limb's support plane."""
+    support = _corner_support(paf, params.sample_threshold)
+    plane = np.asarray(ch) * float(paf.shape[1] * paf.shape[2])
+    return _support_keep(support, plane, sx, sy, dx - sx, dy - sy, params).tolist()
+
+
 @pytest.mark.parametrize("topo_name", sorted(DIFF_TOPOLOGIES))
 @settings(max_examples=12, deadline=None)
 @given(
@@ -756,10 +814,7 @@ def test_support_keep_equals_oracle_on_noisy_maps(topo_name, seed, sigma, dtype,
     params = DecoderParams(sample_threshold=sample_threshold, n_samples=n_samples,
                            valid_fraction=valid_fraction)
     pairs = limb_pairs(topo, conf, params, rng, cap=3000)
-    ch, sx, sy, dx, dy = pairs
-    support = _corner_support(paf, params.sample_threshold)
-    kept = _support_keep(support, ch, sx, sy, dx - sx, dy - sy, params)
-    assert kept.tolist() == oracle_support_keep(paf, *pairs, params)
+    assert support_keep(paf, params, *pairs) == oracle_support_keep(paf, *pairs, params)
 
 
 @pytest.mark.parametrize("n_samples, valid_fraction", [(300, 0.8), (3, 1.0)])
@@ -772,10 +827,8 @@ def test_prefilter_edge_params_equal_oracles(seed, n_samples, valid_fraction):
     rng = np.random.default_rng(seed)
     conf, paf = noisy_maps(topo, rng, 20, 20, 3, 0.01)
     params = DecoderParams(n_samples=n_samples, valid_fraction=valid_fraction, min_parts=2)
-    ch, sx, sy, dx, dy = pairs = limb_pairs(topo, conf, params, rng, cap=3000)
-    support = _corner_support(paf, params.sample_threshold)
-    kept = _support_keep(support, ch, sx, sy, dx - sx, dy - sy, params)
-    assert kept.tolist() == oracle_support_keep(paf, *pairs, params)
+    pairs = limb_pairs(topo, conf, params, rng, cap=3000)
+    assert support_keep(paf, params, *pairs) == oracle_support_keep(paf, *pairs, params)
     poses, stats = decode_with_stats((conf, paf), topo, params)
     assert stats.connections_valid > 0
     assert poses == oracle_decode(conf, paf, topo, params)
@@ -838,7 +891,5 @@ def test_support_keep_boundary_at_miss_budget(missed, kept):
     for k in missed:
         paf[0, :, 2 * k : 2 * k + 2] = 0.2
     pair = (np.array([0]), np.array([0.25]), np.array([1.25]), np.array([18.25]), np.array([1.25]))
-    support = _corner_support(paf, params.sample_threshold)
-    vec = (np.array([18.0]), np.array([0.0]))
-    assert _support_keep(support, *pair[:3], *vec, params).tolist() == ([0] if kept else [])
+    assert support_keep(paf, params, *pair) == ([0] if kept else [])
     assert oracle_support_keep(paf, *pair, params) == ([0] if kept else [])

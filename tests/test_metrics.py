@@ -14,6 +14,7 @@ from oracles import (
     oracle_greedy_oks_match,
     oracle_oks,
 )
+from wbpose import metrics
 from wbpose.metrics import OKS_THRESHOLDS, EvalPose, evaluate, match_scene
 from wbpose.skeleton import PartGroup, default_topology
 
@@ -371,3 +372,86 @@ def test_kernels_equal_loop_oracles(group, scenes):
         assert got_r == pytest.approx(recall, rel=0, abs=1e-12)
     assert result.ap == pytest.approx(sum(aps) / len(aps), rel=0, abs=1e-12)
     assert result.ar == pytest.approx(sum(ars) / len(ars), rel=0, abs=1e-12)
+
+
+def scalar_oks_columns(det_xy, gt_xy, gt_has, gt_area, kappa):
+    """OKS of every detection (rows) against every ground truth (columns)
+    from the arrays metrics._oks_columns takes, one pair at a time: for
+    each of the ground truth's parts, z = -(dx^2 + dy^2) / (2 area k k) in
+    Python floats, its exp taken by np.exp over the pair's 1-D array of z
+    (math.exp may round the last bit differently), and the similarities
+    summed in part-id order, over the part count: one after another, as
+    np.add.reduce adds the rows of a (parts, detections) array, or for a
+    lone detection by np.add.reduce of the 1-D array, which sums pairwise."""
+    n_det, n_gt = det_xy.shape[2], gt_xy.shape[2]
+    out = np.zeros((n_det, n_gt))
+    for g in range(n_gt):
+        pids = np.flatnonzero(gt_has[:, g]).tolist()
+        two_area = 2.0 * float(gt_area[g])
+        for d in range(n_det):
+            zs = []
+            for p in pids:
+                dx = float(det_xy[0, p, d]) - float(gt_xy[0, p, g])
+                dy = float(det_xy[1, p, d]) - float(gt_xy[1, p, g])
+                k = float(kappa[p])
+                zs.append(-(dx * dx + dy * dy) / (two_area * k * k))
+            sims = np.exp(np.array(zs))
+            if n_det == 1:
+                total = np.add.reduce(sims)
+            else:
+                total = 0.0
+                for sim in sims.tolist():
+                    total += sim
+            out[d, g] = total / len(pids)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenes=_eval_scenes(), block=st.sampled_from([1, 2_000, 1 << 16]),
+       group=st.sampled_from([None, frozenset({PartGroup.BODY}), frozenset({PartGroup.HAND})]))
+def test_oks_columns_equal_scalar_oracle_bit_for_bit(scenes, block, group):
+    # Blocks of one ground truth, of a few and of a whole scene; lone
+    # detections, whose single column numpy would sum pairwise, included.
+    subset = metrics._subset_mask(FULL, group)
+    kappa = np.asarray(FULL.oks_kappa, dtype=np.float64)
+    saved = metrics._OKS_BLOCK
+    metrics._OKS_BLOCK = block
+    try:
+        for dets, gts in scenes:
+            gt_xy, gt_has = metrics._pose_arrays([g.parts for g in gts], subset)
+            kept = np.flatnonzero(gt_has.any(axis=0))
+            gt_xy, gt_has = gt_xy[:, :, kept], gt_has[:, kept]
+            det_xy, _ = metrics._pose_arrays([d.parts for d in dets], subset)
+            args = (det_xy, gt_xy, gt_has, metrics._bbox_areas(gt_xy, gt_has), kappa)
+            got, want = metrics._oks_columns(*args), scalar_oks_columns(*args)
+            assert got.shape == want.shape == (len(dets), kept.size)
+            assert got.tobytes() == want.tobytes()
+    finally:
+        metrics._OKS_BLOCK = saved
+
+
+def test_lone_detection_oks_sums_parts_pairwise():
+    # One detection against two ground truths, one with every part and one
+    # with two parts in three: numpy sums a single column pairwise, so each
+    # OKS is the pairwise sum over that ground truth's own parts.
+    rng = np.random.default_rng(5)
+    full = {p.part_id: tuple(rng.uniform(0, 100, 2).tolist()) for p in FULL.parts}
+    gts = [full, {p: xy for p, xy in full.items() if p % 3}]
+    kappa = np.asarray(FULL.oks_kappa, dtype=np.float64)
+    sequential_differs = False
+    for seed in range(20):
+        noise = np.random.default_rng(seed).normal(0, 3, (FULL.n_parts, 2))
+        det = {pid: (x + noise[pid, 0], y + noise[pid, 1]) for pid, (x, y) in full.items()}
+        _, _, mat, _ = match_scene([EvalPose(det, 1.0)], [EvalPose(g) for g in gts], FULL,
+                                   OKS_THRESHOLDS)
+        for j, gt in enumerate(gts):
+            area = oracle_bbox_area(gt)
+            d = {p: (det[p][0] - gt[p][0], det[p][1] - gt[p][1]) for p in gt}
+            sims = np.exp(np.array([-(d[p][0] * d[p][0] + d[p][1] * d[p][1])
+                                    / (2.0 * area * kappa[p] * kappa[p]) for p in sorted(gt)]))
+            assert mat[0, j] == np.add.reduce(sims) / len(gt)
+            one_by_one = 0.0
+            for sim in sims.tolist():
+                one_by_one += sim
+            sequential_differs |= mat[0, j] != one_by_one / len(gt)
+    assert sequential_differs  # so the test tells the two orders apart
