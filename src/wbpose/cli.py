@@ -32,7 +32,7 @@ from . import __version__
 from .archmodel import build_stage_graph, cost_estimate, receptive_field, runtime_ratio
 from .bench import growth_fits, run_bench
 from .decoder import DecodeStats, decode_with_stats
-from .encoder import EncoderParams, encode
+from .encoder import EncoderParams, TargetTensors, encode
 from .formats import (
     WbptError,
     from_targets,
@@ -248,10 +248,28 @@ def _scene_id_of(path: Path, fallback: int) -> int:
     return int(m.group(1)) if m else fallback
 
 
-def _check_hash(topo, file_hash: str, path: Path) -> None:
-    if file_hash != topo.manifest_hash:
+def _read_targets(topo, path: Path) -> TargetTensors:
+    """The S, L and W of the combined .wbpt file at path, refused when it
+    was encoded against another manifest."""
+    f = read_wbpt(path)
+    if f.manifest_hash != topo.manifest_hash:
         raise WbptError(
-            f"{path} was encoded against manifest {file_hash[:12]}..., "
+            f"{path} was encoded against manifest {f.manifest_hash[:12]}..., "
+            f"the active topology is {topo.manifest_hash[:12]}..."
+        )
+    try:
+        return to_targets(f)
+    except WbptError as e:
+        raise WbptError(f"{path}: {e}") from None
+
+
+def _check_manifest(topo, doc, path: Path, made: str) -> None:
+    """Refuse a scenes or poses document that names another manifest; one
+    that names none is read against the active topology."""
+    file_hash = doc.get("manifest_hash", topo.manifest_hash)
+    if file_hash != topo.manifest_hash:
+        raise DocumentError(
+            f"{path} was {made} against manifest {str(file_hash)[:12]}..., "
             f"the active topology is {topo.manifest_hash[:12]}..."
         )
 
@@ -269,12 +287,7 @@ def _read_poses(topo, path: Path) -> dict:
     or a part id outside the active topology."""
     doc = _read_json(path)
     poses = poses_from_document(doc)
-    file_hash = doc.get("manifest_hash", topo.manifest_hash)
-    if file_hash != topo.manifest_hash:
-        raise DocumentError(
-            f"{path} was decoded against manifest {str(file_hash)[:12]}..., "
-            f"the active topology is {topo.manifest_hash[:12]}..."
-        )
+    _check_manifest(topo, doc, path, "decoded")
     for scene_id, scene_poses in poses.items():
         for i, pose in enumerate(scene_poses):
             _check_part_ids(topo, pose.parts, f"{path}: scene {scene_id} pose {i}")
@@ -282,6 +295,8 @@ def _read_poses(topo, path: Path) -> dict:
 
 
 def cmd_encode(args) -> int:
+    if args.mapping is not None and args.coco is None:
+        raise ValueError("--mapping names COCO keypoints and needs --coco")
     topo = _topology(args)
     if args.coco is not None:
         mapping = _read_json(args.mapping) if args.mapping else None
@@ -290,6 +305,7 @@ def cmd_encode(args) -> int:
         doc = _read_json(args.scenes)
     scenes = scenes_from_document(doc)
     source = args.scenes or args.coco
+    _check_manifest(topo, doc, source, "made")
     for scene in scenes:
         for i, person in enumerate(scene.people):
             _check_part_ids(topo, person.parts, f"{source}: scene {scene.scene_id} person {i}")
@@ -314,14 +330,13 @@ def cmd_decode(args) -> int:
     path_of = {}
     totals = dict.fromkeys(DECODE_TOTALS, 0)
     for i, path in enumerate(args.tensors):
-        f = read_wbpt(path)
-        _check_hash(topo, f.manifest_hash, path)
+        t = _read_targets(topo, path)
         # One poses document carries one stride for every scene.
         if i == 0:
-            stride, first = f.stride, path
-        elif f.stride != stride:
+            stride, first = t.stride, path
+        elif t.stride != stride:
             raise WbptError(
-                f"{path} has stride {f.stride} but {first} has stride {stride}; "
+                f"{path} has stride {t.stride} but {first} has stride {stride}; "
                 "decode files of one stride per run"
             )
         scene_id = _scene_id_of(path, i)
@@ -331,8 +346,10 @@ def cmd_decode(args) -> int:
                 "decode files with distinct scene numbers per run"
             )
         path_of[scene_id] = path
-        t = to_targets(f)
-        poses_by_scene[scene_id], stats = decode_with_stats((t.s_star, t.l_star), topo)
+        try:
+            poses_by_scene[scene_id], stats = decode_with_stats((t.s_star, t.l_star), topo)
+        except ValueError as e:  # the decoder's shape checks
+            raise WbptError(f"{path}: {e}") from None
         for key in totals:
             totals[key] += getattr(stats, key)
     doc = poses_document(poses_by_scene, stride, topo.manifest_hash, args.seed)
@@ -348,23 +365,16 @@ def cmd_decode(args) -> int:
 
 def cmd_loss(args) -> int:
     topo = _topology(args)
-    pred = read_wbpt(args.pred)
-    gt = read_wbpt(args.gt)
-    for path, f in ((args.pred, pred), (args.gt, gt)):
-        _check_hash(topo, f.manifest_hash, path)
+    pred, gt = (_read_targets(topo, path) for path in (args.pred, args.gt))
+    for path, t in ((args.pred, pred), (args.gt, gt)):
         # The reader already holds masks to {0, 1}; a non-finite map cell
         # would make the loss non-finite and the summary invalid JSON.
-        if not np.isfinite(f.payload).all():
+        if not (np.isfinite(t.s_star).all() and np.isfinite(t.l_star).all()):
             raise WbptError(f"{path} holds a non-finite confidence or PAF value")
-    pred_t = to_targets(pred)
-    gt_t = to_targets(gt)
-    shapes = [(t.s_star.shape, t.l_star.shape) for t in (pred_t, gt_t)]
-    if shapes[0] != shapes[1]:
-        raise WbptError(
-            f"{args.pred} holds confidence and PAF tensors of shapes {shapes[0]}, "
-            f"but {args.gt} holds {shapes[1]}"
-        )
-    breakdown = multitask_loss([pred_t.l_star], [pred_t.s_star], gt_t, topo)
+    try:
+        breakdown = multitask_loss([pred.l_star], [pred.s_star], gt, topo)
+    except ValueError as e:  # the loss's shape checks
+        raise WbptError(f"--pred {args.pred}, --gt {args.gt}: {e}") from None
     _emit(args, topo, {"loss": dataclasses.asdict(breakdown)})
     return EXIT_OK
 

@@ -17,9 +17,11 @@ WBPT layout (all integers little-endian):
     payload    channels * map_h * map_w float32, channel-major, row-major
 
 The manifest digest is embedded so a tensor file can refuse to be decoded
-against the wrong topology.  Combined files store S, then L, then W
-contiguously; the directory records the channel split so readers do not
-need the topology to slice the payload.
+against the wrong topology.  A combined file holds the triple the network
+trains on, confidence maps S, part affinity fields L and loss masks W, in
+that order: its directory is (S, L, W) entries, each of at least one
+channel, that cover the payload, so readers need no topology to slice it.
+Any other directory is refused wherever a header is checked.
 
 The pad puts the payload at byte 64 of a single-kind file and at byte 80
 of a combined one, so ``from_bytes`` can hand it out as an aligned float32
@@ -27,7 +29,7 @@ view of the caller's buffer instead of a copy.  The view is read-only when
 the buffer is (``bytes``, and so every file ``read_wbpt`` reads) and
 writeable when it is not (a ``bytearray``).  Version 1 files, which have no
 pad, are still read.  Their payload starts at byte 58 of a single-kind file
-and at byte 74 of an S, L, W combined one, off float32 alignment, so like
+and at byte 74 of a combined one, off float32 alignment, so like
 any buffer whose payload is not aligned they are read through a copy, which
 is writeable.  ``to_bytes`` always writes version 2.
 
@@ -68,7 +70,8 @@ KIND_COMBINED = 4
 
 _HEADER = struct.Struct("<4sIBIIIIB")
 _DIR_ENTRY = struct.Struct("<BI")
-_U8_MAX = 0xFF
+# The kinds of a combined file's directory entries: S, L, W.
+_COMBINED_KINDS = (KIND_CONFIDENCE, KIND_PAF, KIND_MASK)
 _U32_MAX = 0xFFFFFFFF
 # Mask values checked per block; 2**16 keeps the check's scratch at 128 KiB.
 _MASK_BLOCK = 1 << 16
@@ -106,23 +109,18 @@ def _check_header(
     kind: int, stride: int, manifest_hash: str, sections: tuple[tuple[int, int], ...], channels: int
 ) -> None:
     """WbptFile's checks on the fields the header stores besides the kind
-    and the map shape: manifest hash, stride and channel directory."""
+    and the map shape: manifest hash, stride and channel directory, which
+    is (S, L, W) for a combined file and empty for any other."""
     if len(manifest_hash) != 64 or set(manifest_hash) - set("0123456789abcdef"):
         raise WbptError("manifest_hash must be a lowercase sha256 hex digest")
     if not 1 <= stride <= _U32_MAX:
         raise WbptError(f"stride must be in [1, {_U32_MAX}], got {stride}")
     if kind == KIND_COMBINED:
-        if not sections:
-            raise WbptError("combined files need a channel directory")
-        if len(sections) > _U8_MAX:
-            raise WbptError(
-                f"a channel directory holds at most {_U8_MAX} entries, got {len(sections)}"
-            )
-        for k, n in sections:
-            if k not in (KIND_CONFIDENCE, KIND_PAF, KIND_MASK):
-                raise WbptError(f"directory entry kind {k} is not a payload kind")
-            if n < 1:
-                raise WbptError("directory entries must cover at least one channel")
+        kinds = tuple(k for k, _ in sections)
+        if kinds != _COMBINED_KINDS:
+            raise WbptError(f"combined file must hold S, L, W sections in order, got kinds {kinds}")
+        if min(n for _, n in sections) < 1:
+            raise WbptError("directory entries must cover at least one channel")
         total = sum(n for _, n in sections)
         if total != channels:
             raise WbptError(f"directory covers {total} channels, payload has {channels}")
@@ -135,8 +133,8 @@ class WbptFile:
     """An in-memory WBPT container.
 
     ``payload`` is (channels, map_h, map_w) float32.  ``sections`` is the
-    channel directory for combined files: (kind, channels) pairs in payload
-    order; empty for single-kind files.
+    channel directory for combined files, ((1, S channels), (2, L channels),
+    (3, W channels)); empty for single-kind files.
     """
 
     kind: int
@@ -159,11 +157,8 @@ class WbptFile:
         if self.kind == KIND_MASK:
             _check_mask_values(self.payload, "mask payload values")
         elif self.kind == KIND_COMBINED:
-            at = 0
-            for k, n in self.sections:
-                if k == KIND_MASK:
-                    _check_mask_values(self.payload[at : at + n], "mask section values")
-                at += n
+            n_w = self.sections[-1][1]
+            _check_mask_values(self.payload[self.channels - n_w :], "mask section values")
 
     @property
     def channels(self) -> int:
@@ -303,9 +298,7 @@ def from_targets(targets: TargetTensors, manifest_hash: str) -> WbptFile:
             "S, L and W must be (channels, h, w) maps of one (h, w), "
             f"got shapes {shapes[0]}, {shapes[1]} and {shapes[2]}"
         )
-    sections = tuple(
-        (kind, shape[0]) for kind, shape in zip((KIND_CONFIDENCE, KIND_PAF, KIND_MASK), shapes)
-    )
+    sections = tuple((kind, shape[0]) for kind, shape in zip(_COMBINED_KINDS, shapes))
     channels = sum(n for _, n in sections)
     _check_header(KIND_COMBINED, targets.stride, manifest_hash, sections, channels)
     _, map_h, map_w = shapes[0]
@@ -327,11 +320,7 @@ def to_targets(f: WbptFile) -> TargetTensors:
     cell)."""
     if f.kind != KIND_COMBINED:
         raise WbptError(f"need a combined (kind {KIND_COMBINED}) file, got kind {f.kind}")
-    kinds = tuple(k for k, _ in f.sections)
-    if kinds != (KIND_CONFIDENCE, KIND_PAF, KIND_MASK):
-        raise WbptError(f"combined file must hold S, L, W sections in order, got kinds {kinds}")
-    n_s = f.sections[0][1]
-    n_l = f.sections[1][1]
+    (_, n_s), (_, n_l), _ = f.sections
     return TargetTensors(
         s_star=f.payload[:n_s],
         l_star=f.payload[n_s : n_s + n_l],

@@ -95,10 +95,17 @@ def multitask_loss(
     same masks. per_group attributes each channel's mass (confidence and PAF,
     summed across stages) to its part group; the background channel belongs
     to no group, so sum(per_group) <= total with equality when it is off.
-    Raises ValueError, naming the stage and both shapes, when a prediction's
-    shape differs from its ground truth's.
+    Raises ValueError when the ground truth's S, L and W channel counts are
+    not the topology's, and, naming the stage and both shapes, when a
+    prediction's shape differs from its ground truth's.
     """
     n_conf = topo.confidence_channels
+    channels = tuple(len(t) for t in (targets.s_star, targets.l_star, targets.w_mask))
+    wanted = (n_conf, topo.paf_channels, n_conf + topo.paf_channels)
+    if channels != wanted:
+        raise ValueError(
+            f"ground truth has {channels} S, L and W channels, topology wants {wanted}"
+        )
     w_conf = targets.w_mask[:n_conf]
     w_paf = targets.w_mask[n_conf:]
 

@@ -21,7 +21,7 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .jsondoc import DocumentError, from_json, read
+from .jsondoc import DocumentError, from_json, read, read_at_least
 from .skeleton import PartGroup
 
 RNG_ALGORITHM = "numpy-philox4x64/seedseq(seed,counter)"
@@ -263,6 +263,7 @@ def read_plan_jsonl(lines: Iterable[str]) -> SamplePlan:
     seed = read(header.get("seed"), int, "plan header 'seed'")
     batch_size = read(header.get("batch_size"), int, "plan header 'batch_size'")
     registry_hash = read(header.get("registry_hash"), str, "plan header 'registry_hash'")
+    n_batches = read_at_least(header.get("n_batches"), int, 0, "plan header 'n_batches'")
     if seed < 0 or batch_size < 1:
         raise DocumentError(
             f"plan header needs seed >= 0 and batch_size >= 1, got {seed}, {batch_size}"
@@ -272,4 +273,6 @@ def read_plan_jsonl(lines: Iterable[str]) -> SamplePlan:
         for line_no, line in enumerate(it, start=2)
         if line.strip()
     )
+    if len(batches) != n_batches:
+        raise DocumentError(f"plan header promises {n_batches} batches, the file holds {len(batches)}")
     return SamplePlan(seed, batch_size, registry_hash, batches)

@@ -13,7 +13,7 @@ from wbpose import __version__
 from wbpose.archmodel import runtime_ratio
 from wbpose.bench import BenchRecord
 from wbpose.cli import DECODE_TOTALS, EXIT_IO, EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, main
-from wbpose.formats import default_coco_mapping, read_wbpt, to_targets, write_wbpt
+from wbpose.formats import default_coco_mapping, from_targets, read_wbpt, to_targets, write_wbpt
 
 from conftest import tiny_manifest, wbpt_v1_bytes
 
@@ -73,6 +73,18 @@ def nonfinite_paf_frame(pipeline, tmp_path, value):
     paf.flat[np.random.default_rng(0).choice(cells, cells.size // 100, replace=False)] = value
     path = tmp_path / "scene_000000.wbpt"
     write_wbpt(path, dataclasses.replace(f, payload=payload))
+    return path
+
+
+def frame_without(pipeline, tmp_path, **drop):
+    """Scene 0's tensor file without the channels drop names per tensor
+    (s_star, l_star, w_mask): a file of the active manifest whose channel
+    counts need not be the topology's."""
+    f = read_wbpt(pipeline / "tensors" / "scene_000000.wbpt")
+    t = to_targets(f)
+    cut = {name: np.delete(getattr(t, name), list(rows), axis=0) for name, rows in drop.items()}
+    path = tmp_path / "scene_000000.wbpt"
+    write_wbpt(path, from_targets(dataclasses.replace(t, **cut), f.manifest_hash))
     return path
 
 
@@ -367,6 +379,78 @@ class TestExitCodes:
             f"wbpose: {bad}: truncated WBPT file in payload: "
             f"expected {len(buf)} bytes, got {len(buf) - 4}\n"
         )
+
+    def test_decode_of_a_file_missing_one_limb_names_it(self, pipeline, capsys, tmp_path, topo):
+        # The first limb's two PAF channels and their two mask channels.
+        n_s, n_l = topo.confidence_channels, topo.paf_channels
+        path = frame_without(pipeline, tmp_path, l_star=(0, 1), w_mask=(n_s, n_s + 1))
+        assert main(["--quiet", "decode", str(path)]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"wbpose: {path}: paf tensor has {n_l - 2} channels, topology wants {n_l}\n"
+        )
+
+    def test_decode_reads_a_confidence_stack_without_background(self, pipeline, tmp_path, topo):
+        assert topo.background_channel and topo.confidence_channels == topo.n_parts + 1
+        n_parts = topo.n_parts
+        path = frame_without(pipeline, tmp_path, s_star=(n_parts,), w_mask=(n_parts,))
+        out = tmp_path / "poses.json"
+        argv = ["--seed", "7", "--quiet", "decode", str(path), "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        want = json.loads((pipeline / "poses.json").read_text())["poses"]["0"]
+        assert json.loads(out.read_text())["poses"]["0"] == want
+
+    @pytest.mark.parametrize("cut", ["confidence", "paf"])
+    def test_loss_of_a_file_with_other_channel_counts_names_it(self, pipeline, capsys, tmp_path,
+                                                                topo, cut):
+        # Either section loses a channel and its mask channel, so S, L and
+        # W still agree with each other but not with the topology.
+        tensor, mask_row = ("s_star", 0) if cut == "confidence" else ("l_star", topo.confidence_channels)
+        path = frame_without(pipeline, tmp_path, **{tensor: (0,), "w_mask": (mask_row,)})
+        code = main(["--quiet", "loss", "--pred", str(path), "--gt", str(path)])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith(f"wbpose: --pred {path}, --gt {path}: ground truth has ")
+        assert err.count("\n") == 1
+
+    def test_encode_of_scenes_made_against_another_manifest_is_format_error(
+        self, pipeline, capsys, tmp_path, topo
+    ):
+        doc = json.loads((pipeline / "scenes.json").read_text())
+        doc["manifest_hash"] = "0" * 64
+        scenes, out = tmp_path / "alien_scenes.json", tmp_path / "tensors"
+        scenes.write_text(json.dumps(doc))
+        argv = ["--quiet", "encode", "--scenes", str(scenes), "--out-dir", str(out)]
+        assert main(argv) == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"wbpose: {scenes} was made against manifest {'0' * 12}..., "
+            f"the active topology is {topo.manifest_hash[:12]}...\n"
+        )
+        assert not out.exists()
+        del doc["manifest_hash"]  # as in a hand-written document
+        scenes.write_text(json.dumps(doc))
+        assert main(argv) == EXIT_OK
+
+    def test_mapping_without_coco_is_usage_error(self, pipeline, capsys, tmp_path):
+        argv = ["--quiet", "encode", "--scenes", str(pipeline / "scenes.json"),
+                "--mapping", str(tmp_path / "nonexistent.json"), "--out-dir", str(tmp_path / "t")]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == "wbpose: --mapping names COCO keypoints and needs --coco\n"
+        assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("edit", ["cut", "header"])
+    def test_plan_of_another_length_than_its_header_is_format_error(self, capsys, tmp_path, edit):
+        plan = tmp_path / "plan.jsonl"
+        main(["--quiet", "sample-plan", "--batches", "5", "--out", str(plan)])
+        header, *batches = plan.read_text().splitlines()
+        if edit == "cut":  # the first 3 batch lines
+            lines, message = [header, *batches[:3]], "promises 5 batches, the file holds 3"
+        else:
+            doc = json.loads(header)
+            doc["n_batches"] = 6
+            lines, message = [json.dumps(doc), *batches], "promises 6 batches, the file holds 5"
+        plan.write_text("\n".join(lines) + "\n")
+        assert main(["--quiet", "sample-plan", "--check", str(plan)]) == EXIT_IO
+        assert capsys.readouterr().err == f"wbpose: plan header {message}\n"
 
     @pytest.mark.parametrize("cut",["one_paf_channel", "wider_map"])
     def test_loss_of_mismatched_shapes_is_format_error(self, pipeline, capsys, tmp_path, cut):

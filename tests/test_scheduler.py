@@ -190,6 +190,9 @@ def test_registry_json_roundtrip_and_validation():
 @pytest.mark.parametrize("line, key, value", [
     (0, "batch_size", None),  # None deletes the key
     (0, "seed", "1"),
+    (0, "n_batches", None),
+    (0, "n_batches", -1),
+    (0, "n_batches", 2.0),
     (1, "draws", None),
     (1, "draws", 3),
     (2, "dataset", None),
@@ -205,6 +208,19 @@ def test_plan_with_missing_or_ill_typed_key_is_plan_error(line, key, value):
     node = f"plan header '{key}'" if line == 0 else f"plan line {line + 1}: .*'{key}'"
     with pytest.raises(DocumentError, match=f"^{node}"):
         read_plan_jsonl([json.dumps(d) for d in docs])
+
+
+def test_plan_reads_back_only_with_every_batch_line():
+    for n_batches in (0, 3):
+        buf = io.StringIO()
+        plan = build_plan(default_registry(), seed=2, n_batches=n_batches, batch_size=2)
+        write_plan_jsonl(plan, buf)
+        header, *batches = buf.getvalue().splitlines()
+        assert read_plan_jsonl([header, *batches]) == plan
+    for held in (batches[:2], batches + batches[:1]):
+        message = f"^plan header promises 3 batches, the file holds {len(held)}$"
+        with pytest.raises(DocumentError, match=message):
+            read_plan_jsonl([header, *held])
 
 
 def test_empty_registry_rejected():
