@@ -11,14 +11,17 @@ are attributable and replayable, and the process's peak_rss_mb. Tables
 Exit codes: 0 success, 1 a tolerance gate failed (roundtrip/eval/sample-plan
 --check), 2 usage error, 3 I/O or format error (a file made against another
 topology among them).  Two error classes carry every input failure: a
-WbptError or DocumentError (or an OSError) exits 3, and names its file, or
-the plan line by number; any other ValueError exits 2.
+WbptError or DocumentError (or an OSError) exits 3; any other ValueError
+exits 2.  Every input file is read through _read, so a bad file prints one
+line, "wbpose: {path}: {reason}", whichever file and reader it is; a clash
+between two files (decode strides or scene ids, loss shapes) names both.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import math
 import re
@@ -35,17 +38,19 @@ from .decoder import DecodeStats, decode_with_stats
 from .encoder import EncoderParams, TargetTensors, encode
 from .formats import (
     WbptError,
+    WbptFile,
+    from_bytes,
     from_targets,
     ingest_coco,
     poses_document,
     poses_from_document,
-    read_wbpt,
+    read_coco_mapping,
     scenes_document,
     scenes_from_document,
     to_targets,
     write_wbpt,
 )
-from .jsondoc import DocumentError
+from .jsondoc import DocumentError, read
 from .loss import multitask_loss
 from .metrics import evaluate
 from .scheduler import (
@@ -77,24 +82,17 @@ def _size(text: str) -> tuple[int, int]:
     return int(m.group(1)), int(m.group(2))
 
 
-def _count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a count of at least 1, got {value}")
-    return value
-
-
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
-    return value
+def _int_at_least(low: int):
+    """The argparse type of an integer option whose values start at low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer of at least {low}, got {value}")
+        return value
+    return parse
 
 
 def _int_list(text: str) -> list[int]:
@@ -141,8 +139,8 @@ def _scale(text: str) -> tuple[float, float]:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="wbpose", description=__doc__.splitlines()[0])
     p.add_argument("--manifest", type=Path, default=None, help="topology manifest JSON (default: bundled wholebody135)")
-    p.add_argument("--seed", type=_seed, default=0, help="base RNG seed, echoed in outputs")
-    p.add_argument("--stride", type=int, default=8, help="map cell size in pixels")
+    p.add_argument("--seed", type=_int_at_least(0), default=0, help="base RNG seed, echoed in outputs")
+    p.add_argument("--stride", type=_int_at_least(1), default=8, help="map cell size in pixels")
     p.add_argument("--quiet", action="store_true", help="suppress the JSON summary on stdout")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -179,21 +177,21 @@ def build_parser() -> argparse.ArgumentParser:
                        help="range of person heights in px")
 
     syn = sub.add_parser("synth", parents=[scene], help="generate annotated scenes")
-    syn.add_argument("--n-scenes", type=_count, default=1)
-    syn.add_argument("--n-people", type=int, default=3)
+    syn.add_argument("--n-scenes", type=_int_at_least(1), default=1)
+    syn.add_argument("--n-people", type=_int_at_least(0), default=3)
     syn.add_argument("--rotation-deg", type=float, default=argparse.SUPPRESS)
     syn.add_argument("--jitter-deg", type=float, default=argparse.SUPPRESS)
     syn.add_argument("--coverage", type=_groups, default=argparse.SUPPRESS)
     syn.add_argument("--out", type=Path, help="scenes document JSON path")
 
     rt = sub.add_parser("roundtrip", parents=[scene], help="decode(encode(scene)) fidelity gate")
-    rt.add_argument("--n-scenes", type=_count, default=20)
+    rt.add_argument("--n-scenes", type=_int_at_least(1), default=20)
     rt.add_argument("--n-people", type=_int_range, default=[1, 2, 3], metavar="LIST|A..B")
     rt.add_argument("--tol-cells", type=_threshold, default=0.5)
 
     sp = sub.add_parser("sample-plan", help="deterministic training-batch plan as JSON lines")
-    sp.add_argument("--batches", type=int, default=10)
-    sp.add_argument("--batch-size", type=int, default=8)
+    sp.add_argument("--batches", type=_int_at_least(0), default=10)
+    sp.add_argument("--batch-size", type=_int_at_least(1), default=8)
     sp.add_argument("--registry", type=Path, help="dataset registry JSON (default: built-in)")
     out = sp.add_mutually_exclusive_group(required=True)
     out.add_argument("--out", type=Path, help="plan JSONL path")
@@ -202,21 +200,22 @@ def build_parser() -> argparse.ArgumentParser:
     ar = sub.add_parser("arch", help="stage-graph cost arithmetic and runtime-ratio model")
     ar.add_argument("--spec", help='PAF stage spec, e.g. "4s, 5b, 96w"')
     ar.add_argument("--cm", help="confidence stage spec (default: same as --spec)")
-    ar.add_argument("--input-resolution", type=int, default=480)
+    ar.add_argument("--input-resolution", type=_int_at_least(1), default=480)
     ar.add_argument("--ratio", action="store_true", help="emit modeled baseline/single ratios")
     ar.add_argument("--n", type=_int_range, default=list(range(1, 21)), metavar="A..B")
 
     be = sub.add_parser("bench", help="decode-only timing over a synthetic grid")
     be.add_argument("--n-people", type=_int_list, default=[1, 5, 10, 20])
     be.add_argument("--image-size", type=_size, action="append", default=None, metavar="WxH")
-    be.add_argument("--repetitions", type=int, default=30)
+    be.add_argument("--repetitions", type=_int_at_least(10), default=30)
     return p
 
 
 def _topology(args):
     if args.manifest is None:
         return default_topology()
-    return load_topology(_read_json(args.manifest))
+    # read() first: load_topology would take a string document for a path.
+    return _read(args.manifest, lambda doc: load_topology(read(doc, dict, "manifest")))
 
 
 def _emit(args, topo, payload: dict) -> None:
@@ -230,15 +229,6 @@ def _emit(args, topo, payload: dict) -> None:
         print(json.dumps(doc, indent=2))
 
 
-def _read_json(path: Path):
-    """The JSON document at path; bytes that are not UTF-8 or a syntax error
-    raise a DocumentError that names the path."""
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as e:  # UnicodeDecodeError and JSONDecodeError are both ValueErrors
-        raise DocumentError(f"{path}: {e}") from None
-
-
 def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
@@ -248,67 +238,63 @@ def _scene_id_of(path: Path, fallback: int) -> int:
     return int(m.group(1)) if m else fallback
 
 
-def _read_targets(topo, path: Path) -> TargetTensors:
-    """The S, L and W of the combined .wbpt file at path, refused when it
-    was encoded against another manifest."""
-    f = read_wbpt(path)
-    if f.manifest_hash != topo.manifest_hash:
-        raise WbptError(
-            f"{path} was encoded against manifest {f.manifest_hash[:12]}..., "
-            f"the active topology is {topo.manifest_hash[:12]}..."
-        )
+def _json(path: Path):
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def _wbpt(path: Path) -> WbptFile:
+    return from_bytes(path.read_bytes())
+
+
+def _read(path: Path, reader, topo=None, load=_json):
+    """reader(load(path)), with any failure of the file raised again as one
+    line that names it, "{path}: {reason}": a DocumentError or WbptError,
+    text that is not UTF-8, or a JSON syntax error.  Given topo, the file
+    must have been made against its manifest (a document that names none
+    is read against it), and scenes or poses may hold only its part ids:
+    the readers take no topology, and the encoder and the evaluator would
+    skip any other."""
     try:
-        return to_targets(f)
-    except WbptError as e:
-        raise WbptError(f"{path}: {e}") from None
-
-
-def _check_manifest(topo, doc, path: Path, made: str) -> None:
-    """Refuse a scenes or poses document that names another manifest; one
-    that names none is read against the active topology."""
-    file_hash = doc.get("manifest_hash", topo.manifest_hash)
-    if file_hash != topo.manifest_hash:
-        raise DocumentError(
-            f"{path} was {made} against manifest {str(file_hash)[:12]}..., "
-            f"the active topology is {topo.manifest_hash[:12]}..."
-        )
-
-
-def _check_part_ids(topo, parts, where: str) -> None:
-    """The library readers take no topology, and the encoder and evaluator
-    skip ids outside it, so the commands refuse them here."""
-    for pid in parts:
-        if not 0 <= pid < topo.n_parts:
-            raise DocumentError(f"{where} part {pid}: the topology has part ids 0..{topo.n_parts - 1}")
-
-
-def _read_poses(topo, path: Path) -> dict:
-    """The poses document at path, refused when it names another manifest
-    or a part id outside the active topology."""
-    doc = _read_json(path)
-    poses = poses_from_document(doc)
-    _check_manifest(topo, doc, path, "decoded")
-    for scene_id, scene_poses in poses.items():
-        for i, pose in enumerate(scene_poses):
-            _check_part_ids(topo, pose.parts, f"{path}: scene {scene_id} pose {i}")
-    return poses
+        raw = load(path)
+        out = reader(raw)
+        if topo is not None:
+            if isinstance(raw, WbptFile):
+                made = raw.manifest_hash
+            else:
+                made = raw.get("manifest_hash", topo.manifest_hash)
+            if made != topo.manifest_hash:
+                raise DocumentError(
+                    f"made against manifest {str(made)[:12]}..., "
+                    f"the active topology is {topo.manifest_hash[:12]}..."
+                )
+            people = []  # none in the maps of a .wbpt file
+            if isinstance(out, list):  # scenes
+                people = [(f"scene {s.scene_id} person {i}", p) for s in out for i, p in enumerate(s.people)]
+            elif isinstance(out, dict):  # poses by scene id
+                people = [(f"scene {k} pose {i}", p) for k, poses in out.items() for i, p in enumerate(poses)]
+            for where, person in people:
+                for pid in person.parts:
+                    if not 0 <= pid < topo.n_parts:
+                        raise DocumentError(f"{where} part {pid}: the topology has part ids 0..{topo.n_parts - 1}")
+        return out
+    except (UnicodeDecodeError, json.JSONDecodeError, DocumentError, WbptError) as e:
+        raise (WbptError if isinstance(e, WbptError) else DocumentError)(f"{path}: {e}") from None
 
 
 def cmd_encode(args) -> int:
     if args.mapping is not None and args.coco is None:
         raise ValueError("--mapping names COCO keypoints and needs --coco")
     topo = _topology(args)
-    if args.coco is not None:
-        mapping = _read_json(args.mapping) if args.mapping else None
-        doc = ingest_coco(_read_json(args.coco), topo, mapping, seed=args.seed)
+    if args.coco is None:
+        scenes = _read(args.scenes, scenes_from_document, topo)
     else:
-        doc = _read_json(args.scenes)
-    scenes = scenes_from_document(doc)
-    source = args.scenes or args.coco
-    _check_manifest(topo, doc, source, "made")
-    for scene in scenes:
-        for i, person in enumerate(scene.people):
-            _check_part_ids(topo, person.parts, f"{source}: scene {scene.scene_id} person {i}")
+        # The mapping is checked on its own, so that its errors name it
+        # (read_coco_mapping returns a tuple, so `and doc` keeps the
+        # document). Ingested scenes carry the topology's manifest and ids.
+        mapping = args.mapping and _read(args.mapping, lambda doc: read_coco_mapping(doc, topo) and doc)
+        scenes = _read(args.coco, lambda doc: scenes_from_document(
+            ingest_coco(doc, topo, mapping, seed=args.seed)
+        ))
     if args.scenes_out:
         _write_json(args.scenes_out, scenes_document(scenes, topo.manifest_hash, args.seed))
     params = EncoderParams(stride=args.stride)
@@ -330,7 +316,7 @@ def cmd_decode(args) -> int:
     path_of = {}
     totals = dict.fromkeys(DECODE_TOTALS, 0)
     for i, path in enumerate(args.tensors):
-        t = _read_targets(topo, path)
+        t = _read(path, to_targets, topo, _wbpt)
         # One poses document carries one stride for every scene.
         if i == 0:
             stride, first = t.stride, path
@@ -365,12 +351,16 @@ def cmd_decode(args) -> int:
 
 def cmd_loss(args) -> int:
     topo = _topology(args)
-    pred, gt = (_read_targets(topo, path) for path in (args.pred, args.gt))
-    for path, t in ((args.pred, pred), (args.gt, gt)):
+
+    def finite_targets(f: WbptFile) -> TargetTensors:
         # The reader already holds masks to {0, 1}; a non-finite map cell
         # would make the loss non-finite and the summary invalid JSON.
+        t = to_targets(f)
         if not (np.isfinite(t.s_star).all() and np.isfinite(t.l_star).all()):
-            raise WbptError(f"{path} holds a non-finite confidence or PAF value")
+            raise WbptError("a confidence or PAF value is not finite")
+        return t
+
+    pred, gt = (_read(path, finite_targets, topo, _wbpt) for path in (args.pred, args.gt))
     try:
         breakdown = multitask_loss([pred.l_star], [pred.s_star], gt, topo)
     except ValueError as e:  # the loss's shape checks
@@ -383,8 +373,9 @@ def cmd_eval(args) -> int:
     if args.group is not None and not args.group:
         raise ValueError("--group needs at least one part group")
     topo = _topology(args)
-    det_doc = _read_poses(topo, args.detections)
-    gt_doc = _read_poses(topo, args.groundtruth)
+    det_doc, gt_doc = (
+        _read(path, poses_from_document, topo) for path in (args.detections, args.groundtruth)
+    )
     scene_ids = sorted(set(det_doc) | set(gt_doc))
     dets = [det_doc.get(sid, []) for sid in scene_ids]
     # The evaluator ignores the score of a ground-truth pose.
@@ -454,15 +445,11 @@ def cmd_roundtrip(args) -> int:
 
 def cmd_sample_plan(args) -> int:
     topo = _topology(args)
-    registry = (
-        registry_from_json(_read_json(args.registry)) if args.registry else default_registry()
-    )
+    registry = _read(args.registry, registry_from_json) if args.registry else default_registry()
     if args.check:
-        try:
-            with open(args.check, encoding="utf-8") as fh:
-                reference = read_plan_jsonl(fh)
-        except UnicodeDecodeError as e:
-            raise DocumentError(f"{args.check}: {e}") from None
+        reference = _read(
+            args.check, read_plan_jsonl, load=lambda path: io.StringIO(path.read_text(encoding="utf-8"))
+        )
         regenerated = build_plan(
             registry, reference.seed, len(reference.batches), reference.batch_size
         )

@@ -455,6 +455,20 @@ def default_coco_mapping() -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+def read_coco_mapping(mapping: Mapping, topo: SkeletonTopology) -> tuple[str, frozenset, dict]:
+    """A COCO name mapping's category, part groups and {COCO keypoint name:
+    part id}; DocumentError on a malformed node or a name the topology lacks."""
+    mapping = read(mapping, dict, "mapping")
+    category_name = read(mapping.get("category"), str, "mapping category")
+    coverage = read(mapping.get("groups"), frozenset[PartGroup], "mapping groups")
+    names = read(mapping.get("keypoints"), dict, "mapping keypoints")
+    part_id = {p.name: p.part_id for p in topo.parts}
+    for coco_name, ours in names.items():
+        if read(ours, str, "mapping keypoints", coco_name) not in part_id:
+            raise DocumentError(f"mapping names {ours!r} for {coco_name!r}, a part the topology lacks")
+    return category_name, coverage, {coco_name: part_id[ours] for coco_name, ours in names.items()}
+
+
 def ingest_coco(
     coco: Mapping,
     topo: SkeletonTopology,
@@ -472,14 +486,8 @@ def ingest_coco(
     of either document (a negative image id, or a width or height below
     1 px, among them), or a mapping name the topology lacks.
     """
-    mapping = read(default_coco_mapping() if mapping is None else mapping, dict, "mapping")
-    category_name = read(mapping.get("category"), str, "mapping category")
-    coverage = read(mapping.get("groups"), frozenset[PartGroup], "mapping groups")
-    names = read(mapping.get("keypoints"), dict, "mapping keypoints")
-    part_id = {p.name: p.part_id for p in topo.parts}
-    for coco_name, ours in names.items():
-        if read(ours, str, "mapping keypoints", coco_name) not in part_id:
-            raise DocumentError(f"mapping names {ours!r} for {coco_name!r}, a part the topology lacks")
+    mapping = default_coco_mapping() if mapping is None else mapping
+    category_name, coverage, part_of_name = read_coco_mapping(mapping, topo)
 
     coco = read(coco, dict, "COCO document")
     categories = read(coco.get("categories", []), list[dict], "COCO categories")
@@ -487,11 +495,11 @@ def ingest_coco(
     cat_ids = {c["id"] for c in categories if c.get("name") == category_name}
     if not cat_ids:
         raise DocumentError(f"no category named {category_name!r} in the document")
-    name_order = list(names)
+    name_order = list(part_of_name)
     for c in categories:
         if c["id"] in cat_ids and "keypoints" in c:
             name_order = read(c["keypoints"], list[str], f"COCO category {c['id']} keypoints")
-    part_of_slot = [part_id.get(names.get(coco_name)) for coco_name in name_order]
+    part_of_slot = [part_of_name.get(coco_name) for coco_name in name_order]
 
     by_id: dict[int, AnnotatedScene] = {}
     for img in read(coco.get("images"), list[dict], "COCO images"):

@@ -157,8 +157,8 @@ def _place_person(
             pts = {pid: (x + ox, y + oy) for pid, x, y in zip(template.part_ids, px, py)}
             return pts, box, attempts_left
     raise ValueError(
-        f"could not place {len(placed_boxes) + 1} of {recipe.n_people} people "
-        f"within {recipe.max_attempts} attempts"
+        f"placed {len(placed_boxes)} of {recipe.n_people} people "
+        f"before the {recipe.max_attempts} attempts ran out"
     )
 
 

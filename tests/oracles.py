@@ -591,8 +591,8 @@ def oracle_place_person(
         if all(_box_gap(box, other) > recipe.min_separation for other in placed_boxes):
             return ({pid: (x + ox, y + oy) for pid, (x, y) in pts.items()}, box, attempts_left)
     raise ValueError(
-        f"could not place {len(placed_boxes) + 1} of {recipe.n_people} people "
-        f"within {recipe.max_attempts} attempts"
+        f"placed {len(placed_boxes)} of {recipe.n_people} people "
+        f"before the {recipe.max_attempts} attempts ran out"
     )
 
 

@@ -12,8 +12,16 @@ import pytest
 from wbpose import __version__
 from wbpose.archmodel import runtime_ratio
 from wbpose.bench import BenchRecord
-from wbpose.cli import DECODE_TOTALS, EXIT_IO, EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, main
-from wbpose.formats import default_coco_mapping, from_targets, read_wbpt, to_targets, write_wbpt
+from wbpose.cli import DECODE_TOTALS, EXIT_IO, EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, build_parser, main
+from wbpose.formats import (
+    default_coco_mapping,
+    from_targets,
+    read_wbpt,
+    scenes_from_document,
+    to_targets,
+    write_wbpt,
+)
+from wbpose.jsondoc import DocumentError
 
 from conftest import tiny_manifest, wbpt_v1_bytes
 
@@ -288,7 +296,8 @@ class TestArch:
     def test_nonpositive_input_resolution_is_usage_error(self, capsys, resolution):
         assert main(["--quiet", "arch", "--spec", "4s, 5b, 96w",
                      "--input-resolution", resolution]) == EXIT_USAGE
-        assert "input_resolution must be >= 1" in capsys.readouterr().err
+        assert f"argument --input-resolution: expected an integer of at least 1, got {resolution}" in (
+            capsys.readouterr().err)
 
     def test_malformed_spec(self, capsys):
         assert main(["--quiet", "arch", "--spec", "not a spec"]) == EXIT_USAGE
@@ -314,14 +323,21 @@ class TestExitCodes:
         ["sample-plan", "--registry", "BAD", "--out", "plan.jsonl"],
         ["eval", "BAD", "POSES"],
         ["eval", "POSES", "BAD"],
-    ], ids=["manifest", "scenes", "coco", "mapping", "registry", "detections", "groundtruth"])
+        ["encode", "--scenes", "NODE"],
+    ], ids=["manifest", "scenes", "coco", "mapping", "registry", "detections", "groundtruth",
+            "scenes-node"])
     def test_json_syntax_error_names_the_file(self, pipeline, capsys, tmp_path, argv):
-        text = '{"scenes": ['
-        with pytest.raises(json.JSONDecodeError) as info:
-            json.loads(text)
+        if "NODE" in argv:  # parses, but the reader refuses a node
+            text = json.dumps({"scenes": [{"image_size": [10, "x"]}]})
+            with pytest.raises(DocumentError) as info:
+                scenes_from_document(json.loads(text))
+        else:
+            text = '{"scenes": ['
+            with pytest.raises(json.JSONDecodeError) as info:
+                json.loads(text)
         bad = tmp_path / "trunc.json"
         bad.write_text(text)
-        places = {"BAD": str(bad), "POSES": str(pipeline / "poses.json"),
+        places = {"BAD": str(bad), "NODE": str(bad), "POSES": str(pipeline / "poses.json"),
                   "plan.jsonl": str(tmp_path / "plan.jsonl")}
         assert main(["--quiet", *(places.get(a, a) for a in argv)]) == EXIT_IO
         assert capsys.readouterr().err == f"wbpose: {bad}: {info.value}\n"
@@ -367,7 +383,7 @@ class TestExitCodes:
             json.loads(lines[2])
         plan.write_text("\n".join(lines) + "\n")
         assert main(["--quiet", "sample-plan", "--check", str(plan)]) == EXIT_IO
-        assert capsys.readouterr().err == f"wbpose: plan line 3: {info.value}\n"
+        assert capsys.readouterr().err == f"wbpose: {plan}: plan line 3: {info.value}\n"
 
     def test_decode_names_the_truncated_file(self, pipeline, capsys, tmp_path):
         good = pipeline / "tensors" / "scene_000000.wbpt"
@@ -422,7 +438,7 @@ class TestExitCodes:
         argv = ["--quiet", "encode", "--scenes", str(scenes), "--out-dir", str(out)]
         assert main(argv) == EXIT_IO
         assert capsys.readouterr().err == (
-            f"wbpose: {scenes} was made against manifest {'0' * 12}..., "
+            f"wbpose: {scenes}: made against manifest {'0' * 12}..., "
             f"the active topology is {topo.manifest_hash[:12]}...\n"
         )
         assert not out.exists()
@@ -450,7 +466,7 @@ class TestExitCodes:
             lines, message = [json.dumps(doc), *batches], "promises 6 batches, the file holds 5"
         plan.write_text("\n".join(lines) + "\n")
         assert main(["--quiet", "sample-plan", "--check", str(plan)]) == EXIT_IO
-        assert capsys.readouterr().err == f"wbpose: plan header {message}\n"
+        assert capsys.readouterr().err == f"wbpose: {plan}: plan header {message}\n"
 
     @pytest.mark.parametrize("cut",["one_paf_channel", "wider_map"])
     def test_loss_of_mismatched_shapes_is_format_error(self, pipeline, capsys, tmp_path, cut):
@@ -478,7 +494,9 @@ class TestExitCodes:
         files[side] = inf_frame(pipeline, tmp_path)
         code = main(["--quiet", "loss", "--pred", str(files["pred"]), "--gt", str(files["gt"])])
         assert code == EXIT_IO
-        assert str(files[side]) in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"wbpose: {files[side]}: a confidence or PAF value is not finite\n"
+        )
 
     def test_decode_of_inf_cell_writes_strict_json(self, pipeline, capsys, tmp_path):
         # The +inf cell reads as -inf, so no score is non-finite and eval
@@ -540,7 +558,7 @@ class TestExitCodes:
         assert main(["--quiet", "eval", *map(str, files)]) == EXIT_IO
         assert "not a finite number" in capsys.readouterr().err
 
-    def test_manifest_mismatch_is_format_error(self, capsys, tmp_path, tiny_topo):
+    def test_manifest_mismatch_is_format_error(self, capsys, tmp_path, topo, tiny_topo):
         from wbpose.encoder import AnnotatedScene, Person, Visibility, encode
         from wbpose.formats import from_targets, write_wbpt
         from wbpose.skeleton import PartGroup
@@ -554,6 +572,10 @@ class TestExitCodes:
         path = tmp_path / "alien.wbpt"
         write_wbpt(path, f)
         assert main(["--quiet", "decode", str(path)]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"wbpose: {path}: made against manifest {tiny_topo.manifest_hash[:12]}..., "
+            f"the active topology is {topo.manifest_hash[:12]}...\n"
+        )
 
     def test_eval_of_poses_from_another_topology_is_format_error(self, capsys, tmp_path, tiny_topo):
         from wbpose.encoder import AnnotatedScene, Person, Visibility, encode
@@ -572,7 +594,7 @@ class TestExitCodes:
         assert main(tiny + ["decode", str(tensors), "--out", str(poses)]) == EXIT_OK
         assert main(tiny + ["eval", str(poses), str(poses)]) == EXIT_OK
         assert main(["--quiet", "eval", str(poses), str(poses)]) == EXIT_IO
-        assert f"{poses} was decoded against manifest {tiny_topo.manifest_hash[:12]}" in (
+        assert f"wbpose: {poses}: made against manifest {tiny_topo.manifest_hash[:12]}" in (
             capsys.readouterr().err)
 
     @pytest.mark.parametrize("side", ["detections", "groundtruth"])
@@ -823,7 +845,7 @@ class TestExitCodes:
     ])
     def test_zero_stride_is_usage_error(self, capsys, command):
         assert main(["--quiet", "--stride", "0"] + command) == EXIT_USAGE
-        assert "stride must be >= 1" in capsys.readouterr().err
+        assert "argument --stride: expected an integer of at least 1, got 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
         ["roundtrip", "--n-scenes", "0"],
@@ -831,7 +853,7 @@ class TestExitCodes:
     ])
     def test_scene_count_below_one_is_usage_error(self, capsys, command):
         assert main(["--quiet"] + command) == EXIT_USAGE
-        assert "expected a count of at least 1" in capsys.readouterr().err
+        assert "argument --n-scenes: expected an integer of at least 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
         ["synth", "--n-scenes", "1"],
@@ -847,7 +869,36 @@ class TestExitCodes:
         assert main(["--quiet", "--seed", "-1"] + command) == EXIT_USAGE
         errors = [line for line in capsys.readouterr().err.splitlines()
                   if line.startswith("wbpose:")]
-        assert errors == ["wbpose: error: argument --seed: expected a non-negative integer, got -1"]
+        assert errors == ["wbpose: error: argument --seed: expected an integer of at least 0, got -1"]
+
+    @pytest.mark.parametrize("argv, low", [
+        (["--stride", "{}", "arch", "--ratio"], 1),
+        (["--seed", "{}", "arch", "--ratio"], 0),
+        (["synth", "--n-scenes", "{}"], 1),
+        (["roundtrip", "--n-scenes", "{}"], 1),
+        (["synth", "--n-people", "{}"], 0),
+        (["sample-plan", "--out", "plan.jsonl", "--batches", "{}"], 0),
+        (["sample-plan", "--out", "plan.jsonl", "--batch-size", "{}"], 1),
+        (["arch", "--ratio", "--input-resolution", "{}"], 1),
+        (["bench", "--repetitions", "{}"], 10),
+    ], ids=["stride", "seed", "synth-n-scenes", "roundtrip-n-scenes", "n-people", "batches",
+            "batch-size", "input-resolution", "repetitions"])
+    def test_integer_option_takes_integers_from_its_least_value(self, capsys, argv, low):
+        # One argparse type reads them all: the value "{}" stands for is
+        # refused below low, or when it is not an integer, and read at low.
+        option = argv[argv.index("{}") - 1]
+        prog = "wbpose" if argv[0] == option else f"wbpose {argv[0]}"
+        for value, message in [
+            ("x", "expected an integer, got 'x'"),
+            ("1.5", "expected an integer, got '1.5'"),
+            (str(low - 1), f"expected an integer of at least {low}, got {low - 1}"),
+        ]:
+            assert main(["--quiet", *(value if a == "{}" else a for a in argv)]) == EXIT_USAGE
+            errors = [line for line in capsys.readouterr().err.splitlines()
+                      if line.startswith("wbpose")]
+            assert errors == [f"{prog}: error: argument {option}: {message}"]
+        args = build_parser().parse_args([str(low) if a == "{}" else a for a in argv])
+        assert vars(args)[option.lstrip("-").replace("-", "_")] == low
 
 
 class TestRoundtripCommand:

@@ -2,10 +2,10 @@
 
 Any one node of a valid document is replaced with a value of another JSON
 kind, or one object key is deleted. The command that reads the document
-must then succeed or exit 3 with a message; it must never raise, and never
-exit 1 (a failed gate) or 2 (a usage error) because of a document. Each
-library reader raises DocumentError itself, whose text is the line the
-command prints.
+must then succeed or exit 3 with one line naming the edited file; it must
+never raise, and never exit 1 (a failed gate) or 2 (a usage error) because
+of a document. Each library reader raises DocumentError itself, whose text
+the command prints after the file's path.
 """
 import copy
 import io
@@ -129,6 +129,12 @@ def test_single_node_edit_exits_0_or_3(name, workdir, capsys):
         err = capsys.readouterr().err
         assert code in (EXIT_OK, EXIT_IO, *also_allowed), (edit, code, err)
         assert (code == EXIT_IO) == err.startswith("wbpose: "), (edit, code, err)
+        if code == EXIT_IO:
+            named = paths["doc"]
+            if name == "coco-mapping" and edit == (("category",), "x"):
+                # A category the COCO file lacks, which its reader reports.
+                named = DATA / "toy_coco.json"
+            assert err.startswith(f"wbpose: {named}: ") and err.count("\n") == 1, (edit, err)
 
     check()
 
@@ -161,4 +167,4 @@ def test_reader_raises_document_error_with_the_printed_line(reader, workdir, cap
         "".join(json.dumps(line) + "\n" for line in doc) if name == "plan" else json.dumps(doc)
     )
     assert main(["--quiet"] + [arg.format(**paths) for arg in argv]) == EXIT_IO
-    assert capsys.readouterr().err == f"wbpose: {info.value}\n"
+    assert capsys.readouterr().err == f"wbpose: {paths['doc']}: {info.value}\n"

@@ -63,7 +63,7 @@ def test_all_keypoints_inside_margin(topo):
 
 def test_infeasible_packing_raises(topo):
     recipe = SceneRecipe(n_people=12, min_separation=200.0, seed=0)
-    message = "^could not place 3 of 12 people within 1000 attempts$"
+    message = "^placed 2 of 12 people before the 1000 attempts ran out$"
     with pytest.raises(ValueError, match=message):
         generate(recipe, topo)
     with pytest.raises(ValueError, match=message):
